@@ -155,7 +155,7 @@ func jobName(j Job) string {
 	if j.Name != "" {
 		return j.Name
 	}
-	if j.DFG != nil {
+	if j.DFG != nil && j.DFG.g != nil {
 		return j.DFG.Name()
 	}
 	return ""

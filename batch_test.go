@@ -174,6 +174,26 @@ func TestSynthesizeAllCancelMidBatch(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// malformedDFG returns a DFG whose only op reads a variable the graph
+// never declared, which the public DFG methods cannot produce: synthesis
+// panics on it inside the validate phase, so it drives the batch
+// layer's panic recovery.
+func malformedDFG(t *testing.T) *DFG {
+	t.Helper()
+	d := NewDFG("bad")
+	if err := d.AddInput("a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddOp("x", "+", 1, "y", "a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.MarkOutput("y"); err != nil {
+		t.Fatal(err)
+	}
+	d.g.Op("x").Args[0] = "undeclared"
+	return d
+}
+
 // A panicking job degrades to an error; the rest of the batch completes.
 func TestSynthesizeAllPanicRecovery(t *testing.T) {
 	good, mods, err := Benchmark("ex1")
@@ -182,8 +202,7 @@ func TestSynthesizeAllPanicRecovery(t *testing.T) {
 	}
 	jobs := []Job{
 		{Name: "good-1", DFG: good, Modules: mods, Config: DefaultConfig()},
-		// A DFG with no internal graph panics deep inside synthesis.
-		{Name: "bad", DFG: &DFG{}, Config: DefaultConfig()},
+		{Name: "bad", DFG: malformedDFG(t), Config: DefaultConfig()},
 		{Name: "good-2", DFG: good, Modules: mods, Config: DefaultConfig()},
 	}
 	rs := SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 2})
@@ -212,9 +231,7 @@ func TestRunJobPanicTerminalEvent(t *testing.T) {
 		events = append(events, e)
 		mu.Unlock()
 	}
-	// A DFG with no internal graph panics deep inside synthesis, before
-	// any phase event fires.
-	br := RunJob(context.Background(), Job{Name: "bad", DFG: &DFG{}, Config: cfg})
+	br := RunJob(context.Background(), Job{Name: "bad", DFG: malformedDFG(t), Config: cfg})
 	if br.Err == nil || !strings.Contains(br.Err.Error(), "panicked") {
 		t.Fatalf("err = %v, want recovered panic", br.Err)
 	}
@@ -302,7 +319,7 @@ func TestPoolDo(t *testing.T) {
 	// Slots are released even when jobs panic: more panicking jobs than
 	// slots, then a good job, must not wedge.
 	for i := 0; i < 5; i++ {
-		if br := p.Do(context.Background(), Job{Name: "bad", DFG: &DFG{}, Config: DefaultConfig()}); br.Err == nil {
+		if br := p.Do(context.Background(), Job{Name: "bad", DFG: malformedDFG(t), Config: DefaultConfig()}); br.Err == nil {
 			t.Fatal("panicking job reported success")
 		}
 	}

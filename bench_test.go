@@ -16,6 +16,7 @@ import (
 	"bistpath/internal/bist"
 	"bistpath/internal/bistgen"
 	"bistpath/internal/datapath"
+	"bistpath/internal/dfg"
 	"bistpath/internal/elab"
 	"bistpath/internal/gates"
 	"bistpath/internal/interconnect"
@@ -328,6 +329,64 @@ func BenchmarkBISTOptimize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := bist.Optimize(dp, bist.DefaultOptions(8)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// presetBound generates a dfgen preset design and binds its modules
+// and registers as the testable flow does.
+func presetBound(b *testing.B, preset string, seed int64) (*dfg.Graph, *modassign.Binding, *regassign.Binding) {
+	b.Helper()
+	cfg, _ := benchdata.Preset(preset, seed)
+	g, mb, err := benchdata.RandomWithModules(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rb, err := regassign.Bind(g, mb, regassign.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, mb, rb
+}
+
+// Interconnect binding on dfgen l-3, whose largest module carries 14
+// free commutative instances: the orientation search walks 2^14 masks.
+func BenchmarkInterconnectBind_l(b *testing.B) {
+	g, mb, rb := presetBound(b, "l", 3)
+	sh := regassign.NewSharing(g, mb)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := interconnect.Bind(g, mb, rb, sh); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Exact BIST search on dfgen xl-3, whose largest module has tens of
+// thousands of embeddings: enumerating and cost-ordering the search
+// space, then the branch and bound until its node budget runs out, on a
+// warm Scratch as a Synthesizer handle keeps one.
+func BenchmarkOptimizeExact_xl(b *testing.B) {
+	g, mb, rb := presetBound(b, "xl", 3)
+	ib, err := interconnect.Bind(g, mb, rb, regassign.NewSharing(g, mb))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dp, err := datapath.Build(g, mb, rb, ib, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := bist.DefaultOptions(8)
+	opts.Scratch = bist.NewScratch()
+	// Warm the Scratch first, so B/op measures the steady state at any
+	// -benchtime rather than the first call's growth spread over b.N.
+	if _, err := bist.Optimize(dp, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bist.Optimize(dp, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -57,9 +57,19 @@ func main() {
 		os.Exit(2)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bistpath:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine renders a command's error for stderr behind exactly one
+// "bistpath:" prefix; errors from the library already carry it.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "bistpath: ") {
+		msg = "bistpath: " + msg
+	}
+	return msg
 }
 
 func usage() {

@@ -20,7 +20,9 @@ var (
 	// AutoScheduleForce first.
 	ErrUnscheduled = errors.New("bistpath: DFG has unscheduled operations")
 
-	// ErrNoDFG is returned for a batch Job submitted without a DFG.
+	// ErrNoDFG is returned when there is no design to synthesize: a
+	// nil *DFG (or a zero DFG) passed to any Synthesize entry point or
+	// NewSession, or a batch Job submitted without a DFG.
 	ErrNoDFG = errors.New("bistpath: job has no DFG")
 
 	// ErrNoEmbedding is returned by synthesis when some module has no

@@ -1,6 +1,7 @@
 package bist
 
 import (
+	"slices"
 	"testing"
 
 	"bistpath/internal/benchdata"
@@ -57,5 +58,43 @@ func TestOptimizeScratchSteadyStateAllocs(t *testing.T) {
 	const budget = 80
 	if avg > budget {
 		t.Fatalf("Optimize with warm Scratch allocates %.1f allocs/run, want <= %d", avg, budget)
+	}
+}
+
+// Steady-state guard for the search-space preparation alone: on a warm
+// Scratch, re-enumerating, cost-ordering and interning a data path must
+// not allocate. The data path is chosen so the ordering does real work:
+// a module whose enumeration order is not already cost-sorted, over at
+// least three distinct cost levels, so the permutation is gathered and
+// applied rather than skipped.
+func TestPrepareSpaceWarmScratchAllocFree(t *testing.T) {
+	dp, _, _ := buildBench(t, benchdata.Paulin(), false)
+	opts := DefaultOptions(8)
+	permuted := false
+	for _, m := range dp.Modules {
+		var costs []int
+		for _, e := range Embeddings(dp, m.Name, opts.AllowPadHeads) {
+			costs = append(costs, standaloneCost(opts.Model, e))
+		}
+		levels := slices.Clone(costs)
+		slices.Sort(levels)
+		if len(slices.Compact(levels)) >= 3 && !slices.IsSorted(costs) {
+			permuted = true
+		}
+	}
+	if !permuted {
+		t.Fatal("no module needs a multi-level reordering; the guard would not exercise orderByCost")
+	}
+	sc := NewScratch()
+	if _, err := prepareSpace(dp, opts, sc); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := prepareSpace(dp, opts, sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("prepareSpace with warm Scratch allocates %.1f allocs/run, want 0", avg)
 	}
 }

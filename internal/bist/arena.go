@@ -53,7 +53,8 @@ type Scratch struct {
 	mods     []modEmb
 	embStore [][]Embedding
 	refStore [][]embRef
-	costs    []int
+	costs    []int   // standalone cost per embedding (orderByCost)
+	perm     []int32 // cost-order permutation (orderByCost)
 }
 
 // NewScratch returns an empty reusable optimizer scratch.
@@ -101,6 +102,15 @@ func (s *Scratch) resetIntern() {
 	s.regNames = s.regNames[:0]
 }
 
+// grow returns s resliced to length n, reallocated when its capacity is
+// short; unlike growInt32 it leaves the contents as they are.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 func growInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
@@ -114,8 +124,8 @@ func growInt32(s []int32, n int) []int32 {
 
 // standaloneCost returns the upgrade area of an embedding considered in
 // isolation — extraArea(model, stylesOf({e})) computed directly, without
-// materializing the role maps. Used by the per-module pre-sort that
-// orders cheap embeddings first.
+// materializing the role maps. orderByCost ranks each module's
+// embeddings by it, cheap embeddings first.
 func standaloneCost(model area.Model, e Embedding) int {
 	lReg := e.HeadL != "" && !interconnect.IsPad(e.HeadL)
 	rReg := e.HeadR != "" && !interconnect.IsPad(e.HeadR)

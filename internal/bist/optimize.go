@@ -1,10 +1,13 @@
 package bist
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,8 +197,8 @@ func packBound(cost, branch int) int64 { return int64(cost)<<32 | int64(branch) 
 func unpackBound(p int64) (cost, branch int) { return int(p >> 32), int(p & 0xffffffff) }
 
 // searchSpace is the prepared per-call search state shared by the exact
-// branch and bound and the stochastic search: modules ordered
-// most-constrained first, each module's embeddings cost-sorted, registers
+// branch and bound and the stochastic search: modules and embeddings in
+// canonical search order (canonicalOrder), registers
 // interned to small ids and the compact refs built, with the style
 // upgrade costs pre-resolved from the area model so duty counters
 // translate to cost without a Model call per touch. Everything here is a
@@ -235,44 +238,7 @@ func prepareSpace(dp *datapath.Datapath, opts Options, sc *Scratch) (searchSpace
 		mods = append(mods, modEmb{m.Name, embs})
 	}
 	sc.mods = mods
-	// Most-constrained modules first makes pruning effective. (len, name)
-	// is a total order, so a stable insertion sort equals sort.Slice here.
-	for i := 1; i < len(mods); i++ {
-		m := mods[i]
-		j := i - 1
-		for j >= 0 && (len(m.embs) < len(mods[j].embs) ||
-			(len(m.embs) == len(mods[j].embs) && m.name < mods[j].name)) {
-			mods[j+1] = mods[j]
-			j--
-		}
-		mods[j+1] = m
-	}
-
-	// Pre-sort each module's embeddings once by standalone upgrade cost
-	// (cheap embeddings first makes the first complete solution strong).
-	// Embeddings enumerate in canonical order and the insertion sort is
-	// stable among equal costs, so the search order — and therefore the
-	// deterministic tie-break — is a pure function of the data path.
-	for _, m := range mods {
-		costs := sc.costs
-		if cap(costs) < len(m.embs) {
-			costs = make([]int, len(m.embs))
-			sc.costs = costs
-		}
-		costs = costs[:len(m.embs)]
-		for j, e := range m.embs {
-			costs[j] = standaloneCost(opts.Model, e)
-		}
-		for i := 1; i < len(costs); i++ {
-			c, e := costs[i], m.embs[i]
-			j := i - 1
-			for j >= 0 && costs[j] > c {
-				costs[j+1], m.embs[j+1] = costs[j], m.embs[j]
-				j--
-			}
-			costs[j+1], m.embs[j+1] = c, e
-		}
-	}
+	sc.costs, sc.perm = canonicalOrder(opts.Model, mods, sc.costs, sc.perm)
 
 	// Intern the registers and build the compact search refs.
 	sc.resetIntern()
@@ -291,6 +257,89 @@ func prepareSpace(dp *datapath.Datapath, opts Options, sc *Scratch) (searchSpace
 	sp.refs = refs
 	sp.nregs = len(sc.regNames)
 	return sp, nil
+}
+
+// canonicalOrder puts a search space into the order every search
+// (exact, stochastic, Pareto) walks. Most-constrained modules come
+// first, which makes pruning effective, ties broken by name (module
+// names are unique, so the order is total). Each module's embeddings
+// then go cheapest standalone upgrade cost first, which makes the first
+// complete solution strong, keeping enumeration order within a cost
+// (orderByCost). Embeddings enumerate in canonical order, so the search
+// order, and with it every deterministic tie-break, is a pure function
+// of the data path. The cost and permutation buffers come back grown
+// for reuse.
+func canonicalOrder(model area.Model, mods []modEmb, costs []int, perm []int32) ([]int, []int32) {
+	slices.SortFunc(mods, func(a, b modEmb) int {
+		if c := cmp.Compare(len(a.embs), len(b.embs)); c != 0 {
+			return c
+		}
+		return strings.Compare(a.name, b.name)
+	})
+	if len(mods) > 0 {
+		// Size both buffers once, for the last module, which has the
+		// most embeddings.
+		n := len(mods[len(mods)-1].embs)
+		costs, perm = grow(costs, n), grow(perm, n)
+	}
+	for _, m := range mods {
+		costs, perm = orderByCost(model, m.embs, costs, perm)
+	}
+	return costs, perm
+}
+
+// orderByCost stably reorders embs by ascending standaloneCost in
+// place. A standalone cost is SA or CBILBO plus at most two TPGs, so it
+// takes at most six distinct values: one pass per value, in ascending
+// order, gathers the indices carrying it into perm, and the permutation
+// is then applied cycle by cycle, so the ordering is linear in
+// len(embs) and copies no second embedding slice.
+func orderByCost(model area.Model, embs []Embedding, costs []int, perm []int32) ([]int, []int32) {
+	n := len(embs)
+	costs = grow(costs, n)
+	sorted := true
+	for j, e := range embs {
+		costs[j] = standaloneCost(model, e)
+		sorted = sorted && (j == 0 || costs[j-1] <= costs[j])
+	}
+	if sorted {
+		return costs, perm
+	}
+	perm = grow(perm, n)
+	for w, level := 0, math.MinInt; w < n; {
+		next := math.MaxInt
+		for _, c := range costs {
+			if c > level && c < next {
+				next = c
+			}
+		}
+		for j, c := range costs {
+			if c == next {
+				perm[w] = int32(j)
+				w++
+			}
+		}
+		level = next
+	}
+	// Position i takes the embedding at perm[i]; follow each cycle once,
+	// marking visited positions with -1.
+	for i := range perm {
+		if perm[i] < 0 {
+			continue
+		}
+		first, j := embs[i], i
+		for {
+			k := int(perm[j])
+			perm[j] = -1
+			if k == i {
+				embs[j] = first
+				break
+			}
+			embs[j] = embs[k]
+			j = k
+		}
+	}
+	return costs, perm
 }
 
 // embeddingsOf materializes a genome (one embedding index per module

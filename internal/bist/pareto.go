@@ -335,34 +335,8 @@ func OptimizePareto(ctx context.Context, dp *datapath.Datapath, opts Options) ([
 		return []*Plan{p}, nil
 	}
 
-	// Canonical search order, replicated from OptimizeCtx: modules with
-	// the fewest embeddings first ((len, name) is a total order), then
-	// each module's embeddings stably sorted by standalone upgrade cost.
-	for i := 1; i < len(mods); i++ {
-		m := mods[i]
-		j := i - 1
-		for j >= 0 && (len(m.embs) < len(mods[j].embs) ||
-			(len(m.embs) == len(mods[j].embs) && m.name < mods[j].name)) {
-			mods[j+1] = mods[j]
-			j--
-		}
-		mods[j+1] = m
-	}
-	for _, m := range mods {
-		costs := make([]int, len(m.embs))
-		for j, emb := range m.embs {
-			costs[j] = standaloneCost(opts.Model, emb)
-		}
-		for i := 1; i < len(costs); i++ {
-			c, emb := costs[i], m.embs[i]
-			j := i - 1
-			for j >= 0 && costs[j] > c {
-				costs[j+1], m.embs[j+1] = costs[j], m.embs[j]
-				j--
-			}
-			costs[j+1], m.embs[j+1] = c, emb
-		}
-	}
+	// The canonical search order OptimizeCtx walks.
+	canonicalOrder(opts.Model, mods, nil, nil)
 
 	e := &paretoEnum{
 		ctx:        ctx,

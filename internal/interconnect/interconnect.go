@@ -10,6 +10,7 @@ package interconnect
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -55,102 +56,207 @@ func (ib *Binding) OperandSources(g *dfg.Graph, rb *regassign.Binding, op *dfg.O
 	return a, b
 }
 
+// maxFreeInstances caps the commutative instances with two distinct
+// sources ("free" instances) one module may carry: Bind searches all
+// 2^F orientations of a module's F free instances.
+const maxFreeInstances = 20
+
 // Bind chooses operand orientations. For each module the commutative
 // instances are oriented by exhaustive search (the per-module instance
 // count is small) minimizing, in order: total mux inputs over the two
 // ports, |IR^LR|, and — when sh is non-nil — maximizing the summed
 // sharing degree of registers connected to both ports. Non-commutative
 // instances keep their argument order.
+//
+// The search visits the 2^F orientation masks of a module's F free
+// instances in Gray-code order, so consecutive masks differ in one
+// instance and the score updates in O(1) per mask. Among masks with the
+// best score it keeps the numerically smallest, where bit i swaps the
+// i-th free instance in m.Ops order: the orientation is a function of
+// the module's op order, which callers that reuse a binding across
+// reschedules must therefore hold fixed.
 func Bind(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, sh *regassign.Sharing) (*Binding, error) {
 	ib := &Binding{Swapped: make(map[string]bool)}
+	nsrc := len(rb.Registers) // every source is a register or a pad
+	for _, v := range g.Vars() {
+		if v.IsPort {
+			nsrc++
+		}
+	}
+	o := orienter{
+		rb:   rb,
+		sh:   sh,
+		ids:  make(map[string]int32, nsrc),
+		srcs: make([]source, 0, nsrc),
+	}
 	for _, m := range mb.Modules {
-		if err := bindModule(g, m, rb, sh, ib); err != nil {
+		if err := o.bindModule(g, m, ib); err != nil {
 			return nil, err
 		}
 	}
 	return ib, nil
 }
 
-func bindModule(g *dfg.Graph, m *modassign.Module, rb *regassign.Binding, sh *regassign.Sharing, ib *Binding) error {
-	type inst struct {
-		op   *dfg.Op
-		a, b string // source ids
-		comm bool
+// score ranks one orientation: fewer mux inputs, then fewer sources on
+// both ports, then a higher sharing degree summed over those sources.
+type score struct {
+	muxInputs int
+	lrCount   int
+	lrSD      int
+}
+
+func (x score) better(y score) bool {
+	if x.muxInputs != y.muxInputs {
+		return x.muxInputs < y.muxInputs
 	}
-	var insts []inst
+	if x.lrCount != y.lrCount {
+		return x.lrCount < y.lrCount
+	}
+	return x.lrSD > y.lrSD
+}
+
+// inst is one instance of a module: its op and its operand sources as
+// interned ids.
+type inst struct {
+	op     *dfg.Op
+	a, b   int32
+	binary bool
+}
+
+// source is one interned operand source of a Bind call: its name, its
+// memoized sharing degree, and how many of the current module's
+// instances wire it to the left (cnt[0]) and right (cnt[1]) port.
+type source struct {
+	name string
+	sd   int // -1 until first needed
+	cnt  [2]int32
+}
+
+// orienter holds one Bind call's search state: the sources interned to
+// small ids for the whole call, the current module's instances, and s,
+// the score of the current port counts, kept current by add and remove.
+type orienter struct {
+	rb *regassign.Binding
+	sh *regassign.Sharing
+
+	ids   map[string]int32
+	srcs  []source
+	s     score
+	insts []inst
+	free  []int32 // indices into insts of the free instances, in m.Ops order
+}
+
+func (o *orienter) intern(name string) int32 {
+	if id, ok := o.ids[name]; ok {
+		return id
+	}
+	id := int32(len(o.srcs))
+	o.ids[name] = id
+	o.srcs = append(o.srcs, source{name: name, sd: -1})
+	return id
+}
+
+// sdOf returns the sharing degree a source adds to the score when it
+// sits on both ports: SD of its register under sh, 0 for pads or when
+// the binder is unweighted. Computed at most once per source per call.
+func (o *orienter) sdOf(src *source) int {
+	if src.sd < 0 {
+		src.sd = 0
+		if o.sh != nil && !IsPad(src.name) {
+			if r := o.rb.Register(src.name); r != nil {
+				src.sd = o.sh.SDReg(r.Vars)
+			}
+		}
+	}
+	return src.sd
+}
+
+// add wires one more instance's operand from source id to port p.
+func (o *orienter) add(p int, id int32) {
+	src := &o.srcs[id]
+	if src.cnt[p] == 0 {
+		o.s.muxInputs++
+		if src.cnt[1-p] > 0 {
+			o.s.lrCount++
+			o.s.lrSD += o.sdOf(src)
+		}
+	}
+	src.cnt[p]++
+}
+
+// remove undoes one add.
+func (o *orienter) remove(p int, id int32) {
+	src := &o.srcs[id]
+	src.cnt[p]--
+	if src.cnt[p] == 0 {
+		o.s.muxInputs--
+		if src.cnt[1-p] > 0 {
+			o.s.lrCount--
+			o.s.lrSD -= o.sdOf(src)
+		}
+	}
+}
+
+func (o *orienter) bindModule(g *dfg.Graph, m *modassign.Module, ib *Binding) error {
+	o.insts, o.free = o.insts[:0], o.free[:0]
 	for _, opName := range m.Ops {
 		op := g.Op(opName)
-		a := SourceOf(rb, g, op.Args[0])
+		a := SourceOf(o.rb, g, op.Args[0])
 		b := a
 		if op.Binary() {
-			b = SourceOf(rb, g, op.Args[1])
+			b = SourceOf(o.rb, g, op.Args[1])
 		}
 		if a == "" || b == "" {
 			return fmt.Errorf("interconnect: op %s has operand with no register", opName)
 		}
-		insts = append(insts, inst{op: op, a: a, b: b, comm: op.Kind.Commutative() && op.Binary()})
+		in := inst{op: op, a: o.intern(a), b: o.intern(b), binary: op.Binary()}
+		if in.binary && op.Kind.Commutative() && a != b {
+			o.free = append(o.free, int32(len(o.insts)))
+		}
+		o.insts = append(o.insts, in)
 	}
-	var free []int // indices of commutative instances with distinct sources
-	for i, in := range insts {
-		if in.comm && in.a != in.b {
-			free = append(free, i)
+	nfree := len(o.free)
+	if nfree > maxFreeInstances {
+		return fmt.Errorf("interconnect: module %s has %d free instances (search cap exceeded)", m.Name, nfree)
+	}
+	if nfree == 0 {
+		return nil // one orientation: nothing swapped
+	}
+
+	// Score mask 0 (every instance in argument order), then walk the
+	// remaining masks in Gray-code order: step k flips free instance
+	// trailingZeros(k), moving its two sources across the ports.
+	o.s = score{}
+	for _, in := range o.insts {
+		o.add(0, in.a)
+		if in.binary {
+			o.add(1, in.b)
 		}
 	}
-	if len(free) > 20 {
-		return fmt.Errorf("interconnect: module %s has %d free instances (search cap exceeded)", m.Name, len(free))
-	}
-	type scoreT struct {
-		muxInputs int
-		lrCount   int
-		lrSD      int // negated preference: higher is better
-	}
-	better := func(x, y scoreT) bool {
-		if x.muxInputs != y.muxInputs {
-			return x.muxInputs < y.muxInputs
+	best, bestMask, mask := o.s, 0, 0
+	for k := 1; k < 1<<nfree; k++ {
+		bit := bits.TrailingZeros(uint(k))
+		in := o.insts[o.free[bit]]
+		l, r := in.a, in.b
+		if mask&(1<<bit) != 0 {
+			l, r = r, l
 		}
-		if x.lrCount != y.lrCount {
-			return x.lrCount < y.lrCount
-		}
-		return x.lrSD > y.lrSD
-	}
-	evaluate := func(mask int) scoreT {
-		left := make(map[string]bool)
-		right := make(map[string]bool)
-		for i, in := range insts {
-			a, b := in.a, in.b
-			for bit, fi := range free {
-				if fi == i && mask&(1<<uint(bit)) != 0 {
-					a, b = b, a
-				}
-			}
-			left[a] = true
-			if in.op.Binary() {
-				right[b] = true
-			}
-		}
-		var s scoreT
-		s.muxInputs = len(left) + len(right)
-		for src := range left {
-			if right[src] {
-				s.lrCount++
-				if sh != nil && !IsPad(src) {
-					if r := rb.Register(src); r != nil {
-						s.lrSD += sh.SDReg(r.Vars)
-					}
-				}
-			}
-		}
-		return s
-	}
-	bestMask, bestScore := 0, evaluate(0)
-	for mask := 1; mask < 1<<uint(len(free)); mask++ {
-		if s := evaluate(mask); better(s, bestScore) {
-			bestMask, bestScore = mask, s
+		o.remove(0, l)
+		o.remove(1, r)
+		o.add(0, r)
+		o.add(1, l)
+		mask ^= 1 << bit
+		if s := o.s; s.better(best) || (s == best && mask < bestMask) {
+			best, bestMask = s, mask
 		}
 	}
-	for bit, fi := range free {
-		if bestMask&(1<<uint(bit)) != 0 {
-			ib.Swapped[insts[fi].op.Name] = true
+	for _, in := range o.insts {
+		o.srcs[in.a].cnt = [2]int32{}
+		o.srcs[in.b].cnt = [2]int32{}
+	}
+	for bit, fi := range o.free {
+		if bestMask&(1<<bit) != 0 {
+			ib.Swapped[o.insts[fi].op.Name] = true
 		}
 	}
 	return nil

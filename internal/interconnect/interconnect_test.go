@@ -238,6 +238,63 @@ func TestWeightedPrefersHighSDInLR(t *testing.T) {
 	}
 }
 
+// Allocation guard for the orientation search: Bind allocates per call,
+// per module and per interned source, never per mask. dfgen l-3 walks
+// 2^14 masks on one module, yet must stay within a small multiple of
+// ex1's count; a per-mask allocation would multiply it by thousands.
+func TestBindAllocsIndependentOfMaskCount(t *testing.T) {
+	allocs := func(g *dfg.Graph, mb *modassign.Binding, minFree int) float64 {
+		rb, err := regassign.Bind(g, mb, regassign.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := regassign.NewSharing(g, mb)
+		if _, err := Bind(g, mb, rb, sh); err != nil {
+			t.Fatal(err)
+		}
+		if f := maxFree(g, mb, rb); f < minFree {
+			t.Fatalf("%s: largest module has %d free instances, want >= %d", g.Name, f, minFree)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Bind(g, mb, rb, sh); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	ex1 := benchdata.Ex1()
+	mb, err := ex1.Modules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper := allocs(ex1.Graph, mb, 0)
+	cfg, _ := benchdata.Preset("l", 3)
+	g, lmb, err := benchdata.RandomWithModules(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := allocs(g, lmb, 14)
+	if large > 4*paper {
+		t.Fatalf("Bind on l-3 allocates %.0f allocs/run, ex1 %.0f: want at most 4x", large, paper)
+	}
+}
+
+// maxFree returns the largest number of free instances (commutative,
+// two distinct sources) on one module.
+func maxFree(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding) int {
+	best := 0
+	for _, m := range mb.Modules {
+		n := 0
+		for _, name := range m.Ops {
+			op := g.Op(name)
+			if op.Binary() && op.Kind.Commutative() && SourceOf(rb, g, op.Args[0]) != SourceOf(rb, g, op.Args[1]) {
+				n++
+			}
+		}
+		best = max(best, n)
+	}
+	return best
+}
+
 func containsT(list []string, x string) bool {
 	for _, s := range list {
 		if s == x {

@@ -112,6 +112,39 @@ func stringsEqual(a, b []string) bool {
 	return true
 }
 
+// sameModuleBindingAfterSteps reports whether binding the session's
+// edited graph reproduces prev op for op: the same modules, each
+// running the same ops in the same order. Steps reach the module
+// binding even when no other edit did: it orders each module's ops by
+// (step, name), which the interconnect orientation tie-break depends
+// on; the automatic binder packs modules by step; and a module runs at
+// most one op per step.
+func (ss *Session) sameModuleBindingAfterSteps(prev *modassign.Binding) bool {
+	if ss.opToModule == nil {
+		mb, err := (&DFG{g: ss.g}).moduleBinding(nil)
+		if err != nil || len(mb.Modules) != len(prev.Modules) {
+			return false
+		}
+		for i, m := range mb.Modules {
+			if m.Name != prev.Modules[i].Name || !stringsEqual(m.Ops, prev.Modules[i].Ops) {
+				return false
+			}
+		}
+		return true
+	}
+	// An explicit map keeps every op on its module, so the binding is
+	// reproduced, and valid, iff the steps still rise strictly along
+	// each module's previous op order.
+	for _, m := range prev.Modules {
+		for i := 1; i < len(m.Ops); i++ {
+			if ss.g.Op(m.Ops[i-1]).Step >= ss.g.Op(m.Ops[i]).Step {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func boolsEqual(a, b []bool) bool {
 	if len(a) != len(b) {
 		return false
@@ -136,7 +169,7 @@ func (s *Synthesizer) NewSession(d *DFG, opToModule map[string]string) (*Session
 // the session pins for its whole lifetime. cfg.Cache is ignored:
 // sessions replay their own previous run instead.
 func (s *Synthesizer) NewSessionConfig(d *DFG, opToModule map[string]string, cfg Config) (*Session, error) {
-	if d == nil {
+	if d == nil || d.g == nil {
 		return nil, ErrNoDFG
 	}
 	s.mu.Lock()
@@ -326,11 +359,12 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 	start := time.Now()
 
 	// Reschedule fast path: if every pending edit is a SetStep and the
-	// new schedule preserves the lifetime-overlap matrix, the previous
-	// run's netlist and plan are reusable wholesale — only the control
-	// program is rebuilt. This sidesteps the pipeline (and all its
-	// fingerprint hashing) entirely; correctness rests on the matrix
-	// comparison plus the differential property/fuzz tests.
+	// new schedule preserves the lifetime-overlap matrix and the module
+	// binding, the previous run's netlist and plan are reusable
+	// wholesale — only the control program is rebuilt. This sidesteps
+	// the pipeline (and all its fingerprint hashing) entirely;
+	// correctness rests on those two comparisons plus the differential
+	// property/fuzz tests.
 	if res, handled, err := ss.fastReschedule(start); handled {
 		return res, err
 	}
@@ -422,10 +456,11 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 // previous run captured a complete artifact set, and the configuration
 // keeps plans spliceable. If the edited schedule preserves the
 // lifetime-overlap matrix — the only channel through which control
-// steps reach the register binder — then the register binding,
-// interconnect, netlist and BIST plan are all provably unchanged, and
-// the run reduces to validation plus rebuilding the control program on
-// the previous netlist (Datapath.WithSchedule).
+// steps reach the register binder — and reproduces the module binding
+// op for op, then the register binding, interconnect, netlist and BIST
+// plan are all provably unchanged, and the run reduces to validation
+// plus rebuilding the control program on the previous netlist
+// (Datapath.WithSchedule).
 //
 // handled=false falls through to the general path, which re-derives
 // everything through its own fingerprint ladder. handled=true with an
@@ -458,6 +493,9 @@ func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, e
 	}
 	if !stringsEqual(vars, prev.allocVars) || !boolsEqual(m, prev.overlaps) {
 		return nil, false, nil // overlaps moved: the binder must re-run
+	}
+	if !ss.sameModuleBindingAfterSteps(prev.mb) {
+		return nil, false, nil // the general path rebinds (or rejects) it
 	}
 
 	g := ss.g.Clone() // private snapshot, as in the general path

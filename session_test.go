@@ -173,6 +173,132 @@ func TestSessionConflictPreservingEditReusesBindAndPlan(t *testing.T) {
 	assertSameResult(t, "mul2@5", warm, want)
 }
 
+// sharedModuleDesign runs two adds with identical operands on module M1
+// at steps 1 and 2. Exchanging their steps preserves every lifetime
+// overlap but reverses M1's (step, name) op order; moving op1 onto step
+// 2 preserves the overlaps too but makes M1 run two ops in one step.
+const sharedModuleDesign = `dfg shared
+input in0 in1
+op op1 + in0 in1 -> v1 @1
+op op2 + in0 in1 -> v2 @2
+op op3 - in1 v1 -> v3 @3
+op op4 < in0 v1 -> v4 @4
+op op5 < v4 v2 -> v5 @5
+op op6 + v3 v5 -> v6 @6
+output v6
+`
+
+var sharedModuleMap = map[string]string{
+	"op1": "M1", "op2": "M1", "op3": "M2", "op4": "M3", "op5": "M3", "op6": "M1",
+}
+
+// openSharedModuleSession opens a session on sharedModuleDesign with the
+// given module map (nil = automatic binding) and runs it once, so the
+// next Resynthesize is eligible for the fast path.
+func openSharedModuleSession(t *testing.T, mods map[string]string) (*DFG, *Session) {
+	t.Helper()
+	d, err := ParseDFG(sharedModuleDesign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(DefaultConfig())
+	t.Cleanup(func() { s.Close() })
+	ss, err := s.NewSession(d, mods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ss.Close() })
+	if _, err := ss.Resynthesize(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return d, ss
+}
+
+// A step edit that moves an op past another op of its module changes
+// the module's op order, and with it the report and the interconnect
+// tie-break's bit order: the session must not replay the previous
+// binding, and its result must equal a cold synthesis.
+func TestSessionStepEditReorderingModuleOpsMatchesCold(t *testing.T) {
+	d, ss := openSharedModuleSession(t, sharedModuleMap)
+	if err := ss.SetStep("op1", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.SetStep("op2", 1); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ss.Resynthesize(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &DFG{g: d.g.Clone()}
+	ref.g.Op("op1").Step, ref.g.Op("op2").Step = 2, 1
+	want, err := ref.SynthesizeCtx(context.Background(), sharedModuleMap, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "op1<->op2", got, want)
+}
+
+// A step edit that puts two ops of one module in the same step must
+// fail as a cold synthesis does, leave the edit pending, and leave the
+// session usable once the edit is undone.
+func TestSessionStepEditCollidingOnModuleFailsLikeCold(t *testing.T) {
+	d, ss := openSharedModuleSession(t, sharedModuleMap)
+	if err := ss.SetStep("op1", 2); err != nil {
+		t.Fatal(err)
+	}
+	ref := &DFG{g: d.g.Clone()}
+	ref.g.Op("op1").Step = 2
+	_, coldErr := ref.SynthesizeCtx(context.Background(), sharedModuleMap, DefaultConfig())
+	if coldErr == nil {
+		t.Fatal("cold synthesis accepted two ops of M1 in one step")
+	}
+	_, err := ss.Resynthesize(context.Background())
+	if err == nil || err.Error() != coldErr.Error() {
+		t.Fatalf("Resynthesize err = %v, want the cold error %v", err, coldErr)
+	}
+	var se *SynthesisError
+	if !errors.As(err, &se) || se.Phase != PhaseValidate {
+		t.Fatalf("err = %v, want a validate-phase *SynthesisError", err)
+	}
+	if len(ss.Deltas()) != 1 {
+		t.Fatalf("failed Resynthesize consumed deltas: %v", ss.Deltas())
+	}
+	if err := ss.SetStep("op1", 1); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ss.Resynthesize(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := d.SynthesizeCtx(context.Background(), sharedModuleMap, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "undone collision", got, want)
+}
+
+// Under automatic module binding the same collision is legal but moves
+// op1 to a module of its own: the session must rebind rather than
+// replay the previous binding, and match a cold synthesis.
+func TestSessionStepEditRebindingAutomaticModulesMatchesCold(t *testing.T) {
+	d, ss := openSharedModuleSession(t, nil)
+	if err := ss.SetStep("op1", 2); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ss.Resynthesize(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &DFG{g: d.g.Clone()}
+	ref.g.Op("op1").Step = 2
+	want, err := ref.SynthesizeCtx(context.Background(), nil, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "auto op1@2", got, want)
+}
+
 func TestSessionMutatorValidation(t *testing.T) {
 	s := New(DefaultConfig())
 	defer s.Close()

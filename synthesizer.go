@@ -112,9 +112,6 @@ func (s *Synthesizer) Close() error {
 // configuration. opToModule maps operation names to module names (nil =
 // automatic area-driven module binding), exactly as in DFG.SynthesizeCtx.
 func (s *Synthesizer) Synthesize(ctx context.Context, d *DFG, opToModule map[string]string) (*Result, error) {
-	if d == nil {
-		return nil, ErrNoDFG
-	}
 	return s.synthesizeDFG(ctx, d, opToModule, s.cfg)
 }
 
@@ -123,9 +120,6 @@ func (s *Synthesizer) Synthesize(ctx context.Context, d *DFG, opToModule map[str
 // non-dominated plan set in Result.Pareto, exactly as
 // DFG.SynthesizeParetoCtx.
 func (s *Synthesizer) SynthesizePareto(ctx context.Context, d *DFG, opToModule map[string]string) (*Result, error) {
-	if d == nil {
-		return nil, ErrNoDFG
-	}
 	cfg := s.cfg
 	cfg.Objective = ParetoFront
 	return s.synthesizeDFG(ctx, d, opToModule, cfg)
@@ -232,10 +226,6 @@ func (s *Synthesizer) runJob(ctx context.Context, j Job) (br BatchResult) {
 		br.Err = err
 		return br
 	}
-	if j.DFG == nil {
-		br.Err = ErrNoDFG
-		return br
-	}
 	cfg := j.Config
 	if cfg.Cache == nil {
 		cfg.Cache = s.cfg.Cache
@@ -246,8 +236,13 @@ func (s *Synthesizer) runJob(ctx context.Context, j Job) (br BatchResult) {
 
 // synthesizeDFG resolves the module binding and runs the pipeline with a
 // scratch from the handle's freelist. It is the single core path every
-// public entry point funnels through.
+// public entry point funnels through, so it is also where a missing
+// design (a nil *DFG, or a zero DFG not built by NewDFG, ParseDFG or
+// Compile) fails with ErrNoDFG.
 func (s *Synthesizer) synthesizeDFG(ctx context.Context, d *DFG, opToModule map[string]string, cfg Config) (*Result, error) {
+	if d == nil || d.g == nil {
+		return nil, ErrNoDFG
+	}
 	// Catch unscheduled graphs before module binding so both the explicit
 	// and automatic paths fail with ErrUnscheduled rather than a
 	// binder-specific message.

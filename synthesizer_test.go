@@ -131,6 +131,35 @@ func TestSynthesizerClosed(t *testing.T) {
 	}
 }
 
+// Every entry point fails a missing design with ErrNoDFG instead of
+// panicking: a nil *DFG receiver or argument, and a zero DFG that never
+// got a graph.
+func TestMissingDFGReturnsErrNoDFG(t *testing.T) {
+	s := New(DefaultConfig())
+	defer s.Close()
+	ctx := context.Background()
+	for _, d := range []*DFG{nil, {}} {
+		calls := map[string]func() error{
+			"DFG.SynthesizeCtx": func() error { _, err := d.SynthesizeCtx(ctx, nil, DefaultConfig()); return err },
+			"DFG.SynthesizeParetoCtx": func() error {
+				_, err := d.SynthesizeParetoCtx(ctx, nil, DefaultConfig())
+				return err
+			},
+			"DFG.Synthesize":               func() error { _, err := d.Synthesize(nil, DefaultConfig()); return err },
+			"DFG.SynthesizeAuto":           func() error { _, err := d.SynthesizeAuto(DefaultConfig()); return err },
+			"Synthesizer.Synthesize":       func() error { _, err := s.Synthesize(ctx, d, nil); return err },
+			"Synthesizer.SynthesizePareto": func() error { _, err := s.SynthesizePareto(ctx, d, nil); return err },
+			"Synthesizer.NewSession":       func() error { _, err := s.NewSession(d, nil); return err },
+			"RunJob":                       func() error { return RunJob(ctx, Job{DFG: d, Config: DefaultConfig()}).Err },
+		}
+		for name, call := range calls {
+			if err := call(); !errors.Is(err, ErrNoDFG) {
+				t.Errorf("%s on %#v: err = %v, want ErrNoDFG", name, d, err)
+			}
+		}
+	}
+}
+
 // Close with a run in flight cancels it cleanly: the run comes back with
 // ErrSynthesizerClosed, Close itself returns (no wedged waiters), and
 // the package-default handle behind the daemon's job manager keeps
