@@ -2,7 +2,6 @@ package bistpath
 
 import (
 	"context"
-	"runtime"
 	"time"
 )
 
@@ -25,18 +24,15 @@ type Job struct {
 	Config Config
 }
 
-// BatchOptions configures SynthesizeAll.
+// BatchOptions configures SynthesizeAll. To share one result cache
+// across a batch, run it on a handle (New) whose Config.Cache is set:
+// every job without a cache of its own inherits it, and duplicate jobs
+// coalesce into a single synthesis.
 type BatchOptions struct {
 	// Workers bounds how many jobs are synthesized concurrently.
 	// 0 (the default) uses runtime.GOMAXPROCS(0); 1 runs the batch
 	// sequentially on the calling goroutine's pool worker.
 	Workers int
-	// Cache, when non-nil, is applied to every job whose Config.Cache is
-	// nil, so a whole batch shares one result cache without editing each
-	// Job. Duplicate jobs in the batch coalesce into a single synthesis
-	// (the rest are served as cache hits). A job that sets its own
-	// Config.Cache keeps it.
-	Cache *Cache
 }
 
 // BatchResult is the outcome of one job. Exactly one of Result and Err
@@ -78,22 +74,17 @@ func (s BatchStats) Utilization() float64 {
 }
 
 // SynthesizeAll synthesizes every job on a bounded worker pool and
-// returns one BatchResult per job, in job order. The context cancels the
-// batch: jobs not yet started fail with ctx.Err(), and jobs already
-// running abort at the next synthesis phase boundary (the BIST branch
-// and bound polls the context). A panic inside one job is recovered and
-// degrades that single job to an error instead of killing the batch.
+// returns one BatchResult per job, in job order, plus the pool's
+// utilization. The context cancels the batch: jobs not yet started fail
+// with ctx.Err(), and jobs already running abort at the next synthesis
+// phase boundary (the BIST branch and bound polls the context). A panic
+// inside one job is recovered and degrades that single job to an error
+// instead of killing the batch.
 //
 // SynthesizeAll is a thin wrapper over the package-default Synthesizer;
 // use an explicit handle (New) to share a cache or bound the lifetime.
-func SynthesizeAll(ctx context.Context, jobs []Job, opts BatchOptions) []BatchResult {
+func SynthesizeAll(ctx context.Context, jobs []Job, opts BatchOptions) ([]BatchResult, BatchStats) {
 	return defaultSynthesizer.SynthesizeAll(ctx, jobs, opts)
-}
-
-// SynthesizeAllStats is SynthesizeAll plus pool-utilization accounting
-// for the run.
-func SynthesizeAllStats(ctx context.Context, jobs []Job, opts BatchOptions) ([]BatchResult, BatchStats) {
-	return defaultSynthesizer.SynthesizeAllStats(ctx, jobs, opts)
 }
 
 // Pool is a persistent, process-wide synthesis worker pool: a bounded
@@ -101,22 +92,12 @@ func SynthesizeAllStats(ctx context.Context, jobs []Job, opts BatchOptions) ([]B
 // serves the one-shot "here are N jobs" shape, a Pool serves long-lived
 // callers — most prominently the bistpathd service — that receive jobs
 // over time and need every submission in the process to share one
-// concurrency budget. A Pool is safe for concurrent use.
+// concurrency budget. Create one with Synthesizer.NewPool. A Pool is
+// safe for concurrent use.
 type Pool struct {
 	sem     chan struct{}
 	workers int
 	synth   *Synthesizer // handle whose scratch arenas Do's jobs reuse
-}
-
-// NewPool creates a pool with the given number of worker slots
-// (0 or negative = runtime.GOMAXPROCS(0)). The pool runs jobs through
-// the package-default Synthesizer; use Synthesizer.NewPool to bind one
-// to an explicit handle.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{sem: make(chan struct{}, workers), workers: workers, synth: defaultSynthesizer}
 }
 
 // Workers returns the pool's slot count.
@@ -148,7 +129,7 @@ func (p *Pool) Do(ctx context.Context, j Job) BatchResult {
 		return BatchResult{Name: jobName(j), Err: err}
 	}
 	defer p.Release()
-	return p.synth.runJob(ctx, j)
+	return p.synth.RunJob(ctx, j)
 }
 
 func jobName(j Job) string {
@@ -159,24 +140,6 @@ func jobName(j Job) string {
 		return j.DFG.Name()
 	}
 	return ""
-}
-
-// RunJob synthesizes one job through the single SynthesizeCtx core path,
-// converting a panic into a per-job error so a single bad design cannot
-// take down the whole batch (or a whole server). It is the per-job
-// execution primitive under SynthesizeAll and Pool.Do; use it directly
-// when the caller manages its own concurrency.
-//
-// When a panic is recovered and the job has an Observer, the observer
-// receives one final PanicRecovered event: without it a streaming
-// subscriber (e.g. an SSE client of bistpathd) would wait forever for a
-// conclusion that cannot come, because the panic unwound past the
-// pipeline before any terminal phase event fired.
-//
-// RunJob executes on the package-default Synthesizer, so repeated jobs
-// (a daemon's steady state) reuse its scratch arenas.
-func RunJob(ctx context.Context, j Job) BatchResult {
-	return defaultSynthesizer.runJob(ctx, j)
 }
 
 // notifyPanicRecovered delivers the terminal PanicRecovered event to an

@@ -54,11 +54,12 @@ func reportsOf(t testing.TB, rs []BatchResult) []string {
 // race-clean.
 func TestSynthesizeAllDeterministicAcrossWorkers(t *testing.T) {
 	jobs := benchJobs(t)
-	seq := reportsOf(t, SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 1}))
+	rs, _ := SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 1})
+	seq := reportsOf(t, rs)
 
 	// The sequential batch must also match the plain one-at-a-time API.
 	for i, j := range jobs {
-		res, err := j.DFG.Synthesize(j.Modules, j.Config)
+		res, err := j.DFG.SynthesizeCtx(context.Background(), j.Modules, j.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +69,8 @@ func TestSynthesizeAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 3, 8} {
-		par := reportsOf(t, SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: workers}))
+		rs, _ := SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: workers})
+		par := reportsOf(t, rs)
 		for i := range seq {
 			if par[i] != seq[i] {
 				t.Errorf("workers=%d job %s: report differs from workers=1:\n--- sequential\n%s\n--- parallel\n%s",
@@ -82,13 +84,15 @@ func TestSynthesizeAllDeterministicAcrossWorkers(t *testing.T) {
 // either: the branch and bound's tie-break is canonical search order.
 func TestSynthesizeAllInnerWorkersDeterministic(t *testing.T) {
 	jobs := benchJobs(t)
-	seq := reportsOf(t, SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 1}))
+	rs, _ := SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 1})
+	seq := reportsOf(t, rs)
 	parJobs := make([]Job, len(jobs))
 	for i, j := range jobs {
 		j.Config.Workers = 8
 		parJobs[i] = j
 	}
-	par := reportsOf(t, SynthesizeAll(context.Background(), parJobs, BatchOptions{Workers: 4}))
+	rs, _ = SynthesizeAll(context.Background(), parJobs, BatchOptions{Workers: 4})
+	par := reportsOf(t, rs)
 	for i := range seq {
 		if par[i] != seq[i] {
 			t.Errorf("job %s: Config.Workers=8 report differs from sequential", jobs[i].Name)
@@ -121,7 +125,7 @@ func TestSynthesizeAllCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	rs := SynthesizeAll(ctx, jobs, BatchOptions{Workers: 4})
+	rs, _ := SynthesizeAll(ctx, jobs, BatchOptions{Workers: 4})
 	if el := time.Since(start); el > 2*time.Second {
 		t.Errorf("cancelled batch took %v, want prompt return", el)
 	}
@@ -153,7 +157,10 @@ func TestSynthesizeAllCancelMidBatch(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan []BatchResult, 1)
-	go func() { done <- SynthesizeAll(ctx, jobs, BatchOptions{Workers: 2}) }()
+	go func() {
+		rs, _ := SynthesizeAll(ctx, jobs, BatchOptions{Workers: 2})
+		done <- rs
+	}()
 	time.Sleep(5 * time.Millisecond)
 	cancel()
 	rs := <-done
@@ -205,7 +212,7 @@ func TestSynthesizeAllPanicRecovery(t *testing.T) {
 		{Name: "bad", DFG: malformedDFG(t), Config: DefaultConfig()},
 		{Name: "good-2", DFG: good, Modules: mods, Config: DefaultConfig()},
 	}
-	rs := SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 2})
+	rs, _ := SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 2})
 	if rs[0].Err != nil || rs[2].Err != nil {
 		t.Fatalf("good jobs failed: %v / %v", rs[0].Err, rs[2].Err)
 	}
@@ -231,7 +238,9 @@ func TestRunJobPanicTerminalEvent(t *testing.T) {
 		events = append(events, e)
 		mu.Unlock()
 	}
-	br := RunJob(context.Background(), Job{Name: "bad", DFG: malformedDFG(t), Config: cfg})
+	s := New(DefaultConfig())
+	defer s.Close()
+	br := s.RunJob(context.Background(), Job{Name: "bad", DFG: malformedDFG(t), Config: cfg})
 	if br.Err == nil || !strings.Contains(br.Err.Error(), "panicked") {
 		t.Fatalf("err = %v, want recovered panic", br.Err)
 	}
@@ -279,7 +288,7 @@ func TestSynthesizeAllObserverPanicTerminalEvent(t *testing.T) {
 			panic("observer boom")
 		}
 	}
-	rs := SynthesizeAll(context.Background(),
+	rs, _ := SynthesizeAll(context.Background(),
 		[]Job{{DFG: d, Modules: mods, Config: cfg}}, BatchOptions{Workers: 1})
 	if rs[0].Err == nil || !strings.Contains(rs[0].Err.Error(), "panicked") {
 		t.Fatalf("err = %v, want recovered panic", rs[0].Err)
@@ -298,7 +307,9 @@ func TestPoolDo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool(2)
+	s := New(DefaultConfig())
+	defer s.Close()
+	p := s.NewPool(2)
 	if p.Workers() != 2 {
 		t.Fatalf("Workers() = %d, want 2", p.Workers())
 	}
@@ -338,7 +349,7 @@ func TestSynthesizeAllJobShapes(t *testing.T) {
 		{Name: "missing"},
 		{DFG: d, Config: DefaultConfig()}, // auto binding, name from DFG
 	}
-	rs := SynthesizeAll(context.Background(), jobs, BatchOptions{})
+	rs, _ := SynthesizeAll(context.Background(), jobs, BatchOptions{})
 	if rs[0].Err == nil {
 		t.Error("nil-DFG job succeeded")
 	}
@@ -348,7 +359,7 @@ func TestSynthesizeAllJobShapes(t *testing.T) {
 	if rs[1].Name != "ex1" {
 		t.Errorf("default name = %q, want ex1", rs[1].Name)
 	}
-	if got := SynthesizeAll(context.Background(), nil, BatchOptions{}); len(got) != 0 {
+	if got, _ := SynthesizeAll(context.Background(), nil, BatchOptions{}); len(got) != 0 {
 		t.Errorf("empty batch returned %d results", len(got))
 	}
 }
@@ -363,7 +374,7 @@ func BenchmarkSynthesizeAll(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rs := SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: workers})
+				rs, _ := SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: workers})
 				for _, r := range rs {
 					if r.Err != nil {
 						b.Fatal(r.Err)

@@ -42,11 +42,11 @@ func benchBoth(b *testing.B, name string) {
 	cfgR.Mode = TraditionalHLS
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt, err := d.Synthesize(mods, cfgT)
+		rt, err := d.SynthesizeCtx(context.Background(), mods, cfgT)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rr, err := d.Synthesize(mods, cfgR)
+		rr, err := d.SynthesizeCtx(context.Background(), mods, cfgR)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func BenchmarkTableII(b *testing.B) {
 			for _, mode := range []Mode{TraditionalHLS, Testable} {
 				cfg := DefaultConfig()
 				cfg.Mode = mode
-				res, err := d.Synthesize(mods, cfg)
+				res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -114,7 +114,7 @@ func BenchmarkTableIII(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ours, err := d.Synthesize(mods, DefaultConfig())
+		ours, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func BenchmarkFig5_DataPaths(b *testing.B) {
 		for _, mode := range []Mode{Testable, TraditionalHLS} {
 			cfg := DefaultConfig()
 			cfg.Mode = mode
-			res, err := d.Synthesize(mods, cfg)
+			res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -257,7 +257,7 @@ func benchAblation(b *testing.B, mut func(*Config)) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, d := range graphs {
-			if _, err := d.SynthesizeAuto(cfg); err != nil {
+			if _, err := d.SynthesizeCtx(context.Background(), nil, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -418,7 +418,7 @@ func BenchmarkSynthesizePareto(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := d.SynthesizePareto(mods, DefaultConfig())
+		res, err := d.SynthesizeParetoCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -477,7 +477,7 @@ func BenchmarkFullFlowRandom(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.SynthesizeAuto(DefaultConfig()); err != nil {
+				if _, err := d.SynthesizeCtx(context.Background(), nil, DefaultConfig()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -489,7 +489,7 @@ func BenchmarkFullFlowRandom(b *testing.B) {
 // and fault-simulate one module per iteration.
 func BenchmarkGateLevel(b *testing.B) {
 	d, mods, _ := Benchmark("ex1")
-	res, err := d.Synthesize(mods, DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -711,12 +711,12 @@ func BenchmarkCacheHitMemory(b *testing.B) {
 	}
 	cfg := DefaultConfig()
 	cfg.Cache = c
-	if _, err := d.Synthesize(mods, cfg); err != nil {
+	if _, err := d.SynthesizeCtx(context.Background(), mods, cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := d.Synthesize(mods, cfg)
+		res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -741,7 +741,7 @@ func BenchmarkCacheHitDisk(b *testing.B) {
 	}
 	cfg := DefaultConfig()
 	cfg.Cache = seed
-	if _, err := d.Synthesize(mods, cfg); err != nil {
+	if _, err := d.SynthesizeCtx(context.Background(), mods, cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -751,7 +751,7 @@ func BenchmarkCacheHitDisk(b *testing.B) {
 			b.Fatal(err)
 		}
 		cfg.Cache = c
-		res, err := d.Synthesize(mods, cfg)
+		res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,7 +16,6 @@ package bistpath
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -467,93 +466,61 @@ func attachPareto(res *Result, front []*bist.Plan) {
 	}
 }
 
-// synthesize is the internal-type entry point shared by the public
-// wrappers, cmd tools and benchmarks. It normalizes the config and
-// routes through Config.Cache when one is attached; the actual pipeline
-// lives in synthesizeCore. sc, when non-nil, loans the run reusable
-// scratch memory (a Synthesizer threads one through every run).
-func synthesize(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config, sc *synthScratch) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// normalized returns cfg with its documented defaults applied: width 8
+// and, under WeightedSum, the balanced weights in place of the zero
+// vector. The front doors (Synthesizer.synthesizeDFG, NewSessionConfig)
+// apply it once, so the cache key, the pipeline and a session's pinned
+// config all see the same values.
+func (cfg Config) normalized() Config {
 	if cfg.Width == 0 {
 		cfg.Width = 8
 	}
 	if cfg.Objective == WeightedSum && cfg.Weights == (Weights{}) {
 		cfg.Weights = Weights{Area: 1, TestTime: 1, PeakPower: 1}
 	}
-	// Pareto-front runs bypass the cache: a cache entry persists a single
-	// plan, not a plan set (the area-only and weighted objectives cache
-	// normally, with the objective folded into the key). Budget-truncated
-	// stochastic runs bypass it too — where the wall clock cuts the
-	// search off is not reproducible, so memoizing one arbitrary outcome
-	// under a semantic key would be a lie.
-	cacheable := cfg.Objective != ParetoFront &&
+	return cfg
+}
+
+// reusablePlan reports whether a run's plan is a deterministic pure
+// function of its data-path structure and Config, so a later run over
+// the same inputs may take it instead of searching (a result-cache
+// entry, a session splice). Pareto runs are excluded — an entry holds a
+// single plan, not a plan set — and so are budget-truncated stochastic
+// runs: where the wall clock cuts the search off is not reproducible,
+// so memoizing one arbitrary outcome would be a lie.
+func reusablePlan(cfg Config) bool {
+	return cfg.Objective != ParetoFront &&
 		(cfg.Search == SearchExact || cfg.TimeBudget == 0)
-	if cfg.Cache != nil && cacheable {
-		return cfg.Cache.synthesize(ctx, g, mb, cfg, sc)
-	}
-	return synthesizeCore(ctx, g, mb, cfg, nil, sc)
 }
 
-// phaseReuse hands a pipeline run the surviving artifacts of a previous
-// run over the same design lineage (a Session's last Resynthesize). The
-// pipeline trusts nothing blindly: the register binding is reused only
-// when the binder fingerprint of the live inputs matches bindFP, and
-// the plan is spliced or used as an incumbent bound only after it
-// revalidates against the freshly rebuilt data path.
-type phaseReuse struct {
-	// Register-bind phase: the previous binding plus everything needed
-	// to replay its observable side products (metrics, decision trace).
-	bindFP      [32]byte
-	haveBindFP  bool
-	rb          *regassign.Binding
-	bindMetrics regassign.Metrics
-	trace       []regassign.Decision
+// artifacts are the reusable products of one pipeline run, offered as the
+// prior of a later run over the same design: a Session's previous
+// Resynthesize, or a result-cache disk entry (a plan only). The pipeline
+// trusts none of it blindly; each phase revalidates its part against the
+// live inputs or recomputes.
+type artifacts struct {
+	// Register bind: reused iff bindFP equals the binder fingerprint of
+	// the live inputs. rb is nil for a disk entry.
+	bindFP [32]byte
+	rb     *regassign.Binding
+	trace  []regassign.Decision
 
-	// BIST-search phase: the previous plan, the structural fingerprint
-	// of the data path it was optimal for, the search counters to
-	// replay on a splice, and the forced-CBILBO classifications (pure
-	// functions of the data-path structure) the report phase reuses.
-	dpFP           string
-	plan           *bist.Plan
-	searchMetrics  bist.Metrics
-	searchStrategy string
-	forced         map[string]bool
-}
-
-// phaseArtifacts captures the reusable products of a successful pipeline
-// run, in exactly the shape phaseReuse consumes next time.
-type phaseArtifacts struct {
-	bindFP      [32]byte
-	haveBindFP  bool
-	rb          *regassign.Binding
-	bindMetrics regassign.Metrics
-	trace       []regassign.Decision
-
-	// The interconnect binding and netlist, for the Session's
-	// reschedule fast path (conflict-preserving step edits rebuild only
-	// the control program around them; see Session.Resynthesize).
+	// The interconnect binding, for the Session's reschedule fast path
+	// (conflict-preserving step edits rebuild only the control program
+	// around the previous netlist; see Session.Resynthesize).
 	ib *interconnect.Binding
-	dp *datapath.Datapath
 
+	// BIST search: the plan is spliced in place of the search iff the
+	// structure matches — dpFP equals the rebuilt data path's
+	// fingerprint, or keyed marks a disk entry found under the live
+	// inputs' cache key — and it passes bist.Plan.Revalidate. forced
+	// holds the forced-CBILBO classifications, a pure function of the
+	// same structure.
 	dpFP           string
+	keyed          bool
 	plan           *bist.Plan
-	searchMetrics  bist.Metrics
 	searchStrategy string
 	forced         map[string]bool
-
-	reused []string
-}
-
-// pipeExtras carries the optional attachments of one pipeline run: the
-// disk-cache entry to replay, the scratch arenas, and the incremental
-// reuse/capture hooks a Session threads through.
-type pipeExtras struct {
-	cached  *cachedSynthesis
-	sc      *synthScratch
-	reuse   *phaseReuse
-	capture *phaseArtifacts
 }
 
 // dpStructuralFP digests the data-path structure the BIST search space
@@ -578,73 +545,30 @@ func dpStructuralFP(dp *datapath.Datapath) string {
 	return sb.String()
 }
 
-// planSpliceable reports whether a previous plan may replace the search
-// outright when the data-path structure is unchanged: the plan must be
-// a deterministic pure function of that structure, which holds for the
-// single-objective searches (exact always; stochastic when generation-
-// bounded, since a wall-clock cutoff is not reproducible). This mirrors
-// the cacheability condition in synthesize.
-func planSpliceable(cfg Config) bool {
-	return cfg.Objective == MinArea &&
-		(cfg.Search == SearchExact || cfg.TimeBudget == 0)
-}
-
-// planUsesPadHead reports whether any embedding sources test patterns
-// from an input pad.
-func planUsesPadHead(p *bist.Plan) bool {
-	for _, e := range p.Embeddings {
-		if interconnect.IsPad(e.HeadL) || (e.HeadR != "" && interconnect.IsPad(e.HeadR)) {
-			return true
-		}
-	}
-	return false
-}
-
-// synthesizeCore runs the synthesis pipeline. The context is polled at
-// phase boundaries and inside the BIST branch and bound, so a cancelled
-// run returns ctx.Err() promptly. Each phase is timed into Result.Stats
-// and reported to cfg.Observer; non-context failures come back as
-// *SynthesisError attributed to the phase that produced them.
+// synthesizePipeline runs the synthesis pipeline on a normalized cfg.
+// The context is polled at phase boundaries and inside the BIST branch
+// and bound, so a cancelled run returns ctx.Err() promptly. Each phase
+// is timed into Result.Stats and reported to cfg.Observer, reused or
+// not; non-context failures come back as *SynthesisError attributed to
+// the phase that produced them. A nil sc simply allocates fresh state
+// (the Results are identical either way).
 //
-// A non-nil cached argument replays a disk-cache entry: the cheap
-// deterministic phases (validate, register bind, interconnect, data
-// path) still run on the live inputs, but the BIST search is replaced
-// by the cached plan — validated against the rebuilt data path, so a
-// stale entry fails with errStaleCacheEntry instead of producing a
-// wrong Result — and the Stats of the populating run are replayed
-// verbatim to keep Result.JSON() byte-identical.
-//
-// A non-nil sc threads reusable scratch memory into the register binder
-// and the BIST search; a nil sc simply allocates fresh state (the
-// Results are identical either way).
-func synthesizeCore(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config, cached *cachedSynthesis, sc *synthScratch) (*Result, error) {
-	return synthesizePipeline(ctx, g, mb, cfg, pipeExtras{cached: cached, sc: sc})
-}
-
-// synthesizePipeline is synthesizeCore generalized over pipeExtras: the
-// Session's incremental runs add reuse (artifacts of the previous run,
-// revalidated before use) and capture (this run's artifacts) to the
-// plain cached/scratch attachments. Phase skipping never changes the
-// Result's content — a reused register binding requires a binder
-// fingerprint match, a spliced plan a structural data-path match plus
-// revalidation — only Stats.ReusedPhases and the effort counters
-// betray that work was saved.
-func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config, pipe pipeExtras) (res *Result, retErr error) {
-	cached, sc := pipe.cached, pipe.sc
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if cfg.Width == 0 {
-		cfg.Width = 8
-	}
-	if cfg.Objective == WeightedSum && cfg.Weights == (Weights{}) {
-		cfg.Weights = Weights{Area: 1, TestTime: 1, PeakPower: 1}
-	}
+// prior, when non-nil, offers the artifacts of an earlier run, and each
+// phase applies one revalidate-or-recompute step to its part: the
+// register binding is reused on a binder-fingerprint match; the plan is
+// spliced on a structural match once it revalidates, and otherwise
+// warm-starts the MinArea search as its incumbent bound. Reuse never
+// changes the Result's content — only Stats.ReusedPhases and the effort
+// counters, which record the work this pass actually did, betray it.
+// capture asks for this run's artifacts (a Session's next prior); cold
+// runs leave it false and compute no fingerprints.
+func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config,
+	sc *synthScratch, prior *artifacts, capture bool) (res *Result, art *artifacts, retErr error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer func() {
-		if retErr != nil && !errors.Is(retErr, errStaleCacheEntry) {
+		if retErr != nil {
 			expSynthErrs.Add(1)
 		}
 	}()
@@ -684,15 +608,13 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		}
 		return mb.Validate(g)
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	var rb *regassign.Binding
 	var trace []regassign.Decision
 	var rm regassign.Metrics
 	var bindFP [32]byte
-	haveBindFP := false
-	bindReused := false
 	if err := phase(PhaseRegisterBind, &st.RegisterBind, func() error {
 		ropts := regassign.Options{
 			SharingDegree:    cfg.Sharing,
@@ -704,25 +626,22 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		if sc != nil {
 			ropts.Scratch = sc.bind
 		}
-		// Incremental runs fingerprint the binder's projected inputs; an
-		// exact match with the previous run proves the binder would make
-		// the identical decisions, so the binding, decision trace and
-		// counters are replayed instead of recomputed. (This also covers
-		// TraditionalHLS: its chordal coloring depends only on the
-		// conflict rows the fingerprint digests.)
-		if pipe.capture != nil || (pipe.reuse != nil && pipe.reuse.haveBindFP) {
+		// A binder-fingerprint match with the prior run proves the binder
+		// would make the identical decisions, so its binding and decision
+		// trace are reused. (This also covers TraditionalHLS: its chordal
+		// coloring depends only on the conflict rows the fingerprint
+		// digests.)
+		if capture || (prior != nil && prior.rb != nil) {
 			fp, err := regassign.Fingerprint(g, mb, ropts)
 			if err != nil {
 				return err
 			}
-			bindFP, haveBindFP = fp, true
-		}
-		if r := pipe.reuse; r != nil && r.haveBindFP && r.rb != nil && haveBindFP && bindFP == r.bindFP {
-			rb = r.rb
-			trace = r.trace
-			rm = r.bindMetrics
-			bindReused = true
-			return nil
+			bindFP = fp
+			if prior != nil && prior.rb != nil && fp == prior.bindFP {
+				rb, trace = prior.rb, prior.trace
+				st.ReusedPhases = append(st.ReusedPhases, PhaseRegisterBind.String())
+				return nil
+			}
 		}
 		var err error
 		switch {
@@ -735,13 +654,10 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		}
 		return err
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st.Lemma2Checks = rm.Lemma2Checks
 	st.CaseOverrides = rm.CaseOverrides
-	if bindReused {
-		st.ReusedPhases = append(st.ReusedPhases, PhaseRegisterBind.String())
-	}
 
 	sh := regassign.NewSharing(g, mb)
 	var shw *regassign.Sharing
@@ -749,7 +665,7 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		shw = sh
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var ib *interconnect.Binding
 	if err := phase(PhaseInterconnect, &st.Interconnect, func() error {
@@ -757,7 +673,7 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		ib, err = interconnect.Bind(g, mb, rb, shw)
 		return err
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	var dp *datapath.Datapath
@@ -766,44 +682,28 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		dp, err = datapath.Build(g, mb, rb, ib, cfg.Width)
 		return err
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	var plan *bist.Plan
 	var front []*bist.Plan
 	var bm bist.Metrics
 	var dpFP string
-	if pipe.capture != nil || (pipe.reuse != nil && pipe.reuse.dpFP != "") {
+	if capture || (prior != nil && prior.dpFP != "") {
 		dpFP = dpStructuralFP(dp)
 	}
-	dpMatched := pipe.reuse != nil && pipe.reuse.dpFP != "" && dpFP == pipe.reuse.dpFP
-	searchReused := false
-	if cached != nil {
-		// Disk-cache replay: splice in the persisted plan instead of
-		// searching, but only after it validates against the data path
-		// just rebuilt from the live inputs.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		plan = cached.plan
-		if err := plan.Validate(dp); err != nil {
-			return nil, fmt.Errorf("%w: %v", errStaleCacheEntry, err)
-		}
-	} else if err := phase(PhaseBISTSearch, &st.BISTSearch, func() error {
-		// Incremental splice: the BIST search space is a pure function
-		// of the data-path structure, so when that structure matches the
-		// previous run's fingerprint the previous plan IS the search
-		// result. It is still rebuilt through PlanFromEmbeddings and
-		// revalidated against the fresh data path — the same distrustful
-		// path a disk-cache entry takes — and the previous run's search
-		// counters are replayed with it.
-		if r := pipe.reuse; dpMatched && r.plan != nil && planSpliceable(cfg) {
-			p := bist.PlanFromEmbeddings(area.Default(cfg.Width), r.plan.Embeddings, r.plan.Exact)
-			if p.Validate(dp) == nil && (cfg.AllowPadTPG || !planUsesPadHead(p)) {
+	sameStructure := prior != nil && (prior.keyed || (prior.dpFP != "" && dpFP == prior.dpFP))
+	if err := phase(PhaseBISTSearch, &st.BISTSearch, func() error {
+		// Splice: a reusable plan is a pure function of the data-path
+		// structure, so under a structural match the prior plan IS the
+		// search result — once rebuilt from its embeddings and
+		// revalidated against the fresh data path.
+		if sameStructure && prior.plan != nil && reusablePlan(cfg) {
+			p := bist.PlanFromEmbeddings(area.Default(cfg.Width), prior.plan.Embeddings, prior.plan.Exact)
+			if p.Revalidate(dp, cfg.AllowPadTPG) == nil {
 				plan = p
-				bm = r.searchMetrics
-				st.SearchStrategy = r.searchStrategy
-				searchReused = true
+				st.SearchStrategy = prior.searchStrategy
+				st.ReusedPhases = append(st.ReusedPhases, PhaseBISTSearch.String())
 				return nil
 			}
 		}
@@ -823,13 +723,13 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 				obs(Event{Design: g.Name, Kind: SearchProgress, Phase: PhaseBISTSearch, SearchNodes: nodes})
 			}
 		}
-		if r := pipe.reuse; r != nil && r.plan != nil && cfg.Objective == MinArea {
-			// The structure changed, so a full search is due — but the
-			// surviving plan, if it still validates, seeds the exact
-			// branch and bound's incumbent bound (the optimizer ignores
-			// it otherwise). The plan returned is provably the one a
-			// cold search finds; only the effort counters shrink.
-			bopts.Incumbent = r.plan
+		if prior != nil && prior.plan != nil && cfg.Objective == MinArea {
+			// Warm start: a full search is due, but the prior plan, if it
+			// still revalidates, seeds the exact branch and bound's
+			// incumbent bound (the optimizer ignores it otherwise). The
+			// plan returned is provably the one a cold search finds; only
+			// the effort counters shrink.
+			bopts.Incumbent = prior.plan
 		}
 		if cfg.Objective == MinArea {
 			strategy := cfg.Search
@@ -873,7 +773,7 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st.SearchNodes = bm.Nodes
 	st.BoundPrunes = bm.BoundPrunes
@@ -885,19 +785,15 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	for _, cp := range bm.Curve {
 		st.BestCurve = append(st.BestCurve, SearchCurvePoint{Generation: cp.Generation, Cost: cp.Cost})
 	}
-	if searchReused {
-		st.ReusedPhases = append(st.ReusedPhases, PhaseBISTSearch.String())
-	}
 
 	// Forced-CBILBO classification is a pure function of the data-path
-	// structure, so a structural match reuses the previous run's map;
-	// incremental runs otherwise compute it once here so it can be
-	// captured for the next round (cold runs let assemble derive it
-	// per-module, allocation-free).
+	// structure, so a structural match reuses the prior run's map;
+	// capturing runs otherwise compute it once here for the next round
+	// (other runs let assemble derive it per module, allocation-free).
 	var forced map[string]bool
-	if dpMatched && pipe.reuse.forced != nil {
-		forced = pipe.reuse.forced
-	} else if pipe.capture != nil {
+	if sameStructure && prior.forced != nil {
+		forced = prior.forced
+	} else if capture {
 		forced = make(map[string]bool, len(mb.Modules))
 		for _, m := range mb.Modules {
 			forced[m.Name] = bist.ForcedCBILBOByEnumeration(dp, m.Name, cfg.AllowPadTPG)
@@ -906,7 +802,7 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 
 	res, err := assemble(g, mb, rb, dp, plan, sh, cfg, forced)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if front != nil {
 		attachPareto(res, front)
@@ -914,31 +810,16 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	for _, d := range trace {
 		res.BindingTrace = append(res.BindingTrace, d.Note)
 	}
-	if cached != nil {
-		// Replay the populating run's Stats so JSON() stays
-		// byte-identical; a reconstruction is not a synthesis, so the
-		// cumulative expvar counters are not advanced either.
-		res.Stats = cached.stats
-		return res, nil
-	}
 	st.Total = time.Since(t0)
 	res.Stats = st
-	if art := pipe.capture; art != nil {
-		art.bindFP, art.haveBindFP = bindFP, haveBindFP
-		art.rb = rb
-		art.bindMetrics = rm
-		art.trace = trace
-		art.ib = ib
-		art.dp = dp
-		art.dpFP = dpFP
-		art.plan = plan
-		art.searchMetrics = bm
-		art.searchStrategy = st.SearchStrategy
-		art.forced = forced
-		art.reused = st.ReusedPhases
-	}
 	recordRun(&st)
-	return res, nil
+	if capture {
+		art = &artifacts{
+			bindFP: bindFP, rb: rb, trace: trace, ib: ib,
+			dpFP: dpFP, plan: plan, searchStrategy: st.SearchStrategy, forced: forced,
+		}
+	}
+	return res, art, nil
 }
 
 // assemble builds the public Result from the completed allocation.

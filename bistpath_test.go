@@ -1,6 +1,7 @@
 package bistpath
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestSynthesizeBothModes(t *testing.T) {
 		for _, mode := range []Mode{Testable, TraditionalHLS} {
 			cfg := DefaultConfig()
 			cfg.Mode = mode
-			res, err := d.Synthesize(mods, cfg)
+			res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 			if err != nil {
 				t.Fatalf("%s %v: %v", n, mode, err)
 			}
@@ -65,11 +66,11 @@ func TestTableIShape(t *testing.T) {
 		cfgT := DefaultConfig()
 		cfgR := DefaultConfig()
 		cfgR.Mode = TraditionalHLS
-		testable, err := d.Synthesize(mods, cfgT)
+		testable, err := d.SynthesizeCtx(context.Background(), mods, cfgT)
 		if err != nil {
 			t.Fatal(err)
 		}
-		trad, err := d.Synthesize(mods, cfgR)
+		trad, err := d.SynthesizeCtx(context.Background(), mods, cfgR)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestBuilderAndAutoSchedule(t *testing.T) {
 	if d.NumSteps() != 3 {
 		t.Errorf("schedule length %d, want 3 (one multiplier)", d.NumSteps())
 	}
-	res, err := d.SynthesizeAuto(DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ output y
 
 func TestResultRenderings(t *testing.T) {
 	d, mods, _ := Benchmark("ex1")
-	res, err := d.Synthesize(mods, DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestResultRenderings(t *testing.T) {
 
 func TestSimulatePublic(t *testing.T) {
 	d, mods, _ := Benchmark("ex1")
-	res, err := d.Synthesize(mods, DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestAblationConfigsRun(t *testing.T) {
 	cfg.CaseOverrides = false
 	cfg.AvoidCBILBO = false
 	cfg.WeightedInterconnect = false
-	res, err := d.Synthesize(mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestMarkPortInputPublic(t *testing.T) {
 	d.AddOp("o1", "*", 1, "x", "a", "k")
 	d.AddOp("o2", "+", 2, "y", "x", "b")
 	d.MarkOutput("y")
-	res, err := d.SynthesizeAuto(DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestPublicOptimizeAndBalance(t *testing.T) {
 	if err := d.AutoSchedule(map[string]int{"+": 2}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.SynthesizeAuto(DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,25 +344,25 @@ func TestPublicErrorPaths(t *testing.T) {
 	d.AddInput("a", "b")
 	d.AddOp("o1", "+", 0, "x", "a", "b")
 	d.MarkOutput("x")
-	if _, err := d.SynthesizeAuto(DefaultConfig()); err == nil {
+	if _, err := d.SynthesizeCtx(context.Background(), nil, DefaultConfig()); err == nil {
 		t.Error("unscheduled graph synthesized")
 	}
 	// Bad module map.
 	d2, _, _ := Benchmark("ex1")
-	if _, err := d2.Synthesize(map[string]string{"add1": "M1"}, DefaultConfig()); err == nil {
+	if _, err := d2.SynthesizeCtx(context.Background(), map[string]string{"add1": "M1"}, DefaultConfig()); err == nil {
 		t.Error("partial module map accepted")
 	}
 	// Same-step clash in an explicit module map (tseng runs add1 and
 	// add2 in the same control step).
 	d4, mods4, _ := Benchmark("tseng1")
 	mods4["add2"] = mods4["add1"]
-	if _, err := d4.Synthesize(mods4, DefaultConfig()); err == nil {
+	if _, err := d4.SynthesizeCtx(context.Background(), mods4, DefaultConfig()); err == nil {
 		t.Error("same-step module clash accepted")
 	}
 	// Invalid widths.
 	cfg := DefaultConfig()
 	cfg.Width = 200
-	if _, err := d2.SynthesizeAuto(cfg); err == nil {
+	if _, err := d2.SynthesizeCtx(context.Background(), nil, cfg); err == nil {
 		t.Error("width 200 accepted")
 	}
 	// Bad schedule latency.
@@ -374,7 +375,7 @@ func TestPublicErrorPaths(t *testing.T) {
 		t.Error("bad program accepted")
 	}
 	// Simulate with missing inputs.
-	res, _ := d2.Synthesize(map[string]string{"add1": "M1", "add2": "M1", "mul1": "M2", "mul2": "M2"}, DefaultConfig())
+	res, _ := d2.SynthesizeCtx(context.Background(), map[string]string{"add1": "M1", "add2": "M1", "mul1": "M2", "mul2": "M2"}, DefaultConfig())
 	if _, err := res.Simulate(nil); err == nil {
 		t.Error("missing inputs accepted")
 	}
@@ -388,7 +389,7 @@ func TestPublicErrorPaths(t *testing.T) {
 // patterns and sessions.
 func TestTestCyclesEstimate(t *testing.T) {
 	d, mods, _ := Benchmark("tseng1")
-	res, err := d.Synthesize(mods, DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

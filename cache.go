@@ -6,11 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 
-	"bistpath/internal/area"
 	"bistpath/internal/bist"
 	"bistpath/internal/cache"
 	"bistpath/internal/dfg"
@@ -144,20 +145,6 @@ func (c *Cache) Stats() CacheStats {
 	return st
 }
 
-// errStaleCacheEntry marks a persisted plan that no longer matches the
-// data path the current inputs produce (stale version, key collision or
-// undetected corruption). It is internal: the cache falls back to a
-// full synthesis, so callers never see it.
-var errStaleCacheEntry = errors.New("bistpath: stale cache entry")
-
-// cachedSynthesis carries a reconstructed BIST plan plus the frozen
-// Stats of the run that produced it into synthesizeCore, which then
-// skips the BIST search.
-type cachedSynthesis struct {
-	plan  *bist.Plan
-	stats Stats
-}
-
 // flightOutcome is what one singleflight execution publishes: the
 // master Result and whether it was recovered from the disk layer.
 type flightOutcome struct {
@@ -198,32 +185,32 @@ func (c *Cache) synthesize(ctx context.Context, g *dfg.Graph, mb *modassign.Bind
 	}
 }
 
-// fill runs as a flight leader: disk probe first, full synthesis
-// otherwise. Successful results are published to the in-memory layer
-// (and, for full runs, the disk layer) before the flight resolves.
+// fill runs as a flight leader: one pipeline pass, offered the disk
+// entry stored under key (if any) as its prior. When the pass splices
+// the entry's plan, the run is a disk hit and replays the entry's frozen
+// Stats, keeping Result.JSON() byte-identical to the populating run;
+// otherwise (no entry, or a stale one that failed revalidation) it is a
+// miss whose fresh result overwrites the slot. Successful results are
+// published to the in-memory layer before the flight resolves.
 func (c *Cache) fill(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config, key cache.Key, sc *synthScratch) (any, error) {
+	var prior *artifacts
+	var frozen Stats
 	if c.disk != nil {
 		if payload, ok := c.disk.Get(key); ok {
-			if cached, err := decodeCacheEntry(payload, cfg.Width); err == nil {
-				res, err := synthesizeCore(ctx, g, mb, cfg, cached, sc)
-				switch {
-				case err == nil:
-					c.diskHits.Add(1)
-					expCacheHits.Add(1)
-					expCacheDiskHits.Add(1)
-					c.store(key, res)
-					return flightOutcome{res: res, fromDisk: true}, nil
-				case isContextError(err):
-					return nil, err
-				}
-				// Stale or undetectably corrupt entry: fall through to a
-				// full synthesis, which overwrites it.
-			}
+			prior, frozen, _ = decodeCacheEntry(payload) // undecodable: a miss
 		}
+	}
+	res, _, err := synthesizePipeline(ctx, g, mb, cfg, sc, prior, false)
+	if err == nil && slices.Contains(res.Stats.ReusedPhases, PhaseBISTSearch.String()) {
+		res.Stats = frozen
+		c.diskHits.Add(1)
+		expCacheHits.Add(1)
+		expCacheDiskHits.Add(1)
+		c.store(key, res)
+		return flightOutcome{res: res, fromDisk: true}, nil
 	}
 	c.misses.Add(1)
 	expCacheMisses.Add(1)
-	res, err := synthesizeCore(ctx, g, mb, cfg, nil, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -367,70 +354,32 @@ func resultFootprint(r *Result) int64 {
 }
 
 // cacheKey computes the canonical content-addressed key for one
-// synthesis request. Everything semantic goes in; Workers, Observer and
-// Cache stay out (the determinism tests prove the former two cannot
-// change the Result). The DFG contributes its canonical text plus the
-// port-input marks the text format omits; the module binding
+// synthesis request — the one notion of "same inputs" shared by the
+// cache and Session replay. Everything semantic goes in; Workers,
+// Observer and Cache stay out (the determinism tests prove the former
+// two cannot change the Result). The DFG contributes its canonical text
+// plus the port-input marks the text format omits; the module binding
 // contributes a name-sorted inventory with sorted op lists, so the
 // explicit map and the automatic binder hit the same entry whenever
-// they resolve identically.
-// Section names of the canonical fingerprint, in stream order. The
-// sectioning is the contract the incremental Session layer diffs
-// against: each name groups the semantic inputs that, when changed,
-// invalidate a known prefix of the pipeline (see DESIGN.md §11).
-const (
-	keySectionHeader    = "header"
-	keySectionConfig    = "config"
-	keySectionObjective = "objective"
-	keySectionSearch    = "search"
-	keySectionModules   = "modules"
-	keySectionPorts     = "ports"
-	keySectionDFG       = "dfg"
-)
-
-// keySection is one named segment of the canonical cache fingerprint.
-type keySection struct {
-	name    string
-	payload string
-}
-
-// keySections itemizes the canonical fingerprint into named sections.
-// Concatenating the payloads in stream order reproduces, byte for
-// byte, the exact pre-image cacheKey has always hashed (pinned by
-// TestCacheKeyPinned), so refactoring the key into sections costs no
-// cache invalidation. Sections that contribute nothing to the stream
-// (objective at MinArea, search at SearchExact) carry empty payloads
-// rather than being omitted, so a diff between two configs always
-// compares like-named sections positionally.
-func keySections(g *dfg.Graph, mb *modassign.Binding, cfg Config) []keySection {
-	out := make([]keySection, 0, 7)
-	section := func(name string, fill func(sb *strings.Builder)) {
-		var sb strings.Builder
-		fill(&sb)
-		out = append(out, keySection{name: name, payload: sb.String()})
-	}
-	section(keySectionHeader, func(sb *strings.Builder) {
-		fmt.Fprintf(sb, "bistpath-cache-key v%d schema%d\n", cacheKeyVersion, ResultSchemaVersion)
-	})
-	section(keySectionConfig, func(sb *strings.Builder) {
-		fmt.Fprintf(sb, "width %d\n", cfg.Width)
-		fmt.Fprintf(sb, "mode %s\n", cfg.Mode)
-		fmt.Fprintf(sb, "allowpadtpg %t\nminimizesessions %t\ntrace %t\n",
-			cfg.AllowPadTPG, cfg.MinimizeSessions, cfg.Trace)
-		fmt.Fprintf(sb, "sharing %t\ncaseoverrides %t\navoidcbilbo %t\nweightedinterconnect %t\n",
-			cfg.Sharing, cfg.CaseOverrides, cfg.AvoidCBILBO, cfg.WeightedInterconnect)
-	})
+// they resolve identically. The pre-image streams straight into the
+// hash; TestCacheKeyPinned pins it byte for byte.
+func cacheKey(g *dfg.Graph, mb *modassign.Binding, cfg Config) cache.Key {
+	h := sha256.New()
+	fmt.Fprintf(h, "bistpath-cache-key v%d schema%d\n", cacheKeyVersion, ResultSchemaVersion)
+	fmt.Fprintf(h, "width %d\n", cfg.Width)
+	fmt.Fprintf(h, "mode %s\n", cfg.Mode)
+	fmt.Fprintf(h, "allowpadtpg %t\nminimizesessions %t\ntrace %t\n",
+		cfg.AllowPadTPG, cfg.MinimizeSessions, cfg.Trace)
+	fmt.Fprintf(h, "sharing %t\ncaseoverrides %t\navoidcbilbo %t\nweightedinterconnect %t\n",
+		cfg.Sharing, cfg.CaseOverrides, cfg.AvoidCBILBO, cfg.WeightedInterconnect)
 	// Multi-objective configuration joins the key only when it departs
 	// from the default MinArea objective, so every key computed for an
 	// area-only config is bit-identical to earlier releases — and a
 	// weighted run can never be served a cached pure-area result.
 	// (MinArea ignores Weights and Power entirely, so they are correctly
 	// absent from its keys.)
-	section(keySectionObjective, func(sb *strings.Builder) {
-		if cfg.Objective == MinArea {
-			return
-		}
-		fmt.Fprintf(sb, "objective %s\nweights %d %d %d\n",
+	if cfg.Objective != MinArea {
+		fmt.Fprintf(h, "objective %s\nweights %d %d %d\n",
 			cfg.Objective, cfg.Weights.Area, cfg.Weights.TestTime, cfg.Weights.PeakPower)
 		if len(cfg.Power) > 0 {
 			names := make([]string, 0, len(cfg.Power))
@@ -438,75 +387,49 @@ func keySections(g *dfg.Graph, mb *modassign.Binding, cfg Config) []keySection {
 				names = append(names, n)
 			}
 			sort.Strings(names)
-			sb.WriteString("power")
+			io.WriteString(h, "power")
 			for _, n := range names {
-				fmt.Fprintf(sb, " %s=%d", n, cfg.Power[n])
+				fmt.Fprintf(h, " %s=%d", n, cfg.Power[n])
 			}
-			sb.WriteByte('\n')
+			io.WriteString(h, "\n")
 		}
-	})
+	}
 	// The search strategy joins the key the same way: only when it
 	// departs from the default SearchExact, keeping every exact-config
 	// key bit-identical to earlier releases. Seed and the budgets are
 	// semantic for a stochastic run — different seeds legitimately cache
-	// different plans. (TimeBudget-truncated runs never reach cacheKey;
-	// synthesize routes them around the cache entirely.)
-	section(keySectionSearch, func(sb *strings.Builder) {
-		if cfg.Search == SearchExact {
-			return
-		}
-		fmt.Fprintf(sb, "search %s\nseed %d\ngenerations %d\nbudget %d\n",
+	// different plans. (TimeBudget-truncated runs fail reusablePlan and
+	// never reach the cache.)
+	if cfg.Search != SearchExact {
+		fmt.Fprintf(h, "search %s\nseed %d\ngenerations %d\nbudget %d\n",
 			cfg.Search, cfg.Seed, cfg.MaxGenerations, int64(cfg.TimeBudget))
-	})
-	section(keySectionModules, func(sb *strings.Builder) {
-		sb.WriteString("modules\n")
-		mods := append([]*modassign.Module(nil), mb.Modules...)
-		sort.Slice(mods, func(i, j int) bool { return mods[i].Name < mods[j].Name })
-		for _, m := range mods {
-			kinds := make([]string, len(m.Class.Kinds))
-			for i, k := range m.Class.Kinds {
-				kinds[i] = string(k)
-			}
-			ops := append([]string(nil), m.Ops...)
-			sort.Strings(ops)
-			fmt.Fprintf(sb, "%s %s [%s] %s\n", m.Name, m.Class.Name,
-				strings.Join(kinds, ""), strings.Join(ops, " "))
+	}
+	io.WriteString(h, "modules\n")
+	mods := append([]*modassign.Module(nil), mb.Modules...)
+	sort.Slice(mods, func(i, j int) bool { return mods[i].Name < mods[j].Name })
+	for _, m := range mods {
+		kinds := make([]string, len(m.Class.Kinds))
+		for i, k := range m.Class.Kinds {
+			kinds[i] = string(k)
 		}
-	})
-	section(keySectionPorts, func(sb *strings.Builder) {
-		var ports []string
-		for _, v := range g.Vars() {
-			if v.IsPort {
-				ports = append(ports, v.Name)
-			}
-		}
-		sort.Strings(ports)
-		fmt.Fprintf(sb, "ports %s\n", strings.Join(ports, " "))
-	})
-	section(keySectionDFG, func(sb *strings.Builder) {
-		sb.WriteString("dfg\n")
-		sb.WriteString(g.Text())
-	})
-	return out
-}
-
-// sectionPayload returns the payload of the named section ("" when the
-// section contributed nothing to the stream).
-func sectionPayload(secs []keySection, name string) string {
-	for _, s := range secs {
-		if s.name == name {
-			return s.payload
+		ops := append([]string(nil), m.Ops...)
+		sort.Strings(ops)
+		fmt.Fprintf(h, "%s %s [%s] %s\n", m.Name, m.Class.Name,
+			strings.Join(kinds, ""), strings.Join(ops, " "))
+	}
+	var ports []string
+	for _, v := range g.Vars() {
+		if v.IsPort {
+			ports = append(ports, v.Name)
 		}
 	}
-	return ""
-}
-
-func cacheKey(g *dfg.Graph, mb *modassign.Binding, cfg Config) cache.Key {
-	var sb strings.Builder
-	for _, s := range keySections(g, mb, cfg) {
-		sb.WriteString(s.payload)
-	}
-	return cache.Key(sha256.Sum256([]byte(sb.String())))
+	sort.Strings(ports)
+	fmt.Fprintf(h, "ports %s\n", strings.Join(ports, " "))
+	io.WriteString(h, "dfg\n")
+	io.WriteString(h, g.Text())
+	var k cache.Key
+	h.Sum(k[:0])
+	return k
 }
 
 // cacheEntryJSON is the persistent entry payload. Only the winning
@@ -544,22 +467,20 @@ func encodeCacheEntry(r *Result) ([]byte, error) {
 	return json.Marshal(e)
 }
 
-// decodeCacheEntry parses a disk payload into the cached plan + frozen
-// stats that synthesizeCore splices in instead of the BIST search.
-func decodeCacheEntry(payload []byte, width int) (*cachedSynthesis, error) {
+// decodeCacheEntry parses a disk payload into a pipeline prior — the
+// persisted plan's embeddings, vouched for structurally by the cache key
+// it was found under — and the frozen Stats a disk hit replays.
+func decodeCacheEntry(payload []byte) (*artifacts, Stats, error) {
 	var e cacheEntryJSON
 	if err := json.Unmarshal(payload, &e); err != nil {
-		return nil, err
+		return nil, Stats{}, err
 	}
 	if e.Schema != cacheEntrySchema {
-		return nil, fmt.Errorf("%w: entry schema %d, want %d", errStaleCacheEntry, e.Schema, cacheEntrySchema)
+		return nil, Stats{}, fmt.Errorf("bistpath: cache entry schema %d, want %d", e.Schema, cacheEntrySchema)
 	}
 	embs := make(map[string]bist.Embedding, len(e.Embeddings))
 	for name, emb := range e.Embeddings {
 		embs[name] = bist.Embedding{Module: name, HeadL: emb.HeadL, HeadR: emb.HeadR, Tail: emb.Tail}
 	}
-	return &cachedSynthesis{
-		plan:  bist.PlanFromEmbeddings(area.Default(width), embs, e.Exact),
-		stats: statsFromJSON(e.Stats),
-	}, nil
+	return &artifacts{keyed: true, plan: &bist.Plan{Embeddings: embs, Exact: e.Exact}}, statsFromJSON(e.Stats), nil
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,6 +23,16 @@ func newTestCache(t testing.TB, opts CacheOptions) *Cache {
 	return c
 }
 
+// cachedHandle opens a Synthesizer whose Config.Cache is c, closed when
+// the test ends.
+func cachedHandle(t testing.TB, c *Cache) *Synthesizer {
+	cfg := DefaultConfig()
+	cfg.Cache = c
+	s := New(cfg)
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 // synthCached synthesizes one benchmark through the given cache.
 func synthCached(t testing.TB, c *Cache, name string, cfg Config) *Result {
 	t.Helper()
@@ -29,7 +41,7 @@ func synthCached(t testing.TB, c *Cache, name string, cfg Config) *Result {
 		t.Fatal(err)
 	}
 	cfg.Cache = c
-	res, err := d.Synthesize(mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,19 +122,33 @@ func TestCacheKeySensitivity(t *testing.T) {
 		t.Fatalf("after non-semantic runs: %+v", st)
 	}
 
-	// Semantic knobs: every one must miss.
-	semantic := []func(*Config){
-		func(c *Config) { c.Width = 16 },
-		func(c *Config) { c.Mode = TraditionalHLS },
-		func(c *Config) { c.MinimizeSessions = true },
-		func(c *Config) { c.AvoidCBILBO = false },
-		func(c *Config) { c.Sharing = false },
+	// Semantic inputs, of the config or the design: every one must miss.
+	semantic := []struct {
+		name string
+		edit func(*DFG, *Config)
+	}{
+		{"width", func(_ *DFG, c *Config) { c.Width = 16 }},
+		{"mode", func(_ *DFG, c *Config) { c.Mode = TraditionalHLS }},
+		{"minimize sessions", func(_ *DFG, c *Config) { c.MinimizeSessions = true }},
+		{"avoid CBILBO", func(_ *DFG, c *Config) { c.AvoidCBILBO = false }},
+		{"sharing", func(_ *DFG, c *Config) { c.Sharing = false }},
+		{"step edit", func(d *DFG, _ *Config) { d.g.Op("mul2").Step = 5 }},
+		{"search", func(_ *DFG, c *Config) { c.Search, c.Seed = SearchStochastic, 3 }},
 	}
-	for i, mut := range semantic {
+	for _, tc := range semantic {
+		d, mods, err := Benchmark("ex1")
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg := DefaultConfig()
-		mut(&cfg)
-		if res := synthCached(t, c, "ex1", cfg); res.Stats.CacheHit {
-			t.Errorf("semantic change %d did not change the cache key", i)
+		tc.edit(d, &cfg)
+		cfg.Cache = c
+		res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Stats.CacheHit {
+			t.Errorf("%s did not change the cache key", tc.name)
 		}
 	}
 	if st := c.Stats(); st.Misses != int64(1+len(semantic)) {
@@ -230,7 +256,7 @@ func TestCacheKeyPortMarks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cache = c
 	for _, port := range []bool{false, true} {
-		if _, err := build(port).SynthesizeAuto(cfg); err != nil {
+		if _, err := build(port).SynthesizeCtx(context.Background(), nil, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +307,7 @@ func TestCacheConcurrentStorm(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := d.Synthesize(mods, cfg)
+			res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 			if err != nil {
 				errs <- err
 				return
@@ -305,8 +331,8 @@ func TestCacheConcurrentStorm(t *testing.T) {
 	}
 }
 
-// BatchOptions.Cache shares one cache across a batch: duplicate jobs
-// coalesce and the results stay byte-identical to an uncached batch.
+// A handle's Config.Cache shares one cache across a batch: duplicate
+// jobs coalesce and the results stay byte-identical to an uncached batch.
 func TestCacheBatchCoalesce(t *testing.T) {
 	d, mods, err := Benchmark("tseng1")
 	if err != nil {
@@ -318,7 +344,7 @@ func TestCacheBatchCoalesce(t *testing.T) {
 		jobs[i] = Job{Name: "dup", DFG: d, Modules: mods, Config: DefaultConfig()}
 	}
 	c := newTestCache(t, CacheOptions{})
-	results := SynthesizeAll(context.Background(), jobs, BatchOptions{Cache: c})
+	results, _ := cachedHandle(t, c).SynthesizeAll(context.Background(), jobs, BatchOptions{})
 	var ref []byte
 	for i, br := range results {
 		if br.Err != nil {
@@ -338,13 +364,12 @@ func TestCacheBatchCoalesce(t *testing.T) {
 		t.Fatalf("batch of %d duplicates: %+v", n, st)
 	}
 
-	// A job carrying its own cache is not overridden by the batch cache.
+	// A job carrying its own cache is not overridden by the handle's.
 	own := newTestCache(t, CacheOptions{})
 	cfg := DefaultConfig()
 	cfg.Cache = own
-	one := []Job{{Name: "own", DFG: d, Modules: mods, Config: cfg}}
 	other := newTestCache(t, CacheOptions{})
-	if br := SynthesizeAll(context.Background(), one, BatchOptions{Cache: other})[0]; br.Err != nil {
+	if br := cachedHandle(t, other).RunJob(context.Background(), Job{Name: "own", DFG: d, Modules: mods, Config: cfg}); br.Err != nil {
 		t.Fatal(br.Err)
 	}
 	if st := own.Stats(); st.Misses != 1 {
@@ -396,6 +421,107 @@ func TestCacheDiskCorruptionRecovery(t *testing.T) {
 	healed := newTestCache(t, CacheOptions{Dir: dir})
 	if res := synthCached(t, healed, "ex2", DefaultConfig()); !res.Stats.CacheHit {
 		t.Fatal("slot not healed after fallback rewrite")
+	}
+}
+
+// phaseLog records an observer's phase and cache-hit events as
+// "kind phase" strings, in order.
+func phaseLog(cfg *Config) *[]string {
+	var log []string
+	var mu sync.Mutex
+	cfg.Observer = func(e Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch e.Kind {
+		case PhaseStart, PhaseEnd:
+			log = append(log, e.Kind.String()+" "+e.Phase.String())
+		case CacheHit:
+			log = append(log, e.Kind.String())
+		}
+	}
+	return &log
+}
+
+// A decodable but stale disk entry (another design's plan under this
+// design's key) costs one pipeline pass: the plan fails revalidation,
+// the search runs in the same pass, the run counts as a miss, and the
+// rewrite heals the slot.
+func TestCacheStaleEntrySinglePass(t *testing.T) {
+	dir := t.TempDir()
+	c := newTestCache(t, CacheOptions{Dir: dir})
+	ex2, ex2mods, err := Benchmark("ex2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := ex2.SynthesizeCtx(context.Background(), ex2mods, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := encodeCacheEntry(foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, mods, err := Benchmark("ex1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := d.moduleBinding(mods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.disk.Put(cacheKey(d.g, mb, DefaultConfig()), payload)
+
+	cold, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	log := phaseLog(&cfg)
+	cfg.Cache = c
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stripStatsJSON(t, res), stripStatsJSON(t, cold); got != want {
+		t.Fatalf("stale-entry run diverged from a cold run:\n%s\nvs\n%s", got, want)
+	}
+	starts := map[string]int{}
+	for _, e := range *log {
+		if strings.HasPrefix(e, PhaseStart.String()) {
+			starts[e]++
+		}
+	}
+	for _, ph := range allPhaseNames() {
+		if n := starts[PhaseStart.String()+" "+ph]; n != 1 {
+			t.Errorf("phase %s started %d times, want 1", ph, n)
+		}
+	}
+	if st := c.Stats(); st.Misses != 1 || st.DiskHits != 0 {
+		t.Errorf("stale entry: %d misses, %d disk hits; want 1 and 0", st.Misses, st.DiskHits)
+	}
+	if healed := synthCached(t, newTestCache(t, CacheOptions{Dir: dir}), "ex1", DefaultConfig()); !healed.Stats.CacheHit {
+		t.Error("stale slot not healed by the rewrite")
+	}
+}
+
+// A disk hit runs the whole pipeline once — every phase, the spliced
+// BIST search included, emits its start/end pair — and then CacheHit.
+func TestCacheDiskHitEventSequence(t *testing.T) {
+	dir := t.TempDir()
+	synthCached(t, newTestCache(t, CacheOptions{Dir: dir}), "ex1", DefaultConfig())
+	cfg := DefaultConfig()
+	log := phaseLog(&cfg)
+	res := synthCached(t, newTestCache(t, CacheOptions{Dir: dir}), "ex1", cfg)
+	if !res.Stats.CacheHit {
+		t.Fatal("fresh cache did not hit the disk layer")
+	}
+	var want []string
+	for _, ph := range allPhaseNames() {
+		want = append(want, PhaseStart.String()+" "+ph, PhaseEnd.String()+" "+ph)
+	}
+	want = append(want, CacheHit.String())
+	if !slices.Equal(*log, want) {
+		t.Errorf("disk-hit events:\n%v\nwant\n%v", *log, want)
 	}
 }
 
@@ -501,23 +627,25 @@ func TestCacheWarmBatchSpeedup(t *testing.T) {
 		}
 		jobs = append(jobs, Job{Name: name, DFG: d, Modules: mods, Config: DefaultConfig()})
 	}
-	c := newTestCache(t, CacheOptions{})
-	opts := BatchOptions{Workers: 1, Cache: c}
+	s := cachedHandle(t, newTestCache(t, CacheOptions{}))
+	opts := BatchOptions{Workers: 1}
 
 	start := time.Now()
-	for _, br := range SynthesizeAll(context.Background(), jobs, opts) {
+	cold, _ := s.SynthesizeAll(context.Background(), jobs, opts)
+	for _, br := range cold {
 		if br.Err != nil {
 			t.Fatal(br.Err)
 		}
 	}
-	cold := time.Since(start)
+	coldWall := time.Since(start)
 
 	// Best of three warm passes: the point is the steady state, not a
 	// scheduler hiccup on one pass.
 	warm := time.Duration(1<<63 - 1)
 	for i := 0; i < 3; i++ {
 		start = time.Now()
-		for _, br := range SynthesizeAll(context.Background(), jobs, opts) {
+		rs, _ := s.SynthesizeAll(context.Background(), jobs, opts)
+		for _, br := range rs {
 			if br.Err != nil {
 				t.Fatal(br.Err)
 			}
@@ -529,8 +657,8 @@ func TestCacheWarmBatchSpeedup(t *testing.T) {
 			warm = d
 		}
 	}
-	if warm > cold/3 {
-		t.Errorf("warm batch %v vs cold %v: less than the required 3x speedup", warm, cold)
+	if warm > coldWall/3 {
+		t.Errorf("warm batch %v vs cold %v: less than the required 3x speedup", warm, coldWall)
 	}
 }
 

@@ -108,13 +108,6 @@ func loadDesign(bench, dfgFile string) (*bistpath.DFG, map[string]string, error)
 	}
 }
 
-func synthesize(d *bistpath.DFG, mods map[string]string, cfg bistpath.Config) (*bistpath.Result, error) {
-	if mods != nil {
-		return d.Synthesize(mods, cfg)
-	}
-	return d.SynthesizeAuto(cfg)
-}
-
 func cmdSynth(args []string) error {
 	fs := flag.NewFlagSet("synth", flag.ExitOnError)
 	bench := fs.String("bench", "", "built-in benchmark name, comma-separated list, or \"all\"")
@@ -198,7 +191,8 @@ func cmdSynth(args []string) error {
 			batch = append(batch, bistpath.Job{Name: name, DFG: d, Modules: mods, Config: cfg})
 		}
 		var docs []json.RawMessage
-		for i, br := range bistpath.SynthesizeAll(context.Background(), batch, bistpath.BatchOptions{Workers: *jobs}) {
+		results, _ := bistpath.SynthesizeAll(context.Background(), batch, bistpath.BatchOptions{Workers: *jobs})
+		for i, br := range results {
 			if br.Err != nil {
 				return fmt.Errorf("%s: %w", br.Name, br.Err)
 			}
@@ -232,7 +226,7 @@ func cmdSynth(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := synthesize(d, mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		return err
 	}
@@ -328,7 +322,7 @@ func cmdSim(args []string) error {
 	}
 	cfg := bistpath.DefaultConfig()
 	cfg.Width = *width
-	res, err := synthesize(d, mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		return err
 	}
@@ -390,7 +384,7 @@ func cmdCover(args []string) error {
 	}
 	cfg := bistpath.DefaultConfig()
 	cfg.Width = *width
-	res, err := synthesize(d, mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		return err
 	}
@@ -423,7 +417,7 @@ func cmdEmit(args []string) error {
 	}
 	cfg := bistpath.DefaultConfig()
 	cfg.Width = *width
-	res, err := synthesize(d, mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		return err
 	}
@@ -487,7 +481,7 @@ func cmdGatesim(args []string) error {
 	}
 	cfg := bistpath.DefaultConfig()
 	cfg.Width = *width
-	res, err := synthesize(d, mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		return err
 	}
@@ -601,7 +595,7 @@ func cmdVerify(args []string) error {
 	var reports []*bistpath.VerifyReport
 	failed := 0
 	verifyOne := func(label string, d *bistpath.DFG, mods map[string]string, vo bistpath.VerifyOptions) error {
-		res, err := synthesize(d, mods, cfg)
+		res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 		if err != nil {
 			return err
 		}
@@ -644,7 +638,7 @@ func cmdVerify(args []string) error {
 			} else {
 				vo.SkipOracles = true
 			}
-			res, err := synthesize(d, mods, cfg)
+			res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 			if err != nil {
 				if errors.Is(err, bistpath.ErrNoEmbedding) {
 					skipped++

@@ -57,15 +57,17 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "also persist cached results under this directory (implies -cache)")
 	flag.Parse()
 	batchWorkers = *jflag
+	batchCfg := bistpath.DefaultConfig()
 	if *cacheFlag || *cacheDir != "" {
-		var err error
-		batchCache, err = bistpath.NewCache(bistpath.CacheOptions{Dir: *cacheDir})
+		cc, err := bistpath.NewCache(bistpath.CacheOptions{Dir: *cacheDir})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench:", err)
 			os.Exit(1)
 		}
-		defer func() { fmt.Fprintln(os.Stderr, batchCache.Stats()) }()
+		batchCfg.Cache = cc
+		defer func() { fmt.Fprintln(os.Stderr, cc.Stats()) }()
 	}
+	batchSynth = bistpath.New(batchCfg)
 
 	all := *table == 0 && *fig == 0 && !*ablation && !*gate && !*scale && !*scanCmp && !*optimality && !*widths && !*atpgFlag && !*sessions && !*statsFlag && !*verifyFlag && !*objectiveFlag
 	run := func(err error) {
@@ -138,7 +140,7 @@ func objectiveTable() error {
 		if err != nil {
 			return err
 		}
-		res, err := d.SynthesizePareto(mods, bistpath.DefaultConfig())
+		res, err := d.SynthesizeParetoCtx(context.Background(), mods, bistpath.DefaultConfig())
 		if err != nil {
 			return err
 		}
@@ -149,7 +151,7 @@ func objectiveTable() error {
 		if !rep.OK() {
 			return rep.Err()
 		}
-		single, err := d.Synthesize(mods, bistpath.DefaultConfig())
+		single, err := d.SynthesizeCtx(context.Background(), mods, bistpath.DefaultConfig())
 		if err != nil {
 			return err
 		}
@@ -194,7 +196,7 @@ func verifyTable() error {
 			}
 			cfg := bistpath.DefaultConfig()
 			cfg.Mode = mode
-			res, err := d.Synthesize(mods, cfg)
+			res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 			if err != nil {
 				return err
 			}
@@ -243,7 +245,7 @@ func statsTable() error {
 		}
 		jobs = append(jobs, bistpath.Job{Name: b.Name, DFG: d, Modules: mods, Config: bistpath.DefaultConfig()})
 	}
-	results, bs := bistpath.SynthesizeAllStats(context.Background(), jobs, bistpath.BatchOptions{Workers: batchWorkers})
+	results, bs := bistpath.SynthesizeAll(context.Background(), jobs, bistpath.BatchOptions{Workers: batchWorkers})
 	util := fmt.Sprintf("%.0f%% (%d workers)", bs.Utilization()*100, bs.Workers)
 	for i, br := range results {
 		if br.Err != nil {
@@ -589,12 +591,12 @@ func scaleTable() error {
 			return err
 		}
 		cfg := bistpath.DefaultConfig()
-		test, err := d.Synthesize(bench.OpModule, cfg)
+		test, err := d.SynthesizeCtx(context.Background(), bench.OpModule, cfg)
 		if err != nil {
 			return err
 		}
 		cfg.Mode = bistpath.TraditionalHLS
-		trad, err := d.Synthesize(bench.OpModule, cfg)
+		trad, err := d.SynthesizeCtx(context.Background(), bench.OpModule, cfg)
 		if err != nil {
 			return err
 		}
@@ -620,7 +622,7 @@ func gateLevelTable() error {
 		if err != nil {
 			return err
 		}
-		res, err := d.Synthesize(mods, bistpath.DefaultConfig())
+		res, err := d.SynthesizeCtx(context.Background(), mods, bistpath.DefaultConfig())
 		if err != nil {
 			return err
 		}
@@ -649,17 +651,18 @@ func gateLevelTable() error {
 // run concurrently (0 = GOMAXPROCS).
 var batchWorkers int
 
-// batchCache is the -cache/-cache-dir flags: a result cache shared by
-// every batch this process runs. Tables repeatedly re-synthesize the same
-// benchmark/config pairs, so a shared cache collapses those to one run
-// each; nil (the default) disables caching.
-var batchCache *bistpath.Cache
+// batchSynth runs every batch of the table sweeps. With the
+// -cache/-cache-dir flags its Config.Cache is a result cache every job
+// inherits: tables repeatedly re-synthesize the same benchmark/config
+// pairs, so a shared cache collapses those to one run each.
+var batchSynth *bistpath.Synthesizer
 
 // runBatch fans jobs out over the shared worker pool and unwraps the
 // per-job errors; results come back in job order.
 func runBatch(jobs []bistpath.Job) ([]*bistpath.Result, error) {
 	out := make([]*bistpath.Result, 0, len(jobs))
-	for _, br := range bistpath.SynthesizeAll(context.Background(), jobs, bistpath.BatchOptions{Workers: batchWorkers, Cache: batchCache}) {
+	results, _ := batchSynth.SynthesizeAll(context.Background(), jobs, bistpath.BatchOptions{Workers: batchWorkers})
+	for _, br := range results {
 		if br.Err != nil {
 			return nil, fmt.Errorf("%s: %w", br.Name, br.Err)
 		}
@@ -833,7 +836,7 @@ func fig1() error {
 	d.AddOp("op1", "+", 1, "x", "u", "w")
 	d.AddOp("op2", "+", 2, "y", "v", "w")
 	d.MarkOutput("x", "y")
-	res, err := d.Synthesize(map[string]string{"op1": "M1", "op2": "M1"}, bistpath.DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), map[string]string{"op1": "M1", "op2": "M1"}, bistpath.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -1012,7 +1015,7 @@ func runAblation() error {
 			if err != nil {
 				return err
 			}
-			res, err := d.Synthesize(mods, row.cfg)
+			res, err := d.SynthesizeCtx(context.Background(), mods, row.cfg)
 			if err != nil {
 				return err
 			}
@@ -1038,7 +1041,7 @@ func runAblation() error {
 			if err != nil {
 				return err
 			}
-			res, err := d.SynthesizeAuto(row.cfg)
+			res, err := d.SynthesizeCtx(context.Background(), nil, row.cfg)
 			if err != nil {
 				return err
 			}

@@ -150,17 +150,6 @@ func (d *DFG) moduleBinding(opToModule map[string]string) (*modassign.Binding, e
 	return modassign.Bind(d.g, classes)
 }
 
-// Synthesize is SynthesizeCtx without cancellation.
-//
-// Deprecated: call SynthesizeCtx with context.Background(), or hold a
-// Synthesizer handle (New) and use its Synthesize method — the handle
-// also carries the Config, the Cache and, through NewSession, the
-// incremental re-synthesis API. This shim forwards unchanged and will
-// not be removed, but new code should not grow onto it.
-func (d *DFG) Synthesize(opToModule map[string]string, cfg Config) (*Result, error) {
-	return d.SynthesizeCtx(context.Background(), opToModule, cfg)
-}
-
 // SynthesizeParetoCtx is SynthesizeCtx with cfg.Objective forced to
 // ParetoFront: the BIST search enumerates every feasible plan and the
 // Result carries the full non-dominated set over (extra area, test
@@ -170,34 +159,6 @@ func (d *DFG) Synthesize(opToModule map[string]string, cfg Config) (*Result, err
 func (d *DFG) SynthesizeParetoCtx(ctx context.Context, opToModule map[string]string, cfg Config) (*Result, error) {
 	cfg.Objective = ParetoFront
 	return d.SynthesizeCtx(ctx, opToModule, cfg)
-}
-
-// SynthesizePareto is SynthesizeParetoCtx without cancellation.
-//
-// Deprecated: call SynthesizeParetoCtx with context.Background(), or
-// use Synthesizer.SynthesizePareto on an explicit handle. This shim
-// forwards unchanged and will not be removed.
-func (d *DFG) SynthesizePareto(opToModule map[string]string, cfg Config) (*Result, error) {
-	return d.SynthesizeParetoCtx(context.Background(), opToModule, cfg)
-}
-
-// SynthesizeAuto is SynthesizeCtx with automatic module binding and no
-// cancellation.
-//
-// Deprecated: a nil opToModule already selects automatic module
-// binding on every entry point — call SynthesizeCtx(ctx, nil, cfg)
-// directly. This shim forwards unchanged and will not be removed.
-func (d *DFG) SynthesizeAuto(cfg Config) (*Result, error) {
-	return d.SynthesizeCtx(context.Background(), nil, cfg)
-}
-
-// SynthesizeAutoCtx is SynthesizeCtx with automatic module binding.
-//
-// Deprecated: call SynthesizeCtx(ctx, nil, cfg) directly — nil
-// opToModule is the automatic-binding spelling on every entry point.
-// This shim forwards unchanged and will not be removed.
-func (d *DFG) SynthesizeAutoCtx(ctx context.Context, cfg Config) (*Result, error) {
-	return d.SynthesizeCtx(ctx, nil, cfg)
 }
 
 // BenchmarkNames lists the built-in DAC'95 evaluation benchmarks.

@@ -1,6 +1,7 @@
 package bistpath_test
 
 import (
+	"context"
 	"fmt"
 
 	"bistpath"
@@ -10,7 +11,7 @@ import (
 // BIST-aware allocator and prints the headline metrics.
 func Example() {
 	d, mods, _ := bistpath.Benchmark("ex1")
-	res, err := d.Synthesize(mods, bistpath.DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), mods, bistpath.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}
@@ -33,7 +34,7 @@ func ExampleCompile() {
 	if err := d.AutoSchedule(nil); err != nil {
 		panic(err)
 	}
-	res, err := d.SynthesizeAuto(bistpath.DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), nil, bistpath.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}
@@ -47,7 +48,7 @@ func ExampleCompile() {
 // injection.
 func ExampleResult_FaultCoverage() {
 	d, mods, _ := bistpath.Benchmark("ex1")
-	res, _ := d.Synthesize(mods, bistpath.DefaultConfig())
+	res, _ := d.SynthesizeCtx(context.Background(), mods, bistpath.DefaultConfig())
 	rep, err := res.FaultCoverage(250, 1)
 	if err != nil {
 		panic(err)

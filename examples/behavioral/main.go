@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -25,7 +26,7 @@ func main() {
 	check(d.AutoScheduleForce(5))
 	fmt.Printf("compiled %q: %d control steps\n", d.Name(), d.NumSteps())
 
-	res, err := d.SynthesizeAuto(bistpath.DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), nil, bistpath.DefaultConfig())
 	check(err)
 	fmt.Printf("registers=%d  BIST=%s  overhead=%.2f%%\n",
 		res.NumRegisters(), res.StyleSummary(), res.OverheadPct)
@@ -41,7 +42,7 @@ func main() {
 	`, true)
 	check(err)
 	check(dc.AutoScheduleForce(5))
-	resc, err := dc.SynthesizeAuto(bistpath.DefaultConfig())
+	resc, err := dc.SynthesizeCtx(context.Background(), nil, bistpath.DefaultConfig())
 	check(err)
 	fmt.Printf("with CSE: base area %d vs %d (saved %d gate equivalents)\n",
 		resc.BaseArea, res.BaseArea, res.BaseArea-resc.BaseArea)

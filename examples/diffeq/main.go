@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,10 +22,10 @@ func main() {
 
 	cfg := bistpath.DefaultConfig()
 	cfg.Width = 16
-	testable, err := d.Synthesize(mods, cfg)
+	testable, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	check(err)
 	cfg.Mode = bistpath.TraditionalHLS
-	traditional, err := d.Synthesize(mods, cfg)
+	traditional, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	check(err)
 
 	fmt.Println("differential-equation solver, 16-bit data path")

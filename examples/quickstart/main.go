@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 	fmt.Printf("scheduled %q into %d control steps\n\n", d.Name(), d.NumSteps())
 
 	// Synthesize with the paper's BIST-aware allocator.
-	res, err := d.SynthesizeAuto(bistpath.DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), nil, bistpath.DefaultConfig())
 	check(err)
 
 	fmt.Printf("registers: %d, muxes: %d\n", res.NumRegisters(), res.MuxCount)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -15,7 +16,7 @@ import (
 func main() {
 	d, mods, err := bistpath.Benchmark("ex2")
 	check(err)
-	res, err := d.Synthesize(mods, bistpath.DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), mods, bistpath.DefaultConfig())
 	check(err)
 
 	fmt.Println("ex2 (1 divider, 2 multipliers, 2 adders, 1 AND) — BIST plan")

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,10 +31,10 @@ func main() {
 			d, err := bistpath.ParseDFG(g.Text())
 			check(err)
 			cfg := bistpath.DefaultConfig()
-			rt, err := d.SynthesizeAuto(cfg)
+			rt, err := d.SynthesizeCtx(context.Background(), nil, cfg)
 			check(err)
 			cfg.Mode = bistpath.TraditionalHLS
-			rr, err := d.SynthesizeAuto(cfg)
+			rr, err := d.SynthesizeCtx(context.Background(), nil, cfg)
 			check(err)
 			test += rt.OverheadPct
 			trad += rr.OverheadPct

@@ -1,6 +1,7 @@
 package bistpath
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -72,7 +73,7 @@ func TestEndToEndFuzz(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			cfg.Mode = TraditionalHLS
 		}
-		res, err := d.SynthesizeAuto(cfg)
+		res, err := d.SynthesizeCtx(context.Background(), nil, cfg)
 		if err != nil {
 			// A module can legitimately end up untestable when a binding
 			// merges all of its operand variables into one register (no

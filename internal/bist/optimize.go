@@ -801,24 +801,35 @@ func OptimizeCtx(ctx context.Context, dp *datapath.Datapath, opts Options) (*Pla
 	return plan, plan.Validate(dp)
 }
 
-// incumbentBound validates opts.Incumbent against the data path and
+// incumbentBound revalidates opts.Incumbent against the data path and
 // returns its extra-area cost recomputed from the embeddings under
 // opts.Model. ok is false when there is no usable incumbent: the field
-// is nil, the plan fails Validate (stale embeddings from an edited
-// design), or it rides a pad head the current options forbid.
+// is nil or the plan fails Revalidate.
 func incumbentBound(dp *datapath.Datapath, opts Options) (cost int, ok bool) {
 	inc := opts.Incumbent
-	if inc == nil || inc.Validate(dp) != nil {
+	if inc == nil || inc.Revalidate(dp, opts.AllowPadHeads) != nil {
 		return 0, false
 	}
-	if !opts.AllowPadHeads {
-		for _, e := range inc.Embeddings {
+	return extraArea(opts.Model, stylesOf(inc.Embeddings)), true
+}
+
+// Revalidate is the check every plan carried over from an earlier run
+// (a result-cache entry, a session's previous plan, a warm-start
+// incumbent) must pass before it is trusted on dp: Validate, plus the
+// pad-head rule — a plan that sources test patterns from an input pad
+// is unusable unless allowPadHeads.
+func (p *Plan) Revalidate(dp *datapath.Datapath, allowPadHeads bool) error {
+	if err := p.Validate(dp); err != nil {
+		return err
+	}
+	if !allowPadHeads {
+		for name, e := range p.Embeddings {
 			if interconnect.IsPad(e.HeadL) || (e.HeadR != "" && interconnect.IsPad(e.HeadR)) {
-				return 0, false
+				return fmt.Errorf("bist: %s sources patterns from an input pad", name)
 			}
 		}
 	}
-	return extraArea(opts.Model, stylesOf(inc.Embeddings)), true
+	return nil
 }
 
 // PlanFromEmbeddings reconstructs the complete Plan implied by a chosen

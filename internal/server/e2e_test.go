@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -309,7 +310,7 @@ func TestServedResultByteIdenticalToCLI(t *testing.T) {
 		}
 		cfg := bistpath.DefaultConfig()
 		cfg.Cache = cli
-		res, err := d.Synthesize(mods, cfg)
+		res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

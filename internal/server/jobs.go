@@ -265,12 +265,13 @@ func validationError(msg string) error {
 }
 
 // submit admits one job: synchronous validation, registration, queued
-// event, then a goroutine that carries it to a terminal state. During a
-// drain, submissions are refused with 503.
-func (m *manager) submit(req submitRequest, client string) (*job, error) {
+// event, then a goroutine that carries it to a terminal state. It
+// returns the job's view as admitted, taken before that goroutine can
+// move it on. During a drain, submissions are refused with 503.
+func (m *manager) submit(req submitRequest, client string) (jobJSON, error) {
 	d, mods, cfg, err := req.resolve()
 	if err != nil {
-		return nil, err
+		return jobJSON{}, err
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -291,19 +292,20 @@ func (m *manager) submit(req submitRequest, client string) (*job, error) {
 	if err := m.admitLocked(j, client); err != nil {
 		m.mu.Unlock()
 		cancel()
-		return nil, err
+		return jobJSON{}, err
 	}
 	m.mu.Unlock()
 
 	expJobsSubmitted.Add(1)
 	j.hub.publishLifecycle(string(StatusQueued), j.id, j.design, false)
+	admitted := j.view(false)
 	go m.run(ctx, j, d, mods, cfg)
-	return j, nil
+	return admitted, nil
 }
 
-// run is the per-job goroutine: wait for a pool slot, synthesize with
-// the hub as observer and the shared cache attached, then conclude with
-// exactly one terminal transition.
+// run is the per-job goroutine: wait for a pool slot, synthesize on the
+// server's handle (which attaches the shared cache) with the hub as
+// observer, then conclude with exactly one terminal transition.
 func (m *manager) run(ctx context.Context, j *job, d *bistpath.DFG, mods map[string]string, cfg bistpath.Config) {
 	defer m.wg.Done()
 	if err := m.srv.pool.Acquire(ctx); err != nil {
@@ -311,7 +313,6 @@ func (m *manager) run(ctx context.Context, j *job, d *bistpath.DFG, mods map[str
 		return
 	}
 	cfg.Observer = j.hub.observe
-	cfg.Cache = m.srv.cache
 	var br bistpath.BatchResult
 	func() {
 		defer m.srv.pool.Release()
@@ -323,7 +324,7 @@ func (m *manager) run(ctx context.Context, j *job, d *bistpath.DFG, mods map[str
 				return
 			}
 		}
-		br = bistpath.RunJob(ctx, bistpath.Job{Name: j.design, DFG: d, Modules: mods, Config: cfg})
+		br = m.srv.synth.RunJob(ctx, bistpath.Job{Name: j.design, DFG: d, Modules: mods, Config: cfg})
 	}()
 	m.finish(j, br)
 }

@@ -192,17 +192,17 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	nj, err := s.jobs.resubmit(j, req.Edits, clientKey(r))
+	view, err := s.jobs.resubmit(j, req.Edits, clientKey(r))
 	if err != nil {
 		writeError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, submitResponse{
-		jobJSON: nj.view(false),
+		jobJSON: view,
 		Links: map[string]string{
-			"self":   "/v1/jobs/" + nj.id,
-			"events": "/v1/jobs/" + nj.id + "/events",
-			"result": "/v1/jobs/" + nj.id + "/result",
+			"self":   "/v1/jobs/" + view.ID,
+			"events": "/v1/jobs/" + view.ID + "/events",
+			"result": "/v1/jobs/" + view.ID + "/result",
 		},
 	})
 }
@@ -210,13 +210,13 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 // resubmit admits a job derived from parent by an edit batch. The
 // parent must have completed successfully (its design seeds the
 // session); a derived job is itself PATCHable once done, continuing
-// the same session lineage.
-func (m *manager) resubmit(parent *job, edits []patchEdit, client string) (*job, error) {
+// the same session lineage. Like submit, it returns the view as admitted.
+func (m *manager) resubmit(parent *job, edits []patchEdit, client string) (jobJSON, error) {
 	parent.mu.Lock()
 	st := parent.status
 	parent.mu.Unlock()
 	if st != StatusDone {
-		return nil, &apiError{status: http.StatusConflict,
+		return jobJSON{}, &apiError{status: http.StatusConflict,
 			msg: fmt.Sprintf("job is %s; PATCH needs a completed job", st)}
 	}
 
@@ -235,7 +235,7 @@ func (m *manager) resubmit(parent *job, edits []patchEdit, client string) (*job,
 	if err := m.admitLocked(j, client); err != nil {
 		m.mu.Unlock()
 		cancel()
-		return nil, err
+		return jobJSON{}, err
 	}
 	// The session lineage root: reuse the parent's, or start one on it.
 	if parent.ref == nil {
@@ -253,8 +253,9 @@ func (m *manager) resubmit(parent *job, edits []patchEdit, client string) (*job,
 	expJobsSubmitted.Add(1)
 	expJobsPatched.Add(1)
 	j.hub.publishLifecycle(string(StatusQueued), j.id, j.design, false)
+	admitted := j.view(false)
 	go m.runPatch(ctx, j, edits)
-	return j, nil
+	return admitted, nil
 }
 
 // runPatch is the derived job's goroutine: pool slot, then the session

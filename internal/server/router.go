@@ -77,17 +77,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, &apiError{status: http.StatusBadRequest, msg: "bad request body: " + err.Error()})
 		return
 	}
-	j, err := s.jobs.submit(req, clientKey(r))
+	view, err := s.jobs.submit(req, clientKey(r))
 	if err != nil {
 		writeError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, submitResponse{
-		jobJSON: j.view(false),
+		jobJSON: view,
 		Links: map[string]string{
-			"self":   "/v1/jobs/" + j.id,
-			"events": "/v1/jobs/" + j.id + "/events",
-			"result": "/v1/jobs/" + j.id + "/result",
+			"self":   "/v1/jobs/" + view.ID,
+			"events": "/v1/jobs/" + view.ID + "/events",
+			"result": "/v1/jobs/" + view.ID + "/result",
 		},
 	})
 }

@@ -73,9 +73,8 @@ type Options struct {
 // mount Handler on an http.Server, and call Drain on shutdown.
 type Server struct {
 	opts     Options
+	synth    *bistpath.Synthesizer // runs every job: POST through pool, PATCH through sessions
 	pool     *bistpath.Pool
-	cache    *bistpath.Cache
-	synth    *bistpath.Synthesizer // hosts the PATCH route's incremental sessions
 	jobs     *manager
 	handler  http.Handler
 	draining atomic.Bool
@@ -101,12 +100,10 @@ func New(opts Options) *Server {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = DefaultHeartbeat
 	}
-	s := &Server{
-		opts:  opts,
-		pool:  bistpath.NewPool(opts.Workers),
-		cache: opts.Cache,
-		synth: bistpath.New(bistpath.DefaultConfig()),
-	}
+	cfg := bistpath.DefaultConfig()
+	cfg.Cache = opts.Cache
+	s := &Server{opts: opts, synth: bistpath.New(cfg)}
+	s.pool = s.synth.NewPool(opts.Workers)
 	s.jobs = newManager(s)
 	s.handler = s.buildHandler()
 	return s

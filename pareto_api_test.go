@@ -15,7 +15,7 @@ func synthPareto(t *testing.T, name string, cfg Config) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.SynthesizePareto(mods, cfg)
+	res, err := d.SynthesizeParetoCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatalf("%s: SynthesizePareto: %v", name, err)
 	}
@@ -83,7 +83,7 @@ func TestParetoPrimaryPlanMatchesMinArea(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := d.Synthesize(mods, DefaultConfig())
+		single, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestSynthesizeWeighted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Objective = WeightedSum
 	cfg.Weights = Weights{Area: 1, TestTime: 200, PeakPower: 0}
-	res, err := d.Synthesize(mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestSynthesizeWeighted(t *testing.T) {
 	// degenerating into "everything costs nothing".
 	balanced := DefaultConfig()
 	balanced.Objective = WeightedSum
-	bres, err := d.Synthesize(mods, balanced)
+	bres, err := d.SynthesizeCtx(context.Background(), mods, balanced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestMinAreaResultHasNoObjectiveFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Synthesize(mods, DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestBadObjectiveConfigs(t *testing.T) {
 	for i, mut := range bad {
 		cfg := DefaultConfig()
 		mut(&cfg)
-		if _, err := d.Synthesize(mods, cfg); !errors.Is(err, ErrBadObjective) {
+		if _, err := d.SynthesizeCtx(context.Background(), mods, cfg); !errors.Is(err, ErrBadObjective) {
 			t.Errorf("bad config %d returned %v, want ErrBadObjective", i, err)
 		}
 	}
@@ -225,7 +225,7 @@ func TestParetoRandomSweepOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		res, err := d.SynthesizePareto(mods, DefaultConfig())
+		res, err := d.SynthesizeParetoCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			if errors.Is(err, ErrNoEmbedding) {
 				continue

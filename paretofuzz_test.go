@@ -32,7 +32,7 @@ func FuzzParetoOracle(f *testing.F) {
 		if flags&2 != 0 {
 			cfg.AllowPadTPG = false
 		}
-		res, err := d.SynthesizePareto(mods, cfg)
+		res, err := d.SynthesizeParetoCtx(context.Background(), mods, cfg)
 		if err != nil {
 			if errors.Is(err, ErrNoEmbedding) {
 				t.Skip()

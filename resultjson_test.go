@@ -1,6 +1,7 @@
 package bistpath
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -41,7 +42,7 @@ func TestResultJSONGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := d.Synthesize(mods, DefaultConfig())
+		res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func TestResultJSONGolden(t *testing.T) {
 // and non-null containers even when empty.
 func TestResultJSONSchema(t *testing.T) {
 	d, mods, _ := Benchmark("ex1")
-	res, err := d.Synthesize(mods, DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -140,11 +141,11 @@ func main() {
 }
 
 func compare(name, design string, seed int64, d *bistpath.DFG, mods map[string]string, exactCfg, stochCfg bistpath.Config) (row, error) {
-	exact, err := d.Synthesize(mods, exactCfg)
+	exact, err := d.SynthesizeCtx(context.Background(), mods, exactCfg)
 	if err != nil {
 		return row{}, fmt.Errorf("exact: %w", err)
 	}
-	stoch, err := d.Synthesize(mods, stochCfg)
+	stoch, err := d.SynthesizeCtx(context.Background(), mods, stochCfg)
 	if err != nil {
 		return row{}, fmt.Errorf("stochastic: %w", err)
 	}

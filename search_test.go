@@ -56,18 +56,18 @@ func TestSearchValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Search = SearchStochastic
 	cfg.Objective = ParetoFront
-	if _, err := d.Synthesize(mods, cfg); !errors.Is(err, ErrBadSearch) {
+	if _, err := d.SynthesizeCtx(context.Background(), mods, cfg); !errors.Is(err, ErrBadSearch) {
 		t.Errorf("stochastic+pareto = %v, want ErrBadSearch", err)
 	}
 	cfg = DefaultConfig()
 	cfg.Search = Search(99)
-	if _, err := d.Synthesize(mods, cfg); !errors.Is(err, ErrBadSearch) {
+	if _, err := d.SynthesizeCtx(context.Background(), mods, cfg); !errors.Is(err, ErrBadSearch) {
 		t.Errorf("unknown search = %v, want ErrBadSearch", err)
 	}
 	cfg = DefaultConfig()
 	cfg.Search = SearchStochastic
 	cfg.TimeBudget = -time.Second
-	if _, err := d.Synthesize(mods, cfg); !errors.Is(err, ErrBadSearch) {
+	if _, err := d.SynthesizeCtx(context.Background(), mods, cfg); !errors.Is(err, ErrBadSearch) {
 		t.Errorf("negative budget = %v, want ErrBadSearch", err)
 	}
 }
@@ -82,7 +82,7 @@ func TestSearchAutoResolution(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.Search = SearchAuto
-		res, err := d.Synthesize(mods, cfg)
+		res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -96,7 +96,7 @@ func TestSearchAutoResolution(t *testing.T) {
 		// The same benchmark under the default SearchExact leaves the
 		// strategy field empty — the byte-identity contract for existing
 		// result documents.
-		res2, err := d.Synthesize(mods, DefaultConfig())
+		res2, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestSearchAutoResolution(t *testing.T) {
 	d, mods := largeSearchDesign(t)
 	cfg := DefaultConfig()
 	cfg.Search = SearchAuto
-	res, err := d.Synthesize(mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSearchStochasticLargeDesign(t *testing.T) {
 	d, mods := largeSearchDesign(t)
 
 	exactCfg := DefaultConfig()
-	fallback, err := d.Synthesize(mods, exactCfg)
+	fallback, err := d.SynthesizeCtx(context.Background(), mods, exactCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSearchStochasticLargeDesign(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Search = SearchStochastic
 	cfg.Seed = 7
-	res, err := d.Synthesize(mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSearchStochasticLargeDesign(t *testing.T) {
 		t.Errorf("stochastic area %d worse than greedy fallback %d", res.BISTArea, fallback.BISTArea)
 	}
 
-	res2, err := d.Synthesize(mods, cfg)
+	res2, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSearchStochasticTimeBudgetVerify(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Search = SearchStochastic
 	cfg.TimeBudget = 50 * time.Millisecond
-	res, err := d.Synthesize(mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +253,11 @@ func TestSearchStochasticCache(t *testing.T) {
 	cfg.Search = SearchStochastic
 	cfg.Seed = 3
 	cfg.Cache = cache
-	cold, err := d.Synthesize(mods, cfg)
+	cold, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := d.Synthesize(mods, cfg)
+	warm, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestSearchStochasticCache(t *testing.T) {
 
 	budget := cfg
 	budget.TimeBudget = time.Second
-	res, err := d.Synthesize(mods, budget)
+	res, err := d.SynthesizeCtx(context.Background(), mods, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,11 @@ package bistpath
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"bistpath/internal/cache"
 	"bistpath/internal/dfg"
 	"bistpath/internal/modassign"
 )
@@ -14,13 +16,12 @@ import (
 // design that can be edited in place and re-synthesized, with the
 // pipeline reusing whatever the edit provably did not invalidate. The
 // mutators (SetStep, ReplaceOp, RemapModule, RetimePort) apply the edit
-// immediately and record it as a typed Delta; Resynthesize then diffs
-// the design's sectioned fingerprint (the same sections the result
-// cache hashes) against the previous run to find the earliest
-// invalidated phase, re-enters the pipeline there, and carries the
-// surviving artifacts forward:
+// immediately and record it as a typed Delta; Resynthesize then offers
+// the previous run's artifacts to the pipeline, which carries forward
+// whatever still revalidates:
 //
-//   - nothing changed → the previous Result is replayed outright;
+//   - the canonical cache key is unchanged → the previous Result is
+//     replayed outright;
 //   - the register binder's fingerprint still matches (e.g. a
 //     reschedule that preserves every lifetime overlap) → the
 //     register-bind phase is skipped and the previous binding reused;
@@ -55,16 +56,16 @@ type Session struct {
 }
 
 // sessionState is the survivable residue of one successful Resynthesize:
-// the sectioned fingerprint of the inputs it ran on, the reusable phase
-// artifacts it captured, a private clone of its Result, and the wall
+// the cache key of the inputs it ran on, the reusable phase artifacts
+// it captured, a private clone of its Result, and the wall
 // time of the most recent run that reused nothing (the baseline
 // IncrementalSpeedup is measured against). The module binding and the
 // lifetime-overlap matrix back the reschedule fast path, which must
 // decide "did this step edit preserve every overlap?" without paying
 // for serialization or hashing.
 type sessionState struct {
-	secs      []keySection // nil after a fast-path run (see fastReschedule)
-	arts      phaseArtifacts
+	key       cache.Key // zero after a fast-path run (see fastReschedule)
+	arts      *artifacts
 	result    *Result
 	coldTotal time.Duration
 
@@ -100,18 +101,6 @@ func overlapMatrix(g *dfg.Graph) ([]string, []bool, error) {
 	return vars, m, nil
 }
 
-func stringsEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // sameModuleBindingAfterSteps reports whether binding the session's
 // edited graph reproduces prev op for op: the same modules, each
 // running the same ops in the same order. Steps reach the module
@@ -126,7 +115,7 @@ func (ss *Session) sameModuleBindingAfterSteps(prev *modassign.Binding) bool {
 			return false
 		}
 		for i, m := range mb.Modules {
-			if m.Name != prev.Modules[i].Name || !stringsEqual(m.Ops, prev.Modules[i].Ops) {
+			if m.Name != prev.Modules[i].Name || !slices.Equal(m.Ops, prev.Modules[i].Ops) {
 				return false
 			}
 		}
@@ -140,18 +129,6 @@ func (ss *Session) sameModuleBindingAfterSteps(prev *modassign.Binding) bool {
 			if ss.g.Op(m.Ops[i-1]).Step >= ss.g.Op(m.Ops[i]).Step {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-func boolsEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
 		}
 	}
 	return true
@@ -178,14 +155,9 @@ func (s *Synthesizer) NewSessionConfig(d *DFG, opToModule map[string]string, cfg
 	if closed {
 		return nil, ErrSynthesizerClosed
 	}
-	// Normalize once so the sectioned fingerprints computed across the
-	// session's lifetime agree with what the pipeline actually runs.
-	if cfg.Width == 0 {
-		cfg.Width = 8
-	}
-	if cfg.Objective == WeightedSum && cfg.Weights == (Weights{}) {
-		cfg.Weights = Weights{Area: 1, TestTime: 1, PeakPower: 1}
-	}
+	// Normalize once so the cache keys computed across the session's
+	// lifetime agree with what the pipeline actually runs.
+	cfg = cfg.normalized()
 	cfg.Cache = nil
 	var m map[string]string
 	if opToModule != nil {
@@ -317,20 +289,6 @@ func (ss *Session) RetimePort(name string, port bool) error {
 	})
 }
 
-// sectionsEqual reports whether two sectioned fingerprints are
-// identical (same sections in the same order with the same payloads).
-func sectionsEqual(a, b []keySection) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // allPhaseNames is the full pipeline in order — what a replayed run
 // reports as reused.
 func allPhaseNames() []string {
@@ -382,11 +340,11 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 		return nil, phaseError(ss.g.Name, PhaseValidate, err)
 	}
 
-	// Diff the sectioned fingerprint against the previous run. Full
-	// equality means no edit reached the pipeline's inputs (e.g. a step
-	// edit that was immediately undone): replay the previous Result.
-	secs := keySections(ss.g, mb, ss.cfg)
-	if prev := ss.prev; prev != nil && sectionsEqual(secs, prev.secs) {
+	// An unchanged cache key means no edit reached the pipeline's inputs
+	// (e.g. a step edit that was immediately undone): replay the
+	// previous Result.
+	key := cacheKey(ss.g, mb, ss.cfg)
+	if prev := ss.prev; prev != nil && key == prev.key {
 		res := prev.result.clone()
 		st := res.Stats // the populating run's stats, replayed
 		st.ReusedPhases = allPhaseNames()
@@ -400,32 +358,21 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 	}
 
 	// Something changed: re-enter the pipeline with the previous run's
-	// artifacts offered for reuse. The pipeline's own finer-grained
-	// checks (binder fingerprint, data-path structural fingerprint,
-	// plan revalidation) decide phase by phase what actually survives.
-	var reuse *phaseReuse
-	if prev := ss.prev; prev != nil {
-		reuse = &phaseReuse{
-			bindFP:      prev.arts.bindFP,
-			haveBindFP:  prev.arts.haveBindFP,
-			rb:          prev.arts.rb,
-			bindMetrics: prev.arts.bindMetrics,
-			trace:       prev.arts.trace,
-
-			dpFP:           prev.arts.dpFP,
-			plan:           prev.arts.plan,
-			searchMetrics:  prev.arts.searchMetrics,
-			searchStrategy: prev.arts.searchStrategy,
-			forced:         prev.arts.forced,
-		}
+	// artifacts as its prior. The pipeline's own finer-grained checks
+	// (binder fingerprint, data-path structural fingerprint, plan
+	// revalidation) decide phase by phase what actually survives.
+	var prior *artifacts
+	if ss.prev != nil {
+		prior = ss.prev.arts
 	}
-	var art phaseArtifacts
+	var art *artifacts
 	// The pipeline runs on a private snapshot so Results handed out
 	// earlier (whose datapath references the run's graph) don't see
 	// later session edits.
 	g, cfg := ss.g.Clone(), ss.cfg
-	res, err := ss.synth.runWith(ctx, func(ctx context.Context, sc *synthScratch) (*Result, error) {
-		return synthesizePipeline(ctx, g, mb, cfg, pipeExtras{sc: sc, reuse: reuse, capture: &art})
+	res, err := ss.synth.run(ctx, func(ctx context.Context, sc *synthScratch) (res *Result, err error) {
+		res, art, err = synthesizePipeline(ctx, g, mb, cfg, sc, prior, true)
+		return res, err
 	})
 	if err != nil {
 		return nil, err
@@ -442,7 +389,7 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 		}
 	}
 	res.Stats = st
-	state := &sessionState{secs: secs, arts: art, result: res.clone(), coldTotal: coldTotal, mb: mb}
+	state := &sessionState{key: key, arts: art, result: res.clone(), coldTotal: coldTotal, mb: mb}
 	if vars, m, err := overlapMatrix(g); err == nil {
 		state.allocVars, state.overlaps = vars, m
 	}
@@ -468,11 +415,10 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 // (validation failure), leaving the pending deltas in place.
 func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, err error) {
 	prev := ss.prev
-	if prev == nil || len(ss.deltas) == 0 || !planSpliceable(ss.cfg) {
+	if prev == nil || len(ss.deltas) == 0 || !reusablePlan(ss.cfg) {
 		return nil, false, nil
 	}
-	if prev.mb == nil || prev.overlaps == nil || prev.arts.dp == nil ||
-		prev.arts.ib == nil || prev.arts.rb == nil {
+	if prev.mb == nil || prev.overlaps == nil || prev.arts.ib == nil || prev.arts.rb == nil {
 		return nil, false, nil
 	}
 	for _, d := range ss.deltas {
@@ -491,7 +437,7 @@ func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, e
 	if err != nil {
 		return nil, false, nil // let the general path surface it
 	}
-	if !stringsEqual(vars, prev.allocVars) || !boolsEqual(m, prev.overlaps) {
+	if !slices.Equal(vars, prev.allocVars) || !slices.Equal(m, prev.overlaps) {
 		return nil, false, nil // overlaps moved: the binder must re-run
 	}
 	if !ss.sameModuleBindingAfterSteps(prev.mb) {
@@ -499,7 +445,7 @@ func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, e
 	}
 
 	g := ss.g.Clone() // private snapshot, as in the general path
-	dp, err := prev.arts.dp.WithSchedule(g, prev.mb, prev.arts.rb, prev.arts.ib)
+	dp, err := prev.result.dp.WithSchedule(g, prev.mb, prev.arts.rb, prev.arts.ib)
 	if err != nil {
 		return nil, false, nil // shouldn't happen; re-derive from scratch
 	}
@@ -517,14 +463,13 @@ func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, e
 	}
 	res.Stats = st
 
-	// Persist the rescheduled state. secs stays nil: the sectioned
-	// fingerprint on file describes the pre-edit schedule, and replaying
-	// against it after a later (say, undoing) edit would resurrect a
-	// Result with the wrong control program. The overlap matrix carries
-	// forward unchanged — that's exactly what was just proven.
+	// Persist the rescheduled state. The key is zeroed: the one on file
+	// describes the pre-edit schedule, and replaying against it after a
+	// later (say, undoing) edit would resurrect a Result with the wrong
+	// control program. The overlap matrix carries forward unchanged —
+	// that's exactly what was just proven.
 	stored := *prev
-	stored.secs = nil
-	stored.arts.dp = dp
+	stored.key = cache.Key{}
 	stored.result = res.clone()
 	ss.prev = &stored
 	ss.deltas = nil

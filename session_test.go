@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"expvar"
 	"math/rand"
 	"testing"
 )
@@ -86,9 +87,9 @@ func TestSessionReplaysUnchangedDesign(t *testing.T) {
 	}
 	assertSameResult(t, "replay", again, cold)
 
-	// A structural edit that is undone before Resynthesize hits the
-	// sectioned fingerprint, which sees the net effect, not the edit
-	// log — a full replay.
+	// A structural edit that is undone before Resynthesize leaves the
+	// cache key, which sees the net effect, not the edit log, unchanged
+	// — a full replay.
 	if err := ss.RetimePort("a", true); err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +172,73 @@ func TestSessionConflictPreservingEditReusesBindAndPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResult(t, "mul2@5", warm, want)
+}
+
+// A conflict-preserving edit batch that leaves the steps-only fast path
+// (a no-op remap rides along) splices the previous plan inside the
+// pipeline, for the weighted objective as for the area one. The result
+// must match a cold run of the edited design, and — since the spliced
+// search expanded no nodes — add nothing to the cumulative search-effort
+// counters: each pipeline pass records the effort it actually spent,
+// and the pass itself still counts once.
+func TestSessionSpliceRecordsNoSearchEffort(t *testing.T) {
+	weighted := DefaultConfig()
+	weighted.Objective = WeightedSum
+	s := New(DefaultConfig())
+	defer s.Close()
+	for _, cfg := range []Config{DefaultConfig(), weighted} {
+		d, mods, err := Benchmark("ex1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := s.NewSessionConfig(d, mods, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ss.Close()
+		if _, err := ss.Resynthesize(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.SetStep("mul2", 5); err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.RemapModule("mul2", mods["mul2"]); err != nil {
+			t.Fatal(err)
+		}
+		counters := []struct {
+			name string
+			v    *expvar.Int
+			want int64 // growth across the spliced run
+			from int64
+		}{
+			{"syntheses", expSyntheses, 1, 0},
+			{"search_nodes", expNodes, 0, 0},
+			{"bound_prunes", expPrunes, 0, 0},
+			{"embeddings_enumerated", expEmbeddings, 0, 0},
+		}
+		for i := range counters {
+			counters[i].from = counters[i].v.Value()
+		}
+		res, err := ss.Resynthesize(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hasPhase(res.Stats, PhaseBISTSearch) {
+			t.Fatalf("%s: bist-search not spliced: %v", cfg.Objective, res.Stats.ReusedPhases)
+		}
+		for _, c := range counters {
+			if got := c.v.Value() - c.from; got != c.want {
+				t.Errorf("%s: bistpath.%s grew by %d around a spliced Resynthesize, want %d",
+					cfg.Objective, c.name, got, c.want)
+			}
+		}
+		d.g.Op("mul2").Step = 5
+		want, err := d.SynthesizeCtx(context.Background(), mods, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, cfg.Objective.String(), res, want)
+	}
 }
 
 // sharedModuleDesign runs two adds with identical operands on module M1
@@ -486,50 +554,59 @@ func applyRandomEdit(t *testing.T, rng *rand.Rand, ss *Session, mirror *DFG, mir
 }
 
 // TestSessionDifferentialRandomEdits is the tentpole's property test:
-// over random designs and random edit scripts, every Resynthesize must
-// be indistinguishable (stats aside) from a from-scratch synthesis of
-// the identically edited mirror design — including agreeing on whether
-// the edited design is synthesizable at all.
+// over random designs, random edit scripts and the configs whose plans
+// splice differently (area, weighted sum, auto search), every
+// Resynthesize must be indistinguishable (stats aside) from a
+// from-scratch synthesis of the identically edited mirror design —
+// including agreeing on whether the edited design is synthesizable at
+// all.
 func TestSessionDifferentialRandomEdits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep skipped in -short mode")
 	}
+	weighted := DefaultConfig()
+	weighted.Objective = WeightedSum
+	weighted.Weights = Weights{Area: 1, TestTime: 2, PeakPower: 3}
+	auto := DefaultConfig()
+	auto.Search = SearchAuto
 	s := New(DefaultConfig())
 	defer s.Close()
-	for seed := int64(1); seed <= 6; seed++ {
-		d, mods, err := RandomDesign(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		ss, err := s.NewSession(d, mods)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		mirror := &DFG{g: d.g.Clone()}
-		mirrorMods := make(map[string]string, len(mods))
-		for k, v := range mods {
-			mirrorMods[k] = v
-		}
-		rng := rand.New(rand.NewSource(seed * 977))
-		for round := 0; round < 6; round++ {
-			for n := 1 + rng.Intn(3); n > 0; n-- {
-				applyRandomEdit(t, rng, ss, mirror, mirrorMods)
+	for _, cfg := range []Config{DefaultConfig(), weighted, auto} {
+		for seed := int64(1); seed <= 6; seed++ {
+			d, mods, err := RandomDesign(seed)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
-			got, errGot := ss.Resynthesize(context.Background())
-			want, errWant := mirror.SynthesizeCtx(context.Background(), mirrorMods, DefaultConfig())
-			if (errGot == nil) != (errWant == nil) {
-				t.Fatalf("seed %d round %d: incremental err %v, from-scratch err %v\ndesign:\n%s",
-					seed, round, errGot, errWant, mirror.Text())
+			ss, err := s.NewSessionConfig(d, mods, cfg)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
-			if errGot != nil {
-				continue // both rejected the edited design the same way
+			mirror := &DFG{g: d.g.Clone()}
+			mirrorMods := make(map[string]string, len(mods))
+			for k, v := range mods {
+				mirrorMods[k] = v
 			}
-			assertSameResult(t, "seed/round", got, want)
-			if t.Failed() {
-				t.Fatalf("seed %d round %d diverged (reused %v)\ndesign:\n%s",
-					seed, round, got.Stats.ReusedPhases, mirror.Text())
+			rng := rand.New(rand.NewSource(seed * 977))
+			for round := 0; round < 6; round++ {
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					applyRandomEdit(t, rng, ss, mirror, mirrorMods)
+				}
+				got, errGot := ss.Resynthesize(context.Background())
+				want, errWant := mirror.SynthesizeCtx(context.Background(), mirrorMods, cfg)
+				if (errGot == nil) != (errWant == nil) {
+					t.Fatalf("%s/%s seed %d round %d: incremental err %v, from-scratch err %v\ndesign:\n%s",
+						cfg.Objective, cfg.Search, seed, round, errGot, errWant, mirror.Text())
+				}
+				if errGot != nil {
+					continue // both rejected the edited design the same way
+				}
+				assertSameResult(t, "seed/round", got, want)
+				if t.Failed() {
+					t.Fatalf("%s/%s seed %d round %d diverged (reused %v)\ndesign:\n%s",
+						cfg.Objective, cfg.Search, seed, round, got.Stats.ReusedPhases, mirror.Text())
+				}
 			}
+			ss.Close()
 		}
-		ss.Close()
 	}
 }

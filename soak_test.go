@@ -70,7 +70,7 @@ func TestStochasticSoak(t *testing.T) {
 		scfg := DefaultConfig()
 		scfg.Search = SearchStochastic
 		scfg.Seed = seed
-		res, err := d.Synthesize(mods, scfg)
+		res, err := d.SynthesizeCtx(context.Background(), mods, scfg)
 		if err != nil {
 			if errors.Is(err, ErrNoEmbedding) {
 				skipped++ // a bounded fraction of random designs has no I-path

@@ -52,7 +52,9 @@ func (p Phase) String() string {
 // algorithms' work — for a sequential run (Config.Workers <= 1) every
 // counter is deterministic, and under parallel search only SearchNodes,
 // BoundPrunes and IncumbentUpdates may vary (bound propagation timing
-// changes how much of the tree is cut).
+// changes how much of the tree is cut). A phase reused from an earlier
+// run (ReusedPhases) did no work in this run, so its counters read
+// zero; a cache hit instead replays the populating run's Stats whole.
 type Stats struct {
 	// Wall times. Total covers the whole run including result assembly,
 	// so the per-phase values sum to slightly less than Total.
@@ -164,15 +166,17 @@ const (
 	// events come from search worker goroutines.
 	SearchProgress
 	// CacheHit fires once when Config.Cache serves the run instead of a
-	// full synthesis. Phase events still precede it for disk-layer hits
-	// (the cheap phases re-run), but never a PhaseBISTSearch pair.
+	// full synthesis. A memory-layer hit emits nothing else; a disk-layer
+	// hit first runs the pipeline once, so every phase pair precedes it —
+	// its PhaseBISTSearch pair spans the revalidated plan splice, not a
+	// search.
 	CacheHit
 	// PanicRecovered fires once when the batch layer (SynthesizeAll,
-	// Pool.Do, RunJob) recovers a panic inside a job's synthesis. It is
-	// the terminal event of that run: the panic unwound past the
-	// pipeline, so no further phase events can follow, and observers
-	// that stream progress (e.g. SSE subscribers) must not be left
-	// waiting. Direct SynthesizeCtx calls do not recover panics and
+	// Pool.Do, Synthesizer.RunJob) recovers a panic inside a job's
+	// synthesis. It is the terminal event of that run: the panic unwound
+	// past the pipeline, so no further phase events can follow, and
+	// observers that stream progress (e.g. SSE subscribers) must not be
+	// left waiting. Direct SynthesizeCtx calls do not recover panics and
 	// never emit it.
 	PanicRecovered
 )
@@ -237,7 +241,9 @@ var (
 	expCacheBytes     = expvar.NewInt("bistpath.cache_bytes")
 )
 
-// recordRun folds one completed run into the cumulative expvar counters.
+// recordRun folds one completed pipeline pass into the cumulative expvar
+// counters: every pass counts, disk-cache hits included, with the
+// search effort it actually spent (none for a spliced plan).
 func recordRun(s *Stats) {
 	expSyntheses.Add(1)
 	expSynthNanos.Add(int64(s.Total))

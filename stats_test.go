@@ -15,7 +15,7 @@ import (
 func TestStatsInvariants(t *testing.T) {
 	for _, n := range BenchmarkNames() {
 		d, mods, _ := Benchmark(n)
-		res, err := d.Synthesize(mods, DefaultConfig())
+		res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,11 +57,11 @@ func TestStatsCounterDeterminism(t *testing.T) {
 			return [7]int64{s.SearchNodes, s.BoundPrunes, s.IncumbentUpdates,
 				s.EmbeddingsEnumerated, int64(s.SearchWorkers), s.Lemma2Checks, s.CaseOverrides}
 		}
-		a, err := d.Synthesize(mods, DefaultConfig())
+		a, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := d.Synthesize(mods, DefaultConfig())
+		b, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestReportTextIdenticalAcrossWorkers(t *testing.T) {
 			d, mods, _ := Benchmark(n)
 			cfg := DefaultConfig()
 			cfg.Workers = w
-			res, err := d.Synthesize(mods, cfg)
+			res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestObserverEventOrdering(t *testing.T) {
 		events = append(events, e)
 		mu.Unlock()
 	}
-	res, err := d.Synthesize(mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestObserverSeesFailingPhase(t *testing.T) {
 	var events []Event
 	cfg := DefaultConfig()
 	cfg.Observer = func(e Event) { events = append(events, e) }
-	_, err := d.Synthesize(map[string]string{"add1": "M1", "add2": "M2"}, cfg)
+	_, err := d.SynthesizeCtx(context.Background(), map[string]string{"add1": "M1", "add2": "M2"}, cfg)
 	if err == nil {
 		t.Fatal("step-order violation accepted")
 	}
@@ -218,9 +218,9 @@ func TestTypedErrors(t *testing.T) {
 	// report an unscheduled graph as ErrUnscheduled, attributed to the
 	// validate phase.
 	for name, run := range map[string]func(*DFG) error{
-		"auto": func(d *DFG) error { _, err := d.SynthesizeAuto(DefaultConfig()); return err },
+		"auto": func(d *DFG) error { _, err := d.SynthesizeCtx(context.Background(), nil, DefaultConfig()); return err },
 		"explicit": func(d *DFG) error {
-			_, err := d.Synthesize(map[string]string{"add1": "M1"}, DefaultConfig())
+			_, err := d.SynthesizeCtx(context.Background(), map[string]string{"add1": "M1"}, DefaultConfig())
 			return err
 		},
 	} {
@@ -251,13 +251,14 @@ func TestTypedErrors(t *testing.T) {
 	}
 
 	// A nil-DFG job fails with the ErrNoDFG sentinel.
-	rs := SynthesizeAll(context.Background(), []Job{{Name: "hole"}}, BatchOptions{})
+	rs, _ := SynthesizeAll(context.Background(), []Job{{Name: "hole"}}, BatchOptions{})
 	if len(rs) != 1 || !errors.Is(rs[0].Err, ErrNoDFG) {
 		t.Errorf("nil-DFG job: %+v, want ErrNoDFG", rs)
 	}
 }
 
-// SynthesizeCtx with a nil map must match SynthesizeAuto exactly.
+// A nil map selects the same automatic binding on every entry point:
+// the free DFG.SynthesizeCtx and the handle's Synthesize agree exactly.
 func TestNilMapIsAutoBinding(t *testing.T) {
 	build := func() *DFG {
 		d, err := ParseDFG("dfg auto\ninput a b c\nop add1 + a b -> x @1\nop add2 + x c -> y @2\noutput y\n")
@@ -266,16 +267,18 @@ func TestNilMapIsAutoBinding(t *testing.T) {
 		}
 		return d
 	}
-	ra, err := build().SynthesizeAuto(DefaultConfig())
+	ra, err := build().SynthesizeCtx(context.Background(), nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := build().SynthesizeCtx(context.Background(), nil, DefaultConfig())
+	s := New(DefaultConfig())
+	defer s.Close()
+	rb, err := s.Synthesize(context.Background(), build(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ra.ReportText() != rb.ReportText() {
-		t.Error("SynthesizeCtx(nil map) differs from SynthesizeAuto")
+		t.Error("DFG.SynthesizeCtx(nil map) differs from Synthesizer.Synthesize(nil map)")
 	}
 }
 
@@ -285,7 +288,7 @@ func TestBatchStats(t *testing.T) {
 		d, mods, _ := Benchmark(n)
 		jobs = append(jobs, Job{DFG: d, Modules: mods, Config: DefaultConfig()})
 	}
-	results, bs := SynthesizeAllStats(context.Background(), jobs, BatchOptions{Workers: 2})
+	results, bs := SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 2})
 	if bs.Workers != 2 {
 		t.Errorf("Workers = %d, want 2", bs.Workers)
 	}
@@ -343,7 +346,7 @@ func TestSortSessions(t *testing.T) {
 
 func TestStatsInReportAbsent(t *testing.T) {
 	d, mods, _ := Benchmark("ex1")
-	res, err := d.Synthesize(mods, DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"bistpath/internal/bist"
-	"bistpath/internal/dfg"
-	"bistpath/internal/modassign"
 	"bistpath/internal/regassign"
 )
 
@@ -45,11 +43,11 @@ func newSynthScratch() *synthScratch {
 //
 // A Synthesizer is safe for concurrent use: concurrent runs draw
 // distinct scratches from the freelist. The free functions
-// (DFG.SynthesizeCtx, SynthesizeAll, RunJob) and NewPool are thin
-// wrappers over a package-default handle, so ordinary callers get arena
-// reuse without managing a handle; create an explicit one to control
-// the default Config, share a Cache, or bound the handle's lifetime
-// with Close.
+// (DFG.SynthesizeCtx, SynthesizeAll) are thin wrappers over a
+// package-default handle, so ordinary callers get arena reuse without
+// managing a handle; create an explicit one to control the default
+// Config, share a Cache, run jobs on a Pool, or bound the handle's
+// lifetime with Close.
 type Synthesizer struct {
 	cfg Config
 
@@ -128,15 +126,9 @@ func (s *Synthesizer) SynthesizePareto(ctx context.Context, d *DFG, opToModule m
 // SynthesizeAll synthesizes every job on a bounded worker pool drawing
 // scratch arenas from this handle, with the exact semantics of the free
 // SynthesizeAll (job-order results, prompt cancellation, per-job panic
-// recovery).
-func (s *Synthesizer) SynthesizeAll(ctx context.Context, jobs []Job, opts BatchOptions) []BatchResult {
-	results, _ := s.SynthesizeAllStats(ctx, jobs, opts)
-	return results
-}
-
-// SynthesizeAllStats is Synthesizer.SynthesizeAll plus pool-utilization
-// accounting for the run.
-func (s *Synthesizer) SynthesizeAllStats(ctx context.Context, jobs []Job, opts BatchOptions) ([]BatchResult, BatchStats) {
+// recovery, pool-utilization accounting). Jobs without a Config.Cache of
+// their own inherit the handle's.
+func (s *Synthesizer) SynthesizeAll(ctx context.Context, jobs []Job, opts BatchOptions) ([]BatchResult, BatchStats) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -161,11 +153,7 @@ func (s *Synthesizer) SynthesizeAllStats(ctx context.Context, jobs []Job, opts B
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				job := jobs[i]
-				if job.Config.Cache == nil {
-					job.Config.Cache = opts.Cache
-				}
-				results[i] = s.runJob(ctx, job)
+				results[i] = s.RunJob(ctx, jobs[i])
 				busy.Add(int64(results[i].Duration))
 			}
 		}()
@@ -200,15 +188,24 @@ feed:
 // NewPool creates a worker pool whose Do runs jobs through this handle
 // (0 or negative workers = runtime.GOMAXPROCS(0)).
 func (s *Synthesizer) NewPool(workers int) *Pool {
-	p := NewPool(workers)
-	p.synth = s
-	return p
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return &Pool{sem: make(chan struct{}, workers), workers: workers, synth: s}
 }
 
-// runJob is the per-job execution primitive behind RunJob, Pool.Do and
-// the batch workers: RunJob's semantics (panic recovery, cancellation,
-// Duration accounting) with this handle's scratch arenas and cache.
-func (s *Synthesizer) runJob(ctx context.Context, j Job) (br BatchResult) {
+// RunJob synthesizes one job through this handle, converting a panic
+// into a per-job error so a single bad design cannot take down the whole
+// batch (or a whole server). It is the per-job execution primitive under
+// SynthesizeAll and Pool.Do; use it directly when the caller manages its
+// own concurrency. A job without a Config.Cache inherits the handle's.
+//
+// When a panic is recovered and the job has an Observer, the observer
+// receives one final PanicRecovered event: without it a streaming
+// subscriber (e.g. an SSE client of bistpathd) would wait forever for a
+// conclusion that cannot come, because the panic unwound past the
+// pipeline before any terminal phase event fired.
+func (s *Synthesizer) RunJob(ctx context.Context, j Job) (br BatchResult) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -234,11 +231,12 @@ func (s *Synthesizer) runJob(ctx context.Context, j Job) (br BatchResult) {
 	return br
 }
 
-// synthesizeDFG resolves the module binding and runs the pipeline with a
-// scratch from the handle's freelist. It is the single core path every
-// public entry point funnels through, so it is also where a missing
-// design (a nil *DFG, or a zero DFG not built by NewDFG, ParseDFG or
-// Compile) fails with ErrNoDFG.
+// synthesizeDFG resolves the module binding, normalizes the Config and
+// runs the pipeline with a scratch from the handle's freelist, through
+// Config.Cache when one is attached and the plan is reusable. It is the
+// single core path every public entry point funnels through, so it is
+// also where a missing design (a nil *DFG, or a zero DFG not built by
+// NewDFG, ParseDFG or Compile) fails with ErrNoDFG.
 func (s *Synthesizer) synthesizeDFG(ctx context.Context, d *DFG, opToModule map[string]string, cfg Config) (*Result, error) {
 	if d == nil || d.g == nil {
 		return nil, ErrNoDFG
@@ -256,24 +254,22 @@ func (s *Synthesizer) synthesizeDFG(ctx context.Context, d *DFG, opToModule map[
 	if err != nil {
 		return nil, phaseError(d.g.Name, PhaseValidate, err)
 	}
-	return s.run(ctx, d.g, mb, cfg)
-}
-
-// run executes one synthesis under the handle's lifetime: it registers
-// the run's cancel so Close can abort it at its next context poll and
-// wait for it to unwind, and loans the run a scratch.
-func (s *Synthesizer) run(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config) (*Result, error) {
-	return s.runWith(ctx, func(ctx context.Context, sc *synthScratch) (*Result, error) {
-		return synthesize(ctx, g, mb, cfg, sc)
+	cfg = cfg.normalized()
+	return s.run(ctx, func(ctx context.Context, sc *synthScratch) (*Result, error) {
+		if cfg.Cache != nil && reusablePlan(cfg) {
+			return cfg.Cache.synthesize(ctx, d.g, mb, cfg, sc)
+		}
+		res, _, err := synthesizePipeline(ctx, d.g, mb, cfg, sc, nil, false)
+		return res, err
 	})
 }
 
-// runWith is run generalized over the pipeline invocation: the lifetime
-// bookkeeping (inflight cancel registration, scratch loan, closed-handle
-// error mapping) around an arbitrary do. Session.Resynthesize uses it to
-// call synthesizePipeline directly with its reuse/capture attachments
-// while still honoring Close.
-func (s *Synthesizer) runWith(ctx context.Context, do func(context.Context, *synthScratch) (*Result, error)) (*Result, error) {
+// run executes one pipeline invocation under the handle's lifetime: it
+// registers the run's cancel so Close can abort it at its next context
+// poll and wait for it to unwind, loans the run a scratch, and maps an
+// abort by Close to ErrSynthesizerClosed. Session.Resynthesize uses it
+// to call synthesizePipeline with its prior while still honoring Close.
+func (s *Synthesizer) run(ctx context.Context, do func(context.Context, *synthScratch) (*Result, error)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -334,8 +330,8 @@ func (s *Synthesizer) putScratch(sc *synthScratch) {
 	s.mu.Unlock()
 }
 
-// defaultSynthesizer backs the free functions and NewPool, so every
-// caller — including the bistpathd daemon, whose jobs funnel through
-// RunJob — amortizes pipeline allocations across runs without managing
-// a handle. It is never closed.
+// defaultSynthesizer backs the free functions (DFG.SynthesizeCtx and
+// friends, SynthesizeAll), so every caller amortizes pipeline
+// allocations across runs without managing a handle. It is never
+// closed.
 var defaultSynthesizer = New(DefaultConfig())

@@ -55,7 +55,8 @@ func TestSynthesizerConcurrentReuse(t *testing.T) {
 	s := New(DefaultConfig())
 	defer s.Close()
 	jobs := benchJobs(t)
-	want := reportsOf(t, SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 1}))
+	seq, _ := SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 1})
+	want := reportsOf(t, seq)
 
 	const rounds = 4
 	var wg sync.WaitGroup
@@ -64,7 +65,7 @@ func TestSynthesizerConcurrentReuse(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			rs := s.SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 4})
+			rs, _ := s.SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 4})
 			out := make([]string, len(rs))
 			for i, br := range rs {
 				if br.Err != nil {
@@ -145,12 +146,10 @@ func TestMissingDFGReturnsErrNoDFG(t *testing.T) {
 				_, err := d.SynthesizeParetoCtx(ctx, nil, DefaultConfig())
 				return err
 			},
-			"DFG.Synthesize":               func() error { _, err := d.Synthesize(nil, DefaultConfig()); return err },
-			"DFG.SynthesizeAuto":           func() error { _, err := d.SynthesizeAuto(DefaultConfig()); return err },
 			"Synthesizer.Synthesize":       func() error { _, err := s.Synthesize(ctx, d, nil); return err },
 			"Synthesizer.SynthesizePareto": func() error { _, err := s.SynthesizePareto(ctx, d, nil); return err },
 			"Synthesizer.NewSession":       func() error { _, err := s.NewSession(d, nil); return err },
-			"RunJob":                       func() error { return RunJob(ctx, Job{DFG: d, Config: DefaultConfig()}).Err },
+			"Synthesizer.RunJob":           func() error { return s.RunJob(ctx, Job{DFG: d, Config: DefaultConfig()}).Err },
 		}
 		for name, call := range calls {
 			if err := call(); !errors.Is(err, ErrNoDFG) {
@@ -162,8 +161,8 @@ func TestMissingDFGReturnsErrNoDFG(t *testing.T) {
 
 // Close with a run in flight cancels it cleanly: the run comes back with
 // ErrSynthesizerClosed, Close itself returns (no wedged waiters), and
-// the package-default handle behind the daemon's job manager keeps
-// working afterwards.
+// the package-default handle behind the free functions keeps working
+// afterwards.
 func TestSynthesizerCloseMidFlight(t *testing.T) {
 	d, mods, err := Benchmark("paulin")
 	if err != nil {
@@ -214,11 +213,9 @@ func TestSynthesizerCloseMidFlight(t *testing.T) {
 		t.Fatal("Close wedged waiting for in-flight run")
 	}
 
-	// The daemon path (RunJob on the package-default handle) is
-	// unaffected by closing an explicit handle.
-	br := RunJob(context.Background(), Job{DFG: d, Modules: mods, Config: DefaultConfig()})
-	if br.Err != nil {
-		t.Fatalf("default-handle RunJob after explicit Close: %v", br.Err)
+	// The package-default handle is unaffected by closing an explicit one.
+	if _, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig()); err != nil {
+		t.Fatalf("default-handle SynthesizeCtx after explicit Close: %v", err)
 	}
 }
 
@@ -278,10 +275,10 @@ func TestSynthesizerCacheInheritance(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := Job{DFG: d, Modules: mods, Config: DefaultConfig()} // no cache of its own
-	if br := s.SynthesizeAll(context.Background(), []Job{job}, BatchOptions{})[0]; br.Err != nil {
-		t.Fatal(br.Err)
+	if rs, _ := s.SynthesizeAll(context.Background(), []Job{job}, BatchOptions{}); rs[0].Err != nil {
+		t.Fatal(rs[0].Err)
 	}
-	br := s.SynthesizeAll(context.Background(), []Job{job}, BatchOptions{})[0]
+	br := s.RunJob(context.Background(), job)
 	if br.Err != nil {
 		t.Fatal(br.Err)
 	}

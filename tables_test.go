@@ -1,6 +1,7 @@
 package bistpath
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -32,7 +33,7 @@ func synthMode(t *testing.T, name string, traditional bool) *Result {
 	if traditional {
 		cfg.Mode = TraditionalHLS
 	}
-	res, err := d.Synthesize(mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

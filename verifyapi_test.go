@@ -15,7 +15,7 @@ func TestResultVerifyCleanOnBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := d.Synthesize(mods, DefaultConfig())
+		res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestVerifyReportJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Synthesize(mods, DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRandomDesignSynthesizeVerify(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		res, err := d.Synthesize(mods, DefaultConfig())
+		res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			if errors.Is(err, ErrNoEmbedding) {
 				continue

@@ -35,7 +35,7 @@ func FuzzRandomSynthesizeVerify(f *testing.F) {
 			cfg.MinimizeSessions = true
 		}
 		cfg.Workers = int(flags >> 2 & 3) // 0..3: sequential and parallel search
-		res, err := d.Synthesize(mods, cfg)
+		res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 		if err != nil {
 			// The one legitimate failure: a module none of whose ports
 			// any register can reach. Everything else is a bug.
