@@ -80,26 +80,6 @@ func TestSynthesizeAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Inner-search parallelism (Config.Workers) must not change the report
-// either: the branch and bound's tie-break is canonical search order.
-func TestSynthesizeAllInnerWorkersDeterministic(t *testing.T) {
-	jobs := benchJobs(t)
-	rs, _ := SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 1})
-	seq := reportsOf(t, rs)
-	parJobs := make([]Job, len(jobs))
-	for i, j := range jobs {
-		j.Config.Workers = 8
-		parJobs[i] = j
-	}
-	rs, _ = SynthesizeAll(context.Background(), parJobs, BatchOptions{Workers: 4})
-	par := reportsOf(t, rs)
-	for i := range seq {
-		if par[i] != seq[i] {
-			t.Errorf("job %s: Config.Workers=8 report differs from sequential", jobs[i].Name)
-		}
-	}
-}
-
 // waitGoroutines polls until the goroutine count drops back to the
 // baseline (the scheduler needs a moment to retire exiting goroutines).
 func waitGoroutines(t *testing.T, base int) {

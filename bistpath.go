@@ -114,8 +114,8 @@ const (
 	// SearchStochastic always runs the seeded stochastic search: a
 	// node-budgeted exact probe, then a genetic search over embedding
 	// assignments with a simulated-annealing polish. Deterministic for a
-	// fixed (DFG, Config, Seed) at any worker count, as long as
-	// Config.TimeBudget does not truncate the run. MinArea only.
+	// fixed (DFG, Config, Seed), as long as Config.TimeBudget does not
+	// truncate the run. MinArea only.
 	SearchStochastic
 )
 
@@ -202,11 +202,11 @@ type Config struct {
 	CaseOverrides        bool
 	AvoidCBILBO          bool
 	WeightedInterconnect bool
-	// Workers sets the number of goroutines the BIST branch-and-bound
-	// search uses within this one synthesis run (0 or 1 = sequential).
-	// Every worker count produces the identical Result; see the package
-	// documentation on determinism. Batch-level parallelism across
-	// designs (SynthesizeAll) is usually the better lever.
+	// Workers is read by nothing: the BIST search runs on the
+	// synthesizing goroutine. Parallelism is across designs
+	// (SynthesizeAll, Pool).
+	//
+	// Deprecated: it no longer has any effect.
 	Workers int
 	// Objective selects what the BIST search minimizes: MinArea (the
 	// paper's objective, the default), WeightedSum or ParetoFront. The
@@ -230,8 +230,8 @@ type Config struct {
 	// the validate phase.
 	Search Search
 	// Seed seeds the stochastic search's random source (0 = seed 1).
-	// Identical (DFG, Config, Seed) yields an identical Result at any
-	// Workers value. Ignored by SearchExact.
+	// Identical (DFG, Config, Seed) yields an identical Result. Ignored
+	// by SearchExact.
 	Seed int64
 	// TimeBudget caps the stochastic search's wall time (0 = none).
 	// Where a wall-clock budget truncates the run is timing-dependent,
@@ -249,8 +249,8 @@ type Config struct {
 	// canonical fingerprint of the semantic inputs (see Cache). A hit
 	// returns a Result whose JSON() is byte-identical to the run that
 	// populated the entry; concurrent identical runs coalesce onto one
-	// synthesis. Like Workers and Observer, the field itself never
-	// affects what is computed — only how fast.
+	// synthesis. Like Observer, the field itself never affects what is
+	// computed — only how fast.
 	Cache *Cache
 }
 
@@ -707,11 +707,11 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 				return nil
 			}
 		}
+		st.SearchWorkers = 1 // the search runs on this goroutine
 		bopts := bist.Options{
 			Model:            area.Default(cfg.Width),
 			AllowPadHeads:    cfg.AllowPadTPG,
 			MinimizeSessions: cfg.MinimizeSessions,
-			Workers:          cfg.Workers,
 			Metrics:          &bm,
 			Power:            cfg.Power,
 		}
@@ -779,7 +779,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	st.BoundPrunes = bm.BoundPrunes
 	st.IncumbentUpdates = bm.Incumbents
 	st.EmbeddingsEnumerated = bm.Embeddings
-	st.SearchWorkers = bm.Workers
 	st.Generations = bm.Generations
 	st.Evaluations = bm.Evaluations
 	for _, cp := range bm.Curve {
@@ -946,8 +945,8 @@ func (r *Result) OccupancyChart() (string, error) {
 
 // ReportText renders the full synthesis result as a deterministic
 // plain-text report: same Result, same bytes. It is the canonical form
-// for regression comparisons (the determinism tests assert that parallel
-// and sequential runs produce byte-identical reports) and the cmd tools'
+// for regression comparisons (the determinism tests assert that repeated
+// and batched runs produce byte-identical reports) and the cmd tools'
 // display format.
 func (r *Result) ReportText() string {
 	var sb strings.Builder

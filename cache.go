@@ -81,9 +81,8 @@ func (s CacheStats) String() string {
 // fingerprint of the semantic inputs: the canonicalized DFG text
 // (including port-input marks, which the text format omits), the
 // resolved op-to-module binding, and every Config field that can affect
-// the Result. Config.Workers and Config.Observer are excluded — the
-// determinism contract guarantees they cannot change the Result — as is
-// the Cache field itself.
+// the Result. Config.Observer and the inert Config.Workers are excluded
+// — neither can change the Result — as is the Cache field itself.
 //
 // A hit returns a Result whose JSON() is byte-identical to the run that
 // populated the entry: the stored Stats (wall times and search
@@ -355,9 +354,8 @@ func resultFootprint(r *Result) int64 {
 
 // cacheKey computes the canonical content-addressed key for one
 // synthesis request — the one notion of "same inputs" shared by the
-// cache and Session replay. Everything semantic goes in; Workers,
-// Observer and Cache stay out (the determinism tests prove the former
-// two cannot change the Result). The DFG contributes its canonical text
+// cache and Session replay. Everything semantic goes in; Workers (read
+// by nothing), Observer and Cache stay out. The DFG contributes its canonical text
 // plus the port-input marks the text format omits; the module binding
 // contributes a name-sorted inventory with sorted op lists, so the
 // explicit map and the automatic binder hit the same entry whenever

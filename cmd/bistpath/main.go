@@ -84,7 +84,7 @@ func usage() {
   bistpath gatesim -bench <name> | -dfg <file> [-patterns N]
   bistpath schedule -dfg <file> [-latency N]   (compare ASAP/ALAP/list/force-directed)
   bistpath verify -bench <name>[,<name>...]|all | -dfg <file> [-mode testable|traditional] [-width N]
-                  [-vectors N] [-seed N] [-workers 1,2,8] [-fast] [-sweep N] [-json]
+                  [-vectors N] [-seed N] [-fast] [-sweep N] [-json]
   bistpath list`)
 }
 
@@ -565,7 +565,6 @@ func cmdVerify(args []string) error {
 	width := fs.Int("width", 8, "datapath bit width")
 	vectors := fs.Int("vectors", 100, "random input vectors for the functional cross-check")
 	seed := fs.Int64("seed", 1, "seed for the functional cross-check vectors")
-	workersFlag := fs.String("workers", "", "comma-separated search worker counts to cross-check (default 1,2,8)")
 	fast := fs.Bool("fast", false, "skip the brute-force oracles (invariants + functional only)")
 	sweep := fs.Int("sweep", 0, "verify N seeded random designs instead of a named one")
 	jsonFlag := fs.Bool("json", false, "emit machine-readable JSON reports")
@@ -582,15 +581,6 @@ func cmdVerify(args []string) error {
 	}
 
 	opts := bistpath.VerifyOptions{Vectors: *vectors, Seed: *seed, SkipOracles: *fast}
-	if *workersFlag != "" {
-		for _, w := range strings.Split(*workersFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(w))
-			if err != nil {
-				return fmt.Errorf("bad -workers value %q: %v", w, err)
-			}
-			opts.Workers = append(opts.Workers, n)
-		}
-	}
 
 	var reports []*bistpath.VerifyReport
 	failed := 0

@@ -181,7 +181,8 @@ func objectiveTable() error {
 // verifyTable runs the differential verification harness on every
 // benchmark in both flows: plan invariants, a functional cross-check
 // against dfg.Eval, exhaustive embedding and register-binding oracles,
-// and worker-count conformance. It fails (non-zero exit) on any
+// and a re-run of the search that must reproduce the plan. It fails
+// (non-zero exit) on any
 // violation — the table is evidence that every other number printed by
 // this command stands on a verified allocation.
 func verifyTable() error {

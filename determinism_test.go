@@ -2,36 +2,18 @@ package bistpath
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 )
 
-// The parallel search must be invisible in the output: the full JSON
-// serialization (the strongest observable, modulo wall-time *_ns stats
-// fields and the search_workers configuration echo) is byte-identical
-// whatever the worker count — except the three search counters
-// DESIGN.md §6 documents as timing-dependent under Workers > 1 (bound
-// propagation timing changes how much of the tree is cut), which every
-// comparison here involves and so zeroes.
+// Config.Workers is inert: the full JSON serialization (modulo the
+// wall-time *_ns stats fields), every search counter included, and the
+// report text are byte-identical whatever value it carries.
 func TestResultJSONIdenticalAcrossWorkers(t *testing.T) {
-	normalize := func(raw []byte) []byte {
-		var doc map[string]any
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatal(err)
-		}
-		stats := doc["stats"].(map[string]any)
-		for _, k := range []string{"search_workers", "search_nodes", "bound_prunes", "incumbent_updates"} {
-			stats[k] = 0
-		}
-		out, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return normalizeResultJSON(t, out)
-	}
 	for _, name := range BenchmarkNames() {
-		var baseline []byte
+		var baseJSON []byte
+		var baseReport string
 		for _, workers := range []int{1, 2, 8} {
 			d, mods, err := Benchmark(name)
 			if err != nil {
@@ -47,34 +29,68 @@ func TestResultJSONIdenticalAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := normalize(raw)
+			got := normalizeResultJSON(t, raw)
 			if workers == 1 {
-				baseline = got
+				baseJSON, baseReport = got, res.ReportText()
 				continue
 			}
-			if string(got) != string(baseline) {
-				t.Errorf("%s: JSON with %d workers differs from sequential run:\n%s\nvs\n%s",
-					name, workers, got, baseline)
+			if string(got) != string(baseJSON) {
+				t.Errorf("%s: JSON with Workers=%d differs from Workers=1:\n%s\nvs\n%s",
+					name, workers, got, baseJSON)
+			}
+			if r := res.ReportText(); r != baseReport {
+				t.Errorf("%s: report with Workers=%d differs from Workers=1:\n%s\nvs\n%s",
+					name, workers, r, baseReport)
 			}
 		}
 	}
 }
 
+// checkProgressEvents asserts the SearchProgress delivery contract on one
+// run's event sequence: every progress event falls between the
+// bist-search phase's PhaseStart and PhaseEnd, with strictly increasing
+// SearchNodes. It returns the number of progress events.
+func checkProgressEvents(t *testing.T, label string, events []Event) int {
+	t.Helper()
+	inSearch, last, n := false, int64(0), 0
+	for _, e := range events {
+		switch {
+		case e.Phase == PhaseBISTSearch && e.Kind == PhaseStart:
+			inSearch = true
+		case e.Phase == PhaseBISTSearch && e.Kind == PhaseEnd:
+			inSearch = false
+		case e.Kind == SearchProgress:
+			if !inSearch || e.Phase != PhaseBISTSearch {
+				t.Errorf("%s: progress event %+v outside the bist-search phase", label, e)
+			}
+			if e.SearchNodes <= last {
+				t.Errorf("%s: SearchNodes %d after %d, want strictly increasing", label, e.SearchNodes, last)
+			}
+			last = e.SearchNodes
+			n++
+		}
+	}
+	return n
+}
+
 // Cancelling a synthesis mid-search must leave no trace: a fresh run
 // afterwards produces exactly the result an undisturbed run would. The
-// observer cancels on the first progress event from inside the branch
-// and bound, which lands mid-search whenever the design is large enough
-// to emit one (paulin's search is; if a future change makes it finish
-// below the progress granularity the cancellation part degrades to a
-// no-op and only the equality assertion remains).
+// design is dfgen m-2, whose exact search expands ~12.9k nodes, well
+// past the 1024-node progress stride, so the observer's cancel on the
+// first SearchProgress event lands mid-search and every cancelled run
+// must return context.Canceled. Every run's events are also checked
+// against the progress delivery contract.
 func TestCancellationRetryDeterministic(t *testing.T) {
-	d, mods, err := Benchmark("paulin")
+	d, mods := presetDesign(t, "m", 2)
+	var events []Event
+	cfg := DefaultConfig()
+	cfg.Observer = func(e Event) { events = append(events, e) }
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	if n := checkProgressEvents(t, "undisturbed", events); n < 2 {
+		t.Fatalf("undisturbed run emitted %d progress events, want >= 2", n)
 	}
 	raw, err := res.JSON()
 	if err != nil {
@@ -84,17 +100,21 @@ func TestCancellationRetryDeterministic(t *testing.T) {
 
 	for run := 0; run < 3; run++ {
 		ctx, cancel := context.WithCancel(context.Background())
+		events = events[:0]
 		cfg := DefaultConfig()
-		cfg.Workers = 2
 		cfg.Observer = func(e Event) {
+			events = append(events, e)
 			if e.Kind == SearchProgress {
 				cancel()
 			}
 		}
 		_, err := d.SynthesizeCtx(ctx, mods, cfg)
 		cancel()
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled run %d: %v", run, err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run %d: err = %v, want context.Canceled", run, err)
+		}
+		if n := checkProgressEvents(t, fmt.Sprintf("cancelled run %d", run), events); n == 0 {
+			t.Errorf("cancelled run %d emitted no progress event", run)
 		}
 
 		retry, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())

@@ -117,9 +117,8 @@ func (d *DFG) AutoScheduleForce(latency int) error {
 // bound, returning ctx.Err() promptly when the context is cancelled or
 // times out; any other failure is a *SynthesisError attributed to the
 // pipeline phase that produced it. The Result is deterministic: the same
-// DFG, module map and Config produce byte-identical ReportText for any
-// Config.Workers value, with all timing-dependent measurements isolated
-// in Result.Stats.
+// DFG, module map and Config produce byte-identical ReportText, with all
+// timing-dependent measurements isolated in Result.Stats.
 //
 // SynthesizeCtx executes on the package-default Synthesizer, reusing
 // its scratch arenas across calls; create an explicit handle with New

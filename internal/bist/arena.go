@@ -1,24 +1,22 @@
 package bist
 
 import (
-	"sync"
-
 	"bistpath/internal/area"
 	"bistpath/internal/interconnect"
 )
 
 // embRef is an embedding with its registers interned to small ids:
 // l/r are the head registers (-1 for pad heads and for the missing right
-// head of a unary module), t is the tail register. The branch-and-bound
-// workers search over embRefs so that applying and undoing an embedding
-// touches three int32 counters instead of three map entries.
+// head of a unary module), t is the tail register. The searches walk
+// embRefs so that applying and undoing an embedding touches three int32
+// counters instead of three map entries.
 type embRef struct{ l, r, t int32 }
 
-// searchArena is one worker's search state: per-register duty counters
-// indexed by interned register id, the current partial assignment
-// (embedding index per module position) and the worker's incumbent
-// assignment. Arenas live on a Scratch freelist and are recycled across
-// searches; size re-dimensions one for the current problem.
+// searchArena is one search's state: per-register duty counters indexed
+// by interned register id, the current partial assignment (embedding
+// index per module position) and the incumbent assignment. A Scratch
+// holds one and recycles it across searches; size re-dimensions (and
+// zeroes) it for the current problem.
 type searchArena struct {
 	tpg, sa, cb []int32 // duty counters per interned register
 	cur         []int32 // embedding index per module position
@@ -33,21 +31,19 @@ func (a *searchArena) size(nregs, nmods int) {
 	a.bestCur = growInt32(a.bestCur, nmods)
 }
 
-// Scratch owns the optimizer's reusable memory: a freelist of worker
-// search arenas plus the enumeration state (embedding slices, interning
-// tables, compact refs) one OptimizeCtx call builds before its workers
-// start. Passing one Scratch (Options.Scratch) to successive Optimize
-// calls makes the whole search essentially allocation-free after the
-// first call.
+// Scratch owns the optimizer's reusable memory: one search arena plus
+// the enumeration state (embedding slices, interning tables, compact
+// refs) a search builds before it starts. Passing one Scratch
+// (Options.Scratch) to successive Optimize calls makes the whole search
+// essentially allocation-free after the first call.
 //
-// A Scratch serves one Optimize call at a time; within that call the
-// freelist hands arenas to the search's worker goroutines (that part is
-// mutex-protected). Use one Scratch per synthesis worker.
+// A Scratch serves one Optimize call at a time, and one arena suffices
+// within a call: the exact search finishes before its greedy fallback
+// starts, and the stochastic search's exact probe finishes before the
+// genetic search starts. Use one Scratch per synthesis worker.
 type Scratch struct {
-	mu   sync.Mutex
-	free []*searchArena
+	arena searchArena
 
-	// Single-goroutine enumeration state (used before workers spawn).
 	regID    map[string]int32
 	regNames []string
 	mods     []modEmb
@@ -59,23 +55,6 @@ type Scratch struct {
 
 // NewScratch returns an empty reusable optimizer scratch.
 func NewScratch() *Scratch { return &Scratch{} }
-
-func (s *Scratch) getArena() *searchArena {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.free); n > 0 {
-		a := s.free[n-1]
-		s.free = s.free[:n-1]
-		return a
-	}
-	return &searchArena{}
-}
-
-func (s *Scratch) putArena(a *searchArena) {
-	s.mu.Lock()
-	s.free = append(s.free, a)
-	s.mu.Unlock()
-}
 
 // internReg returns the small id of a register name, assigning one on
 // first sight; pad heads and the empty right head intern to -1 (they

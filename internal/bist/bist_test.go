@@ -1,6 +1,8 @@
 package bist
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"bistpath/internal/area"
@@ -413,6 +415,53 @@ func TestLemma1Property(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(g, rmb, rb)
+		}
+	}
+}
+
+// planKey renders the full plan for equality comparison.
+func planKey(p *Plan) string {
+	return fmt.Sprintf("area=%d exact=%v embs=%v styles=%v sessions=%v",
+		p.ExtraArea, p.Exact, p.Embeddings, p.Styles, p.Sessions)
+}
+
+// OptimizeCtx returns context.Canceled for a context cancelled up front.
+func TestOptimizeCtxCancelled(t *testing.T) {
+	dp, _, _ := buildBench(t, benchdata.Ex1(), false)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := OptimizeCtx(ctx, dp, DefaultOptions(8)); err != context.Canceled {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// When the node budget truncates the exact search, the greedy fallback
+// supplies a valid inexact plan, the same on a fresh and on a reused
+// Scratch.
+func TestOptimizeTinyBudgetFallback(t *testing.T) {
+	dp, _, _ := buildBench(t, benchdata.Tseng1(), false)
+	opts := DefaultOptions(8)
+	opts.NodeBudget = 1
+	var keys []string
+	for _, sc := range []*Scratch{nil, NewScratch()} {
+		opts.Scratch = sc
+		for range 2 {
+			p, err := Optimize(dp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Exact {
+				t.Fatal("budget of 1 node reported exact")
+			}
+			if err := p.Validate(dp); err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, planKey(p))
+		}
+	}
+	for i, k := range keys[1:] {
+		if k != keys[0] {
+			t.Errorf("fallback plan %d differs:\n%s\nvs\n%s", i+1, k, keys[0])
 		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // TestIncumbentWarmStartIdentity checks the warm-start contract on every
-// paper benchmark and worker count: seeding the bound with the cold
-// optimum as incumbent must return the identical Plan while expanding no
-// more nodes than the cold search.
+// paper benchmark: seeding the bound with the cold optimum as incumbent
+// must return the identical Plan while expanding no more nodes than the
+// cold search.
 func TestIncumbentWarmStartIdentity(t *testing.T) {
 	for _, b := range benchdata.All() {
 		for _, minSess := range []bool{false, true} {
@@ -25,26 +25,23 @@ func TestIncumbentWarmStartIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: cold: %v", b.Name, err)
 			}
-			for _, workers := range []int{1, 4} {
-				var warm Metrics
-				wopts := opts
-				wopts.Workers = workers
-				wopts.Metrics = &warm
-				wopts.Incumbent = coldPlan
-				warmPlan, err := OptimizeCtx(context.Background(), dp, wopts)
-				if err != nil {
-					t.Fatalf("%s: warm: %v", b.Name, err)
-				}
-				if !reflect.DeepEqual(coldPlan.Embeddings, warmPlan.Embeddings) ||
-					!reflect.DeepEqual(coldPlan.Sessions, warmPlan.Sessions) ||
-					coldPlan.ExtraArea != warmPlan.ExtraArea ||
-					coldPlan.Exact != warmPlan.Exact {
-					t.Errorf("%s minSess=%v workers=%d: warm plan differs from cold", b.Name, minSess, workers)
-				}
-				if workers == 1 && warm.Nodes > cold.Nodes {
-					t.Errorf("%s minSess=%v: warm search expanded %d nodes, cold %d",
-						b.Name, minSess, warm.Nodes, cold.Nodes)
-				}
+			var warm Metrics
+			wopts := opts
+			wopts.Metrics = &warm
+			wopts.Incumbent = coldPlan
+			warmPlan, err := OptimizeCtx(context.Background(), dp, wopts)
+			if err != nil {
+				t.Fatalf("%s: warm: %v", b.Name, err)
+			}
+			if !reflect.DeepEqual(coldPlan.Embeddings, warmPlan.Embeddings) ||
+				!reflect.DeepEqual(coldPlan.Sessions, warmPlan.Sessions) ||
+				coldPlan.ExtraArea != warmPlan.ExtraArea ||
+				coldPlan.Exact != warmPlan.Exact {
+				t.Errorf("%s minSess=%v: warm plan differs from cold", b.Name, minSess)
+			}
+			if warm.Nodes > cold.Nodes {
+				t.Errorf("%s minSess=%v: warm search expanded %d nodes, cold %d",
+					b.Name, minSess, warm.Nodes, cold.Nodes)
 			}
 		}
 	}

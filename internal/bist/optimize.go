@@ -8,8 +8,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bistpath/internal/area"
@@ -68,19 +66,17 @@ type Options struct {
 	// one ("it is not necessary to test all the combinational modules at
 	// the same time", Section II).
 	MinimizeSessions bool
-	// Workers sets the number of goroutines exploring the branch and
-	// bound concurrently (first-level embedding choices are partitioned
-	// across them). 0 or 1 runs the search on the calling goroutine.
-	// Any worker count returns the identical Plan: ties are broken by the
-	// canonical depth-first search order, not by arrival order.
+	// Workers is read by nothing: every search runs on the calling
+	// goroutine.
+	//
+	// Deprecated: it no longer has any effect.
 	Workers int
 	// Metrics, when non-nil, is filled with search-effort statistics on
-	// return (the Plan itself stays deterministic either way).
+	// return.
 	Metrics *Metrics
-	// Progress, when non-nil, is called from inside the search with the
-	// cumulative node count, once per node-budget poll interval. It may
-	// be invoked concurrently from several worker goroutines and must
-	// not block.
+	// Progress, when non-nil, is called from inside the search, on the
+	// calling goroutine, with the cumulative node count once per
+	// node-budget poll interval. It must not block.
 	Progress func(nodes int64)
 	// Scratch, when non-nil, supplies the reusable search arenas and
 	// enumeration buffers; successive Optimize calls sharing one Scratch
@@ -96,11 +92,12 @@ type Options struct {
 	// with a known-feasible plan (incremental re-synthesis hands over
 	// the surviving plan of the previous run). Its cost — recomputed
 	// against Model from the embeddings, never trusted from the stale
-	// plan — seeds the shared bound before the first node, so subtrees
-	// that cannot beat it are pruned immediately. The returned Plan is
-	// identical to a cold search's: the bound is seeded with a sentinel
-	// branch index that keeps every equal-cost canonical tie-break
-	// reachable, so only the effort metrics (Nodes, BoundPrunes) shrink.
+	// plan — seeds the bound before the first node, so subtrees that
+	// cannot beat it are pruned immediately. The returned Plan is
+	// identical to a cold search's: equal-cost subtrees are cut only
+	// once the search has found a solution of its own, so every
+	// equal-cost canonical tie-break stays reachable and only the effort
+	// metrics (Nodes, BoundPrunes) shrink.
 	// An incumbent that fails Plan.Validate against the data path, or
 	// that uses a pad head while AllowPadHeads is false, is silently
 	// ignored. The stochastic search ignores this field entirely.
@@ -110,8 +107,8 @@ type Options struct {
 	// branch and bound ignores them.
 
 	// Seed seeds the stochastic search's deterministic random source.
-	// Identical (data path, Options, Seed) yields an identical Plan at
-	// any Workers value (0 = seed 1).
+	// Identical (data path, Options, Seed) yields an identical Plan
+	// (0 = seed 1).
 	Seed int64
 	// TimeBudget caps the stochastic search's wall time (0 = none).
 	// Each generation remains a pure function of the seed, but where a
@@ -139,15 +136,12 @@ type Options struct {
 }
 
 // Metrics reports how hard one OptimizeCtx search worked. Every field is
-// deterministic for a sequential search (Workers <= 1); under parallel
-// search Nodes, BoundPrunes and Incumbents depend on how quickly the
-// shared bound propagated, while Embeddings and Workers stay fixed.
+// a pure function of the data path and Options.
 type Metrics struct {
 	Nodes       int64 // branch-and-bound nodes expanded
 	BoundPrunes int64 // subtrees cut by the incumbent bound
 	Incumbents  int64 // incumbent improvements taken
 	Embeddings  int64 // candidate embeddings enumerated across modules
-	Workers     int   // effective worker count after clamping
 
 	// Stochastic-search effort (OptimizeStochastic only; all zero for
 	// the exact branch and bound). Every field is deterministic for a
@@ -184,17 +178,6 @@ type modEmb struct {
 	name string
 	embs []Embedding
 }
-
-// noBound marks an empty incumbent in the packed atomic bound.
-const noBound = int64(math.MaxInt64)
-
-// packBound encodes (cost, branch) so that the natural int64 order is the
-// lexicographic (cost, branch) order: smaller packed value = lower cost,
-// then earlier first-level branch. Costs and branch counts are far below
-// 2^31 for any realistic data path.
-func packBound(cost, branch int) int64 { return int64(cost)<<32 | int64(branch) }
-
-func unpackBound(p int64) (cost, branch int) { return int(p >> 32), int(p & 0xffffffff) }
 
 // searchSpace is the prepared per-call search state shared by the exact
 // branch and bound and the stochastic search: modules and embeddings in
@@ -352,38 +335,32 @@ func (sp *searchSpace) embeddingsOf(genome []int32) map[string]Embedding {
 	return out
 }
 
-// search holds the state shared by all branch-and-bound workers. The only
-// mutable shared fields are atomics; every worker keeps its own arena with
-// duty counters, partial assignment and incumbent so no search state needs
-// locking.
+// search is the exact branch and bound: a canonical depth-first walk
+// over the prepared space with one incumbent, whose assignment lives in
+// the arena (bestCur).
 type search struct {
-	ctx       context.Context
-	opts      Options
-	mods      []modEmb
-	refs      [][]embRef   // compact embeddings, parallel to mods
-	bound     atomic.Int64 // packed (cost, branch) of the best complete solution
-	nodes     atomic.Int64 // nodes expanded, across all workers
-	inexact   atomic.Bool  // node budget exhausted somewhere
-	cancelled atomic.Bool  // ctx.Done observed somewhere
-}
+	dutyEval
+	ctx  context.Context
+	opts Options
+	mods []modEmb
+	refs [][]embRef // compact embeddings, parallel to mods
+	// bound is the cost of the best complete solution known: a
+	// warm-start incumbent's until the search finds one of its own
+	// (math.MaxInt when there is neither).
+	bound    int
+	found    bool // the search has its own incumbent
+	sessions int  // the incumbent's session count (MinimizeSessions only)
 
-// solution is a worker-local incumbent. branch is the index of the
-// first-level embedding choice it descends from; merging by ascending
-// branch (after cost and, optionally, session count) reproduces the
-// sequential depth-first tie-break exactly. The assignment itself lives
-// in the owning worker's arena (bestCur).
-type solution struct {
-	ok       bool
-	cost     int
-	sessions int
-	branch   int
+	nodes, prunes, incumbents int64
+	inexact                   bool // node budget exhausted
+	cancelled                 bool // ctx.Done observed
 }
 
 // dutyEval tracks the upgrade cost of a partial embedding assignment
 // incrementally over an arena's interned duty counters: applying or
 // undoing one embedding touches three int32 counters and folds the cost
 // delta into cost. It is the one cost evaluator both searches share —
-// the branch-and-bound workers embed it, and the stochastic search's
+// the branch and bound embeds it, and the stochastic search's
 // genome evaluations, greedy seeding and annealing moves all run
 // through the same apply/undo pair, so a cost bug cannot hide in a
 // search-specific reimplementation.
@@ -515,127 +492,75 @@ func (w *dutyEval) styleDelta(e embRef) int {
 	return d
 }
 
-// worker explores whole first-level subtrees. Each subtree is owned by
-// exactly one worker, so its incumbent update below is single-threaded.
-type worker struct {
-	dutyEval
-	sh     *search
-	branch int
-	best   solution
-	// Effort counters stay worker-local (plain increments on the search
-	// hot path, no shared-cache traffic) and are summed after the join.
-	prunes     int64
-	incumbents int64
-}
-
-// curEmbeddings materializes the worker's current assignment as the
-// embedding map the session scheduler consumes (MinimizeSessions leaves
-// only).
-func (w *worker) curEmbeddings() map[string]Embedding {
-	out := make(map[string]Embedding, len(w.sh.mods))
-	for i, m := range w.sh.mods {
-		out[m.name] = m.embs[w.a.cur[i]]
+// curEmbeddings materializes the current assignment as the embedding
+// map the session scheduler consumes (MinimizeSessions leaves only).
+func (s *search) curEmbeddings() map[string]Embedding {
+	out := make(map[string]Embedding, len(s.mods))
+	for i, m := range s.mods {
+		out[m.name] = m.embs[s.a.cur[i]]
 	}
 	return out
 }
 
-func (w *worker) dfs(i int) {
-	sh := w.sh
-	n := sh.nodes.Add(1)
-	if sh.opts.NodeBudget > 0 && n > int64(sh.opts.NodeBudget) {
-		sh.inexact.Store(true)
+// expand tries every embedding of module position i in canonical order.
+func (s *search) expand(i int) {
+	for j, e := range s.refs[i] {
+		s.a.cur[i] = int32(j)
+		s.apply(e)
+		s.dfs(i + 1)
+		s.undo(e)
+	}
+}
+
+func (s *search) dfs(i int) {
+	s.nodes++
+	if s.opts.NodeBudget > 0 && s.nodes > int64(s.opts.NodeBudget) {
+		s.inexact = true
 		return
 	}
-	if n&1023 == 0 {
+	if s.nodes&1023 == 0 {
 		select {
-		case <-sh.ctx.Done():
-			sh.cancelled.Store(true)
+		case <-s.ctx.Done():
+			s.cancelled = true
 		default:
 		}
-		if sh.opts.Progress != nil {
-			sh.opts.Progress(n)
+		if s.opts.Progress != nil {
+			s.opts.Progress(s.nodes)
 		}
 	}
-	if sh.cancelled.Load() || sh.inexact.Load() {
+	if s.cancelled {
 		return
 	}
-	cost := w.cost
-	if packed := sh.bound.Load(); packed != noBound {
-		bc, bb := unpackBound(packed)
-		if cost > bc {
-			w.prunes++
-			return // adding modules never lowers cost
-		}
-		// An equal-cost completion can only win the deterministic
-		// tie-break from a strictly earlier first-level branch (unless
-		// the session tie-break still needs the leaves enumerated).
-		if cost == bc && !sh.opts.MinimizeSessions && w.branch >= bb && i < len(sh.mods) {
-			w.prunes++
-			return
-		}
-	}
-	if i == len(sh.mods) {
-		w.leaf(cost)
+	cost := s.cost
+	// Adding modules never lowers cost, and an equal-cost completion
+	// cannot beat the search's own earlier solution in depth-first order
+	// (unless the session tie-break still needs the leaves enumerated).
+	if cost > s.bound || (cost == s.bound && s.found && !s.opts.MinimizeSessions && i < len(s.mods)) {
+		s.prunes++
 		return
 	}
-	for j, e := range sh.refs[i] {
-		w.a.cur[i] = int32(j)
-		w.apply(e)
-		w.dfs(i + 1)
-		w.undo(e)
+	if i == len(s.mods) {
+		s.leaf(cost)
+		return
 	}
+	s.expand(i)
 }
 
-// leaf considers a complete assignment. Within one worker the update is
-// strict-improvement only, so the first solution in depth-first order
-// wins ties — the same rule the sequential search applies globally.
-func (w *worker) leaf(cost int) {
-	if w.sh.opts.MinimizeSessions {
-		if w.best.ok && cost > w.best.cost {
-			return
-		}
-		s := sessionsOfEmbeddings(w.curEmbeddings())
-		if w.best.ok && cost == w.best.cost && s >= w.best.sessions {
-			return
-		}
-		w.take(cost, s)
+// leaf considers a complete assignment, which costs at most the bound.
+// The update is strict-improvement only, so the first solution in
+// depth-first order wins ties (after the session count, under
+// MinimizeSessions).
+func (s *search) leaf(cost int) {
+	sessions := 0
+	if s.opts.MinimizeSessions {
+		sessions = sessionsOfEmbeddings(s.curEmbeddings())
+	}
+	if s.found && cost == s.bound && (!s.opts.MinimizeSessions || sessions >= s.sessions) {
 		return
 	}
-	if w.best.ok && cost >= w.best.cost {
-		return
-	}
-	w.take(cost, 0)
-}
-
-func (w *worker) take(cost, sessions int) {
-	copy(w.a.bestCur, w.a.cur)
-	w.best = solution{ok: true, cost: cost, sessions: sessions, branch: w.branch}
-	w.incumbents++
-	packed := packBound(cost, w.branch)
-	for {
-		old := w.sh.bound.Load()
-		if old <= packed || w.sh.bound.CompareAndSwap(old, packed) {
-			return
-		}
-	}
-}
-
-// runBranches claims first-level branches off the shared counter and runs
-// the canonical depth-first search under each.
-func (w *worker) runBranches(next *atomic.Int64) {
-	first := w.sh.refs[0]
-	for {
-		b := int(next.Add(1) - 1)
-		if b >= len(first) || w.sh.cancelled.Load() {
-			return
-		}
-		e := first[b]
-		w.branch = b
-		w.a.cur[0] = int32(b)
-		w.apply(e)
-		w.dfs(1)
-		w.undo(e)
-	}
+	copy(s.a.bestCur, s.a.cur)
+	s.bound, s.found, s.sessions = cost, true, sessions
+	s.incumbents++
 }
 
 // sessionsOfEmbeddings counts the test sessions a set of embeddings packs
@@ -645,28 +570,8 @@ func sessionsOfEmbeddings(embs map[string]Embedding) int {
 	return len(ScheduleSessions(p))
 }
 
-// better reports whether a beats b under the deterministic total order:
-// lower cost, then (when asked) fewer sessions, then the earlier
-// first-level branch of the canonical search order.
-func (a solution) better(b solution, minimizeSessions bool) bool {
-	switch {
-	case !a.ok:
-		return false
-	case !b.ok:
-		return true
-	case a.cost != b.cost:
-		return a.cost < b.cost
-	case minimizeSessions && a.sessions != b.sessions:
-		return a.sessions < b.sessions
-	}
-	return a.branch < b.branch
-}
-
 // OptimizeCtx is Optimize with cancellation: the search aborts promptly
-// with ctx.Err() when the context is cancelled or times out. The result
-// is identical for every Options.Workers value — the incumbent merge uses
-// the canonical depth-first order of the search tree, never the
-// wall-clock order in which workers find solutions.
+// with ctx.Err() when the context is cancelled or times out.
 func OptimizeCtx(ctx context.Context, dp *datapath.Datapath, opts Options) (*Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -695,96 +600,43 @@ func OptimizeCtx(ctx context.Context, dp *datapath.Datapath, opts Options) (*Pla
 	exact := true
 
 	if opts.Metrics != nil {
-		*opts.Metrics = Metrics{Embeddings: sp.embTotal, Workers: 1}
+		*opts.Metrics = Metrics{Embeddings: sp.embTotal}
 	}
+	a := &sc.arena
 	if len(mods) == 0 {
 		bestCost = 0
 	} else {
-		sh := &search{ctx: ctx, opts: opts, mods: mods, refs: sp.refs}
-		sh.bound.Store(noBound)
+		a.size(sp.nregs, len(mods))
+		s := &search{dutyEval: newDutyEval(&sp, a), ctx: ctx, opts: opts, mods: mods, refs: sp.refs, bound: math.MaxInt}
 		if cost, ok := incumbentBound(dp, opts); ok {
-			// The sentinel branch index keeps the equal-cost canonical
-			// tie-break prunes exactly as permissive as a cold search's,
-			// so the warm start cannot change the winning plan.
-			sh.bound.Store(packBound(cost, math.MaxInt32))
+			s.bound = cost
 		}
-
-		nw := opts.Workers
-		if nw < 1 {
-			nw = 1
-		}
-		if nw > len(mods[0].embs) {
-			nw = len(mods[0].embs)
-		}
-		newWorker := func() *worker {
-			a := sc.getArena()
-			a.size(sp.nregs, len(mods))
-			return &worker{sh: sh, dutyEval: newDutyEval(&sp, a)}
-		}
-		var next atomic.Int64
-		locals := make([]*worker, nw)
-		if nw == 1 {
-			locals[0] = newWorker()
-			locals[0].runBranches(&next)
-		} else {
-			var wg sync.WaitGroup
-			for i := range locals {
-				w := newWorker()
-				locals[i] = w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					w.runBranches(&next)
-				}()
-			}
-			wg.Wait()
-		}
-		returnArenas := func() {
-			for _, w := range locals {
-				sc.putArena(w.a)
-			}
-		}
-		if sh.cancelled.Load() {
-			returnArenas()
+		s.expand(0)
+		if s.cancelled {
 			return nil, ctx.Err()
 		}
 		if opts.Metrics != nil {
-			opts.Metrics.Nodes = sh.nodes.Load()
-			for _, w := range locals {
-				opts.Metrics.BoundPrunes += w.prunes
-				opts.Metrics.Incumbents += w.incumbents
-			}
-			opts.Metrics.Workers = nw
+			opts.Metrics.Nodes = s.nodes
+			opts.Metrics.BoundPrunes = s.prunes
+			opts.Metrics.Incumbents = s.incumbents
 		}
-		exact = !sh.inexact.Load()
-
-		var final solution
-		var finalCur []int32
-		for _, w := range locals {
-			if w.best.better(final, opts.MinimizeSessions) {
-				final = w.best
-				finalCur = w.a.bestCur
-			}
-		}
-		if final.ok {
+		exact = !s.inexact
+		if s.found {
 			for i, m := range mods {
-				best[m.name] = m.embs[finalCur[i]]
+				best[m.name] = m.embs[a.bestCur[i]]
 			}
-			bestCost = final.cost
+			bestCost = s.bound
 		}
-		returnArenas()
 	}
 
 	if bestCost < 0 || !exact {
 		// Greedy fallback (also used when the budget ran out before any
 		// complete solution, which cannot happen with the default budget
 		// but is handled for safety).
-		a := sc.getArena()
 		a.size(sp.nregs, len(mods))
 		ev := newDutyEval(&sp, a)
 		genome := make([]int32, len(mods))
 		gc := greedyAssignment(&sp, &ev, genome)
-		sc.putArena(a)
 		if bestCost < 0 || gc < bestCost {
 			best = sp.embeddingsOf(genome)
 			bestCost = gc

@@ -133,8 +133,8 @@ type paretoEnum struct {
 	power map[string]int
 
 	// Incremental register-duty counters and upgrade area, exactly the
-	// worker's counter scheme but keyed by name (the sequential walk has
-	// no need for interning).
+	// exact search's counter scheme but keyed by name (this walk has no
+	// need for interning).
 	tpg, sa, cb map[string]int
 	areaCost    int
 	cur         []int32
@@ -296,9 +296,7 @@ func (e *paretoEnum) offer(v CostVector) {
 // first leaf in that order is the representative, so the result is a
 // pure function of the data path and options — in particular, the
 // area-minimal front member is the plan the single-objective search
-// returns. Options.Workers is ignored: front enumeration runs on the
-// calling goroutine (the spaces involved are small; the budget still
-// applies). If Options.NodeBudget is exhausted the walk stops and every
+// returns. If Options.NodeBudget is exhausted the walk stops and every
 // returned plan reports Exact=false; the partial front is still
 // mutually non-dominated but may miss vectors.
 func OptimizePareto(ctx context.Context, dp *datapath.Datapath, opts Options) ([]*Plan, error) {
@@ -327,7 +325,7 @@ func OptimizePareto(ctx context.Context, dp *datapath.Datapath, opts Options) ([
 		mods = append(mods, modEmb{m.Name, embs})
 	}
 	if opts.Metrics != nil {
-		*opts.Metrics = Metrics{Embeddings: embTotal, Workers: 1}
+		*opts.Metrics = Metrics{Embeddings: embTotal}
 	}
 	if len(mods) == 0 {
 		p := &Plan{Embeddings: map[string]Embedding{}, Styles: map[string]area.Style{}, Exact: true}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"bistpath/internal/area"
@@ -74,10 +73,9 @@ func OptimizeStochastic(dp *datapath.Datapath, opts Options) (*Plan, error) {
 // cross-checked against the area model before it can become the answer.
 //
 // Determinism: all randomness flows from one source seeded by
-// Options.Seed, evolution decisions are sequential, and parallel fitness
-// evaluation writes results by population index — so identical (data
-// path, Options, Seed) yields an identical Plan at any Workers value.
-// Options.TimeBudget is the one exception: each generation remains a pure
+// Options.Seed and the whole search runs on the calling goroutine, so
+// identical (data path, Options, Seed) yields an identical Plan and
+// identical Metrics. Options.TimeBudget is the one exception: each generation remains a pure
 // function of the seed, but where a wall-clock budget cuts the run off is
 // timing-dependent, so only generation-bounded runs are reproducible
 // across machines.
@@ -121,15 +119,11 @@ func OptimizeStochasticCtx(ctx context.Context, dp *datapath.Datapath, opts Opti
 		return !deadline.IsZero() && !time.Now().Before(deadline)
 	}
 
-	// Phase 1: node-budgeted exact probe. Always sequential — a parallel
-	// probe truncated by a node budget is schedule-dependent, which would
-	// leak worker count into the seed genome and break the determinism
-	// contract.
+	// Phase 1: node-budgeted exact probe.
 	var probeMetrics Metrics
 	var seedEmb map[string]Embedding
 	if probeNodes > 0 {
 		po := opts
-		po.Workers = 1
 		po.NodeBudget = probeNodes
 		po.Metrics = &probeMetrics
 		po.Scratch = sc
@@ -160,7 +154,7 @@ func OptimizeStochasticCtx(ctx context.Context, dp *datapath.Datapath, opts Opti
 		}
 		plan.Sessions = ScheduleSessions(plan)
 		if opts.Metrics != nil {
-			*opts.Metrics = Metrics{Workers: 1}
+			*opts.Metrics = Metrics{}
 		}
 		return plan, plan.Validate(dp)
 	}
@@ -173,28 +167,10 @@ func OptimizeStochasticCtx(ctx context.Context, dp *datapath.Datapath, opts Opti
 		pupSize = 4
 	}
 
-	nw := opts.Workers
-	if nw < 1 {
-		nw = 1
-	}
-	if nw > pupSize {
-		nw = pupSize
-	}
-
-	// Worker-local cost evaluators over recycled arenas.
-	evs := make([]dutyEval, nw)
-	arenas := make([]*searchArena, nw)
-	for i := range evs {
-		a := sc.getArena()
-		a.size(sp.nregs, nm)
-		arenas[i] = a
-		evs[i] = newDutyEval(&sp, a)
-	}
-	defer func() {
-		for _, a := range arenas {
-			sc.putArena(a)
-		}
-	}()
+	// One cost evaluator over the scratch's arena, which the probe has
+	// finished with.
+	sc.arena.size(sp.nregs, nm)
+	ev := newDutyEval(&sp, &sc.arena)
 
 	st := &stochState{sp: &sp, dp: dp, opts: opts, bestCost: -1, bestSessions: -1}
 	rng := rand.New(rand.NewSource(seed))
@@ -208,55 +184,27 @@ func OptimizeStochasticCtx(ctx context.Context, dp *datapath.Datapath, opts Opti
 		pop[i] = make([]int32, nm)
 		next[i] = make([]int32, nm)
 	}
-	greedyCost := greedyAssignment(&sp, &evs[0], pop[0])
+	greedyCost := greedyAssignment(&sp, &ev, pop[0])
 	for i, g := range pop[0] {
-		evs[0].undo(sp.refs[i][g])
+		ev.undo(sp.refs[i][g])
 	}
 	fit[0] = greedyCost
 	from := 1
 	if seedEmb != nil && sp.genomeOf(seedEmb, pop[1]) {
-		fit[1] = evs[0].evalGenome(sp.refs, pop[1])
+		fit[1] = ev.evalGenome(sp.refs, pop[1])
 		from = 2
 	}
 	for i := from; i < pupSize; i++ {
 		for j := range pop[i] {
 			pop[i][j] = int32(rng.Intn(len(sp.refs[j])))
 		}
-		fit[i] = evs[0].evalGenome(sp.refs, pop[i])
+		fit[i] = ev.evalGenome(sp.refs, pop[i])
 	}
 	st.evals += int64(pupSize)
 	for i := range pop {
 		if _, err := st.improve(pop[i], fit[i]); err != nil {
 			return nil, err
 		}
-	}
-
-	evalAll := func(genomes [][]int32, out []int) {
-		if nw == 1 {
-			for i, g := range genomes {
-				out[i] = evs[0].evalGenome(sp.refs, g)
-			}
-			return
-		}
-		// Results land by population index, so the worker count cannot
-		// change what the sequential scan below observes.
-		var wg sync.WaitGroup
-		chunk := (len(genomes) + nw - 1) / nw
-		for w := 0; w < nw; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, len(genomes))
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(ev *dutyEval, lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					out[i] = ev.evalGenome(sp.refs, genomes[i])
-				}
-			}(&evs[w], lo, hi)
-		}
-		wg.Wait()
 	}
 
 	tournament := func() []int32 {
@@ -275,8 +223,7 @@ func OptimizeStochasticCtx(ctx context.Context, dp *datapath.Datapath, opts Opti
 		pm = 0.5
 	}
 
-	// Phase 3: genetic search. All rng draws happen on this goroutine in
-	// a fixed order; fitness evaluation is the only parallel step.
+	// Phase 3: genetic search. All rng draws happen in a fixed order.
 	lastImprove := int64(0)
 	cancelled := false
 	for gen := int64(1); gen <= int64(maxGen); gen++ {
@@ -320,7 +267,9 @@ func OptimizeStochasticCtx(ctx context.Context, dp *datapath.Datapath, opts Opti
 				}
 			}
 		}
-		evalAll(next, nextFit)
+		for i, g := range next {
+			nextFit[i] = ev.evalGenome(sp.refs, g)
+		}
 		st.evals += int64(pupSize)
 		st.gen = gen
 		for i := range next {
@@ -343,7 +292,6 @@ func OptimizeStochasticCtx(ctx context.Context, dp *datapath.Datapath, opts Opti
 	// single-module moves with incremental cost deltas, geometric
 	// cooling. Incumbent updates here are strict improvements only.
 	if !cancelled && !timedOut() {
-		ev := &evs[0]
 		cur := append([]int32(nil), st.best...)
 		for i, g := range cur {
 			ev.apply(sp.refs[i][g])
@@ -406,7 +354,6 @@ func OptimizeStochasticCtx(ctx context.Context, dp *datapath.Datapath, opts Opti
 			BoundPrunes: probeMetrics.BoundPrunes,
 			Incumbents:  probeMetrics.Incumbents + st.incumbents,
 			Embeddings:  sp.embTotal,
-			Workers:     nw,
 			Generations: st.gen,
 			Evaluations: st.evals,
 			Curve:       st.curve,

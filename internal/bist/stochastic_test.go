@@ -111,46 +111,41 @@ func TestStochasticProbeProvesOptimality(t *testing.T) {
 }
 
 // The determinism contract: identical (data path, Options, Seed) must
-// yield an identical Plan and identical effort metrics at any Workers
-// value.
-func TestStochasticDeterministicAcrossWorkers(t *testing.T) {
+// yield an identical Plan and identical effort metrics, on a fresh
+// Scratch and on one reused across runs.
+func TestStochasticRepeatDeterministic(t *testing.T) {
 	for _, cfg := range []benchdata.RandomConfig{mediumConfig(11), largeConfig(11)} {
 		dp := buildRandomDP(t, cfg)
-		type outcome struct {
-			plan *Plan
-			m    Metrics
-		}
-		var base *outcome
-		for _, workers := range []int{1, 2, 8} {
+		var basePlan string
+		var baseM Metrics
+		sc := NewScratch()
+		for run, s := range []*Scratch{nil, sc, sc} {
 			var m Metrics
 			plan, err := OptimizeStochastic(dp, Options{
 				AllowPadHeads:   true,
-				Workers:         workers,
 				Seed:            7,
 				ExactProbeNodes: -1,
 				MaxGenerations:  60,
 				Metrics:         &m,
+				Scratch:         s,
 			})
 			if err != nil {
-				t.Fatalf("steps=%d workers=%d: %v", cfg.Steps, workers, err)
+				t.Fatalf("steps=%d run %d: %v", cfg.Steps, run, err)
 			}
 			if err := plan.Validate(dp); err != nil {
-				t.Fatalf("steps=%d workers=%d: %v", cfg.Steps, workers, err)
+				t.Fatalf("steps=%d run %d: %v", cfg.Steps, run, err)
 			}
-			m.Workers = 0 // the one field allowed to differ
-			if base == nil {
-				base = &outcome{plan, m}
+			if run == 0 {
+				basePlan, baseM = planKey(plan), m
 				continue
 			}
-			if !reflect.DeepEqual(plan.Embeddings, base.plan.Embeddings) || plan.ExtraArea != base.plan.ExtraArea {
-				t.Errorf("steps=%d workers=%d: plan diverged (area %d vs %d)",
-					cfg.Steps, workers, plan.ExtraArea, base.plan.ExtraArea)
+			if got := planKey(plan); got != basePlan {
+				t.Errorf("steps=%d run %d: plan diverged\n %s\n %s", cfg.Steps, run, got, basePlan)
 			}
-			if !reflect.DeepEqual(m, base.m) {
-				t.Errorf("steps=%d workers=%d: metrics diverged\n %+v\n %+v", cfg.Steps, workers, m, base.m)
+			if !reflect.DeepEqual(m, baseM) {
+				t.Errorf("steps=%d run %d: metrics diverged\n %+v\n %+v", cfg.Steps, run, m, baseM)
 			}
 		}
-		base = nil
 	}
 }
 
@@ -187,12 +182,10 @@ func TestStochasticNeverWorseThanGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := sc.getArena()
-	a.size(sp.nregs, len(sp.mods))
-	ev := newDutyEval(&sp, a)
+	sc.arena.size(sp.nregs, len(sp.mods))
+	ev := newDutyEval(&sp, &sc.arena)
 	genome := make([]int32, len(sp.mods))
 	greedyCost := greedyAssignment(&sp, &ev, genome)
-	sc.putArena(a)
 
 	plan, err := OptimizeStochastic(dp, Options{AllowPadHeads: true, ExactProbeNodes: -1, Seed: 1})
 	if err != nil {

@@ -61,7 +61,7 @@ func TestSubmitValidationErrors(t *testing.T) {
 		{"malformed dfg", `{"dfg":"this is not a dfg"}`, http.StatusUnprocessableEntity, "validate"},
 		{"width out of range", `{"benchmark":"ex1","config":{"width":0}}`, http.StatusUnprocessableEntity, "validate"},
 		{"unknown mode", `{"benchmark":"ex1","config":{"mode":"quantum"}}`, http.StatusUnprocessableEntity, "validate"},
-		{"workers out of range", `{"benchmark":"ex1","config":{"workers":999}}`, http.StatusUnprocessableEntity, "validate"},
+		{"removed workers key", `{"benchmark":"ex1","config":{"workers":2}}`, http.StatusBadRequest, ""},
 		{"modules on benchmark", `{"benchmark":"ex1","modules":{"op1":"m1"}}`, http.StatusUnprocessableEntity, "validate"},
 	}
 	for _, tc := range cases {

@@ -193,7 +193,6 @@ type submitRequest struct {
 type configRequest struct {
 	Width            *int    `json:"width,omitempty"`
 	Mode             *string `json:"mode,omitempty"` // "testable" | "traditional"
-	Workers          *int    `json:"workers,omitempty"`
 	MinimizeSessions *bool   `json:"minimize_sessions,omitempty"`
 }
 
@@ -245,12 +244,6 @@ func (r *submitRequest) resolve() (*bistpath.DFG, map[string]string, bistpath.Co
 			default:
 				return nil, nil, cfg, validationError(fmt.Sprintf("unknown mode %q", *c.Mode))
 			}
-		}
-		if c.Workers != nil {
-			if *c.Workers < 0 || *c.Workers > 64 {
-				return nil, nil, cfg, validationError(fmt.Sprintf("workers %d out of range [0,64]", *c.Workers))
-			}
-			cfg.Workers = *c.Workers
 		}
 		if c.MinimizeSessions != nil {
 			cfg.MinimizeSessions = *c.MinimizeSessions

@@ -105,8 +105,9 @@ type observerJSON struct {
 }
 
 // observe is the job's Config.Observer: it forwards synthesis events to
-// the stream under the library's own event-kind names. It is called
-// concurrently from search workers, which the hub lock absorbs.
+// the stream under the library's own event-kind names. It runs on the
+// job's synthesizing goroutine; the hub lock orders it against the
+// subscribers.
 func (h *hub) observe(e bistpath.Event) {
 	p := observerJSON{Design: e.Design}
 	switch e.Kind {

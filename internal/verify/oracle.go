@@ -193,38 +193,22 @@ func planFingerprint(p *bist.Plan) string {
 	return sb.String()
 }
 
-// ParallelMatch re-runs the BIST search once per requested worker count
-// and reports a violation for any run whose plan differs from the given
-// plan in any observable way — the determinism contract of the parallel
-// branch and bound.
-func ParallelMatch(ctx context.Context, dp *datapath.Datapath, opts Options, plan *bist.Plan) ([]string, error) {
-	var vs []string
-	base := planFingerprint(plan)
-	search := opts.Search
-	if search == nil {
-		search = func(ctx context.Context, dp *datapath.Datapath, workers int) (*bist.Plan, error) {
-			return bist.OptimizeCtx(ctx, dp, bist.Options{
-				Model:            opts.Model,
-				AllowPadHeads:    opts.AllowPadTPG,
-				MinimizeSessions: opts.MinimizeSessions,
-				Workers:          workers,
-			})
+// RerunMatch runs search once and reports a violation when its plan
+// differs from the given plan in any observable way. It is the check
+// that a plan served from the cache, spliced by a session or
+// warm-started equals what a fresh search returns.
+func RerunMatch(ctx context.Context, dp *datapath.Datapath, search func(context.Context, *datapath.Datapath) (*bist.Plan, error), plan *bist.Plan) ([]string, error) {
+	p, err := search(ctx, dp)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
+		return []string{fmt.Sprintf("rerun: search failed: %v", err)}, nil
 	}
-	for _, w := range opts.Workers {
-		p, err := search(ctx, dp, w)
-		if err != nil {
-			if ctx.Err() != nil {
-				return vs, ctx.Err()
-			}
-			vs = append(vs, fmt.Sprintf("parallel: search with %d workers failed: %v", w, err))
-			continue
-		}
-		if got := planFingerprint(p); got != base {
-			vs = append(vs, fmt.Sprintf("parallel: %d-worker search diverges from the plan under test:\n--- plan ---\n%s--- workers=%d ---\n%s", w, base, w, got))
-		}
+	if base, got := planFingerprint(plan), planFingerprint(p); got != base {
+		return []string{fmt.Sprintf("rerun: a fresh search diverges from the plan under test:\n--- plan ---\n%s--- rerun ---\n%s", base, got)}, nil
 	}
-	return vs, nil
+	return nil, nil
 }
 
 // BindingOracleResult reports the exhaustive register-binding sweep.

@@ -2,7 +2,7 @@
 // reproduction: an independent set of oracles and invariant checks that
 // every synthesized plan must pass. The heuristics it guards — the
 // PVES/ΔSD register binder with its Case-1/2 overrides, the Lemma-2
-// CBILBO detection and the (possibly parallel) BIST branch and bound —
+// CBILBO detection and the BIST branch and bound —
 // are exactly the code paths where a subtle bug yields a plausible but
 // wrong plan that no golden test notices.
 //
@@ -22,8 +22,9 @@
 //  2. Brute-force oracles — exhaustive enumeration of the search spaces
 //     the heuristics explore: every combination of per-module BIST
 //     embeddings (the optimizer's plan must match the enumerated
-//     minimum exactly, and must reproduce identically for any worker
-//     count), and every minimum-register binding pushed through the
+//     minimum exactly, and a fresh run of the strategy that produced it
+//     must reproduce it identically), and every minimum-register
+//     binding pushed through the
 //     full downstream pipeline (the heuristic binder must never beat
 //     the enumerated optimum, which would indicate a broken cost, and
 //     must stay within the enumerated cost range).
@@ -61,24 +62,19 @@ type Options struct {
 	// act as embedding heads.
 	AllowPadTPG bool
 	// MinimizeSessions mirrors the synthesis configuration's session
-	// tie-break; the parallel-match oracle re-runs the search with it.
+	// tie-break; the binding oracle searches each binding with it.
 	MinimizeSessions bool
 	// Vectors is the number of random input vectors for the functional
 	// cross-check (default 100; negative disables).
 	Vectors int
 	// Seed seeds the functional cross-check's vector generator.
 	Seed int64
-	// Workers lists the search worker counts that must all reproduce
-	// the identical plan (default {1, 2, 8}; nil with SkipOracles set
-	// disables).
-	Workers []int
-	// Search, when non-nil, replaces the exact branch and bound in the
-	// parallel-match oracle: the plan under test was produced by a
-	// different strategy (e.g. the stochastic search), so conformance
-	// must re-run that strategy, not the exact one. The function must be
-	// deterministic for a fixed worker count — that is exactly the
-	// property the oracle checks.
-	Search func(ctx context.Context, dp *datapath.Datapath, workers int) (*bist.Plan, error)
+	// Search re-runs the strategy that produced the plan under test
+	// (the exact branch and bound, or the stochastic search with the
+	// same seed and budgets); the re-run oracle requires the identical
+	// plan back. Nil skips the oracle, for a plan whose strategy is not
+	// reproducible (a wall-clock-truncated stochastic run).
+	Search func(ctx context.Context, dp *datapath.Datapath) (*bist.Plan, error)
 	// EmbeddingCap bounds the exhaustive embedding oracle: if the
 	// cartesian product of per-module embedding counts exceeds it, the
 	// oracle is skipped and reported infeasible (default 4<<20).
@@ -101,7 +97,6 @@ func DefaultOptions(width int) Options {
 		AllowPadTPG:  true,
 		Vectors:      100,
 		Seed:         1,
-		Workers:      []int{1, 2, 8},
 		EmbeddingCap: 4 << 20,
 		BindingLimit: 20000,
 	}
@@ -140,8 +135,8 @@ type Report struct {
 	EmbeddingMin    int   `json:"embedding_min"`
 	EmbeddingRan    bool  `json:"embedding_oracle_ran"`
 
-	// Parallel conformance.
-	WorkersChecked []int `json:"workers_checked,omitempty"`
+	// Re-run conformance.
+	RerunRan bool `json:"rerun_oracle_ran"`
 
 	// Register-binding oracle.
 	BindingRan       bool `json:"binding_oracle_ran"`
@@ -183,12 +178,8 @@ func (r *Report) Summary() string {
 	} else if r.EmbeddingCombos > 0 {
 		fmt.Fprintf(&sb, "  embedding oracle: skipped (%d combinations exceed cap)\n", r.EmbeddingCombos)
 	}
-	if len(r.WorkersChecked) > 0 {
-		ws := make([]string, len(r.WorkersChecked))
-		for i, w := range r.WorkersChecked {
-			ws[i] = fmt.Sprint(w)
-		}
-		fmt.Fprintf(&sb, "  parallel search: workers {%s} produce identical plans\n", strings.Join(ws, ","))
+	if r.RerunRan {
+		sb.WriteString("  re-run oracle: a fresh search reproduces the plan\n")
 	}
 	if r.BindingRan {
 		complete := ""
@@ -253,13 +244,13 @@ func Run(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, dp *datapath.
 		return rep, err
 	}
 
-	if len(opts.Workers) > 0 {
-		vs, err := ParallelMatch(ctx, dp, opts, plan)
+	if opts.Search != nil {
+		vs, err := RerunMatch(ctx, dp, opts.Search, plan)
 		if err != nil {
 			return rep, err
 		}
 		rep.Violations = append(rep.Violations, vs...)
-		rep.WorkersChecked = append([]int(nil), opts.Workers...)
+		rep.RerunRan = true
 	}
 
 	if opts.BindingLimit >= 0 && mb != nil {

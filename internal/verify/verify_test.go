@@ -2,6 +2,7 @@ package verify
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"testing"
 
@@ -55,6 +56,18 @@ func mustPipeline(t *testing.T, g *dfg.Graph, mb *modassign.Binding, traditional
 	return dp, plan
 }
 
+// exactSearch is the re-run oracle's search for a plan from the exact
+// branch and bound under o.
+func exactSearch(o Options) func(context.Context, *datapath.Datapath) (*bist.Plan, error) {
+	return func(ctx context.Context, dp *datapath.Datapath) (*bist.Plan, error) {
+		return bist.OptimizeCtx(ctx, dp, bist.Options{
+			Model:            o.Model,
+			AllowPadHeads:    o.AllowPadTPG,
+			MinimizeSessions: o.MinimizeSessions,
+		})
+	}
+}
+
 func benchBinding(t *testing.T, b *benchdata.Benchmark) *modassign.Binding {
 	t.Helper()
 	mb, err := modassign.FromMap(b.Graph, b.OpModule)
@@ -72,7 +85,9 @@ func TestRunCleanOnPaperBenchmarks(t *testing.T) {
 		for _, trad := range []bool{false, true} {
 			mb := benchBinding(t, b)
 			dp, plan := mustPipeline(t, b.Graph, mb, trad)
-			rep, err := Run(context.Background(), b.Graph, mb, dp, plan, DefaultOptions(8))
+			opts := DefaultOptions(8)
+			opts.Search = exactSearch(opts)
+			rep, err := Run(context.Background(), b.Graph, mb, dp, plan, opts)
 			if err != nil {
 				t.Fatalf("%s traditional=%v: %v", b.Name, trad, err)
 			}
@@ -84,6 +99,9 @@ func TestRunCleanOnPaperBenchmarks(t *testing.T) {
 			}
 			if !rep.EmbeddingRan {
 				t.Errorf("%s traditional=%v: embedding oracle infeasible (%d combos)", b.Name, trad, rep.EmbeddingCombos)
+			}
+			if !rep.RerunRan {
+				t.Errorf("%s traditional=%v: re-run oracle did not run", b.Name, trad)
 			}
 			if plan.Exact && rep.EmbeddingRan && rep.EmbeddingMin != plan.ExtraArea {
 				t.Errorf("%s traditional=%v: oracle min %d != plan %d", b.Name, trad, rep.EmbeddingMin, plan.ExtraArea)
@@ -118,8 +136,8 @@ func TestBindingOracleBracketsHeuristicOnBenchmarks(t *testing.T) {
 // Seeded randomized conformance sweep: every random design must pass
 // the invariants and the functional cross-check; a slice of the seeds
 // additionally runs the full oracle stack (exhaustive embeddings,
-// worker-count conformance, bounded binding enumeration). CI runs this
-// under the race detector.
+// re-run conformance, bounded binding enumeration). CI runs this under
+// the race detector.
 func TestVerifyRandomSweep(t *testing.T) {
 	const seeds = 60
 	skipped := 0
@@ -146,6 +164,7 @@ func TestVerifyRandomSweep(t *testing.T) {
 		} else {
 			opts.EmbeddingCap = 1 << 16
 			opts.BindingLimit = 400
+			opts.Search = exactSearch(opts)
 		}
 		rep, err := Run(context.Background(), g, mb, dp, plan, opts)
 		if err != nil {
@@ -190,5 +209,52 @@ func TestRunHonorsCancellation(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, b.Graph, mb, dp, plan, DefaultOptions(8)); err == nil {
 		t.Fatal("cancelled Run returned nil error")
+	}
+}
+
+// The re-run oracle must catch a plan the search would not return: on
+// paulin, moving one module to another valid embedding yields a plan
+// that passes Validate but differs from a fresh search's, and the
+// oracle reports exactly that one divergence. The search's own plan
+// reports none.
+func TestRerunMatchCatchesDivergentPlan(t *testing.T) {
+	b := benchdata.ByName("paulin")
+	mb := benchBinding(t, b)
+	dp, plan := mustPipeline(t, b.Graph, mb, false)
+	opts := DefaultOptions(8)
+	search := exactSearch(opts)
+
+	vs, err := RerunMatch(context.Background(), dp, search, plan)
+	if err != nil || len(vs) != 0 {
+		t.Fatalf("search's own plan: violations %v, err %v", vs, err)
+	}
+
+	var moved *bist.Plan
+	for _, m := range dp.Modules {
+		for _, e := range bist.Embeddings(dp, m.Name, opts.AllowPadTPG) {
+			if e == plan.Embeddings[m.Name] {
+				continue
+			}
+			embs := maps.Clone(plan.Embeddings)
+			embs[m.Name] = e
+			moved = bist.PlanFromEmbeddings(opts.Model, embs, plan.Exact)
+			break
+		}
+		if moved != nil {
+			break
+		}
+	}
+	if moved == nil {
+		t.Fatal("no module of paulin has a second embedding")
+	}
+	if err := moved.Validate(dp); err != nil {
+		t.Fatalf("moved plan is invalid: %v", err)
+	}
+	vs, err = RerunMatch(context.Background(), dp, search, moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 1 || !strings.HasPrefix(vs[0], "rerun:") {
+		t.Fatalf("got %d violations, want exactly one re-run violation: %v", len(vs), vs)
 	}
 }

@@ -71,7 +71,7 @@ func checkSynth(docs []map[string]any) {
 
 func checkVerify(docs []map[string]any) {
 	required := []string{"design", "violations", "vectors", "plan_cost", "plan_exact",
-		"embedding_oracle_ran", "binding_oracle_ran"}
+		"embedding_oracle_ran", "rerun_oracle_ran", "binding_oracle_ran"}
 	for i, doc := range docs {
 		for _, key := range required {
 			if _, ok := doc[key]; !ok {

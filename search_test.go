@@ -14,10 +14,27 @@ import (
 // threshold (the exact branch and bound blows its node budget on it).
 func largeSearchDesign(t testing.TB) (*DFG, map[string]string) {
 	t.Helper()
-	g, mb, err := benchdata.RandomWithModules(benchdata.RandomConfig{
+	return randomDesign(t, benchdata.RandomConfig{
 		Seed: 11, Steps: 30, OpsPerStep: 5, Inputs: 8,
 		Kinds: []dfg.Kind{dfg.Add, dfg.Sub, dfg.Mul, dfg.Div, dfg.And, dfg.Or, dfg.Xor, dfg.Lt, dfg.Gt},
 	})
+}
+
+// presetDesign builds the dfgen preset design of the given size class and
+// seed.
+func presetDesign(t testing.TB, preset string, seed int64) (*DFG, map[string]string) {
+	t.Helper()
+	cfg, ok := benchdata.Preset(preset, seed)
+	if !ok {
+		t.Fatalf("unknown preset %q", preset)
+	}
+	return randomDesign(t, cfg)
+}
+
+// randomDesign generates a design with its area-driven module binding.
+func randomDesign(t testing.TB, cfg benchdata.RandomConfig) (*DFG, map[string]string) {
+	t.Helper()
+	g, mb, err := benchdata.RandomWithModules(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,13 +188,13 @@ func TestSearchStochasticLargeDesign(t *testing.T) {
 	if !rep.OK() {
 		t.Errorf("verify violations:\n%s", rep.Summary())
 	}
-	if len(rep.WorkersChecked) == 0 {
-		t.Error("conformance oracle skipped for a reproducible stochastic run")
+	if !rep.RerunRan {
+		t.Error("re-run oracle skipped for a reproducible stochastic run")
 	}
 }
 
-// A TimeBudget-truncated run still verifies, but the conformance oracle
-// is skipped (the truncation point is not reproducible).
+// A TimeBudget-truncated run still verifies, but the re-run oracle is
+// skipped (the truncation point is not reproducible).
 func TestSearchStochasticTimeBudgetVerify(t *testing.T) {
 	d, mods := largeSearchDesign(t)
 	cfg := DefaultConfig()
@@ -194,8 +211,8 @@ func TestSearchStochasticTimeBudgetVerify(t *testing.T) {
 	if !rep.OK() {
 		t.Errorf("verify violations:\n%s", rep.Summary())
 	}
-	if len(rep.WorkersChecked) != 0 {
-		t.Error("conformance oracle ran for a budget-truncated run")
+	if rep.RerunRan {
+		t.Error("re-run oracle ran for a budget-truncated run")
 	}
 }
 

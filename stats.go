@@ -48,11 +48,8 @@ func (p Phase) String() string {
 // Stats records where one synthesis run spent its time and how hard the
 // search layers worked. It lives on Result.Stats, deliberately outside
 // the determinism contract of ReportText: the durations are wall times
-// and vary run to run, while the counters are exact replays of the
-// algorithms' work — for a sequential run (Config.Workers <= 1) every
-// counter is deterministic, and under parallel search only SearchNodes,
-// BoundPrunes and IncumbentUpdates may vary (bound propagation timing
-// changes how much of the tree is cut). A phase reused from an earlier
+// and vary run to run, while every counter is an exact, deterministic
+// replay of the algorithms' work. A phase reused from an earlier
 // run (ReusedPhases) did no work in this run, so its counters read
 // zero; a cache hit instead replays the populating run's Stats whole.
 type Stats struct {
@@ -70,7 +67,7 @@ type Stats struct {
 	BoundPrunes          int64 // subtrees cut by the incumbent bound
 	IncumbentUpdates     int64 // incumbent improvements taken
 	EmbeddingsEnumerated int64 // candidate embeddings across all modules
-	SearchWorkers        int   // effective worker count after clamping
+	SearchWorkers        int   // 1 when this run searched, 0 when it reused the plan
 
 	// Stochastic-search effort (Config.Search only; all zero/empty under
 	// the default SearchExact, so existing Results are unchanged).
@@ -161,9 +158,9 @@ const (
 	PhaseStart EventKind = iota
 	// PhaseEnd fires when a pipeline phase completes (Elapsed is set).
 	PhaseEnd
-	// SearchProgress fires periodically from inside the BIST branch and
-	// bound (SearchNodes is the cumulative node count so far). These
-	// events come from search worker goroutines.
+	// SearchProgress fires periodically from inside the BIST search
+	// (SearchNodes is the cumulative node count so far), on the
+	// synthesizing goroutine, in strictly increasing node order.
 	SearchProgress
 	// CacheHit fires once when Config.Cache serves the run instead of a
 	// full synthesis. A memory-layer hit emits nothing else; a disk-layer
@@ -211,10 +208,11 @@ type Event struct {
 
 // Observer receives structured progress events during synthesis. Set it
 // on Config to watch a run; leave it nil for the zero-overhead default.
-// PhaseStart/PhaseEnd events arrive on the synthesizing goroutine in
-// pipeline order; SearchProgress events may arrive concurrently from
-// several search workers, so an Observer must be safe for concurrent
-// use. Observers must not block: they run inline with synthesis.
+// Every event of one run arrives on the synthesizing goroutine, in
+// order: SearchProgress events fall between the bist-search phase's
+// PhaseStart and PhaseEnd. An Observer shared by concurrent runs (a
+// batch, a pool, a server) must be safe for concurrent use. Observers
+// must not block: they run inline with synthesis.
 type Observer func(Event)
 
 // Package-level cumulative counters, exported through expvar so a

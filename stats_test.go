@@ -71,30 +71,6 @@ func TestStatsCounterDeterminism(t *testing.T) {
 	}
 }
 
-// The determinism contract extends across Config.Workers: reports must
-// be byte-identical whether the BIST search runs on 1 or 4 goroutines.
-func TestReportTextIdenticalAcrossWorkers(t *testing.T) {
-	for _, n := range BenchmarkNames() {
-		var reports []string
-		for _, w := range []int{1, 4} {
-			d, mods, _ := Benchmark(n)
-			cfg := DefaultConfig()
-			cfg.Workers = w
-			res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stats.SearchWorkers < 1 {
-				t.Errorf("%s workers=%d: SearchWorkers = %d", n, w, res.Stats.SearchWorkers)
-			}
-			reports = append(reports, res.ReportText())
-		}
-		if reports[0] != reports[1] {
-			t.Errorf("%s: ReportText differs between 1 and 4 workers", n)
-		}
-	}
-}
-
 // The observer must see each phase open and close in pipeline order,
 // with search progress (if any fires — the benchmarks are too small to
 // cross the 1024-node reporting stride) confined to the BIST window.

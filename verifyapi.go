@@ -21,9 +21,6 @@ type VerifyOptions struct {
 	// Seed seeds the vector generator; the stream is a pure function of
 	// it, so failures replay exactly (default 1).
 	Seed int64
-	// Workers lists the BIST-search worker counts that must all
-	// reproduce the plan byte for byte (default {1, 2, 8}).
-	Workers []int
 	// EmbeddingCap bounds the exhaustive embedding oracle; above it the
 	// oracle is skipped (default 4<<20 combinations).
 	EmbeddingCap int64
@@ -49,7 +46,7 @@ type VerifyReport struct {
 	EmbeddingMin    int   `json:"embedding_min"`
 	EmbeddingRan    bool  `json:"embedding_oracle_ran"`
 
-	WorkersChecked []int `json:"workers_checked,omitempty"`
+	RerunRan bool `json:"rerun_oracle_ran"`
 
 	BindingRan      bool `json:"binding_oracle_ran"`
 	BindingCount    int  `json:"binding_count"`
@@ -75,8 +72,8 @@ func (r *VerifyReport) Summary() string { return r.inner.Summary() }
 // result: structural plan invariants, a functional cross-check of the
 // synthesized data path against direct DFG evaluation, and — unless
 // opts.SkipOracles is set — brute-force oracles (exhaustive embedding
-// enumeration, worker-count conformance, exhaustive minimum-register
-// binding sweep). The returned error reports infrastructure failures
+// enumeration, a re-run of the search that must reproduce the plan,
+// exhaustive minimum-register binding sweep). The returned error reports infrastructure failures
 // only (context cancellation); verification failures are collected in
 // VerifyReport.Violations.
 //
@@ -90,7 +87,6 @@ func (r *Result) Verify(ctx context.Context, opts VerifyOptions) (*VerifyReport,
 		MinimizeSessions: r.cfg.MinimizeSessions,
 		Vectors:          opts.Vectors,
 		Seed:             opts.Seed,
-		Workers:          opts.Workers,
 		EmbeddingCap:     opts.EmbeddingCap,
 		BindingLimit:     opts.BindingLimit,
 		SkipOracles:      opts.SkipOracles,
@@ -98,30 +94,19 @@ func (r *Result) Verify(ctx context.Context, opts VerifyOptions) (*VerifyReport,
 	if vo.Seed == 0 {
 		vo.Seed = 1
 	}
-	if vo.Workers == nil && !vo.SkipOracles {
-		vo.Workers = []int{1, 2, 8}
-	}
-	if r.Stats.SearchStrategy == "stochastic" {
-		if r.cfg.TimeBudget > 0 {
-			// A wall-clock-truncated run is not reproducible, so the
-			// parallel-match oracle has nothing to conform against.
-			vo.Workers = nil
-		} else {
-			// Conformance must re-run the strategy that produced the plan:
-			// the stochastic search with this result's seed and budgets,
-			// which is deterministic at any worker count.
-			cfg := r.cfg
-			model := vo.Model
-			vo.Search = func(ctx context.Context, dp *datapath.Datapath, workers int) (*bist.Plan, error) {
-				return bist.OptimizeStochasticCtx(ctx, dp, bist.Options{
-					Model:            model,
-					AllowPadHeads:    cfg.AllowPadTPG,
-					MinimizeSessions: cfg.MinimizeSessions,
-					Workers:          workers,
-					Seed:             cfg.Seed,
-					MaxGenerations:   cfg.MaxGenerations,
-				})
-			}
+	// The re-run oracle repeats the strategy that produced the plan. A
+	// wall-clock-truncated stochastic run is not reproducible, so it
+	// leaves Search nil: there is nothing to conform against.
+	bo := bist.Options{Model: vo.Model, AllowPadHeads: r.cfg.AllowPadTPG, MinimizeSessions: r.cfg.MinimizeSessions}
+	switch {
+	case r.Stats.SearchStrategy != "stochastic":
+		vo.Search = func(ctx context.Context, dp *datapath.Datapath) (*bist.Plan, error) {
+			return bist.OptimizeCtx(ctx, dp, bo)
+		}
+	case r.cfg.TimeBudget == 0:
+		bo.Seed, bo.MaxGenerations = r.cfg.Seed, r.cfg.MaxGenerations
+		vo.Search = func(ctx context.Context, dp *datapath.Datapath) (*bist.Plan, error) {
+			return bist.OptimizeStochasticCtx(ctx, dp, bo)
 		}
 	}
 	rep, err := verify.Run(ctx, r.dp.Graph(), r.mb, r.dp, r.plan, vo)
@@ -137,7 +122,7 @@ func (r *Result) Verify(ctx context.Context, opts VerifyOptions) (*VerifyReport,
 		EmbeddingCombos: rep.EmbeddingCombos,
 		EmbeddingMin:    rep.EmbeddingMin,
 		EmbeddingRan:    rep.EmbeddingRan,
-		WorkersChecked:  rep.WorkersChecked,
+		RerunRan:        rep.RerunRan,
 		BindingRan:      rep.BindingRan,
 		BindingCount:    rep.BindingCount,
 		BindingFeasible: rep.BindingFeasible,

@@ -32,8 +32,8 @@ func TestResultVerifyCleanOnBenchmarks(t *testing.T) {
 		if !rep.EmbeddingRan {
 			t.Errorf("%s: embedding oracle did not run (%d combos)", name, rep.EmbeddingCombos)
 		}
-		if len(rep.WorkersChecked) == 0 {
-			t.Errorf("%s: no worker counts cross-checked", name)
+		if !rep.RerunRan {
+			t.Errorf("%s: re-run oracle did not run", name)
 		}
 		if !rep.BindingRan {
 			t.Errorf("%s: binding oracle did not run", name)

@@ -9,8 +9,8 @@ import (
 // FuzzRandomSynthesizeVerify drives the whole pipeline — random design
 // generation, synthesis under a fuzz-chosen configuration, and the
 // verification harness — from a (seed, flags) pair. The flags byte
-// toggles mode, session tie-break and search parallelism, so the fuzzer
-// explores configuration space as well as design space. Any structural
+// toggles mode and session tie-break (its higher bits are unused), so
+// the fuzzer explores configuration space as well as design space. Any structural
 // violation, functional mismatch or panic is a finding.
 func FuzzRandomSynthesizeVerify(f *testing.F) {
 	f.Add(int64(1), byte(0))
@@ -34,7 +34,6 @@ func FuzzRandomSynthesizeVerify(f *testing.F) {
 		if flags&2 != 0 {
 			cfg.MinimizeSessions = true
 		}
-		cfg.Workers = int(flags >> 2 & 3) // 0..3: sequential and parallel search
 		res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 		if err != nil {
 			// The one legitimate failure: a module none of whose ports
