@@ -1,10 +1,12 @@
 package bist
 
 import (
+	"context"
 	"slices"
 	"testing"
 
 	"bistpath/internal/benchdata"
+	"bistpath/internal/datapath"
 )
 
 // Fig. 1 guard: I-path embedding enumeration through AppendEmbeddings
@@ -36,6 +38,51 @@ func TestAppendEmbeddingsAllocFree(t *testing.T) {
 	}
 }
 
+// Guard for the forced-CBILBO ground truth, which result assembly runs
+// on every module of every synthesis: it must agree with its
+// materialized definition (some embedding, every one of them forcing a
+// CBILBO) and allocate nothing, though dfgen xl-3 alone enumerates over
+// 100,000 embeddings.
+func TestForcedCBILBOByEnumerationAllocFree(t *testing.T) {
+	cfg, _ := benchdata.Preset("xl", 3)
+	dps := []*datapath.Datapath{buildRandomDP(t, cfg)}
+	for _, b := range benchdata.All() {
+		for _, trad := range []bool{false, true} {
+			dp, _, _ := buildBench(t, b, trad)
+			dps = append(dps, dp)
+		}
+	}
+	forced := 0
+	for _, dp := range dps {
+		for _, pads := range []bool{true, false} {
+			for _, m := range dp.Modules {
+				embs := Embeddings(dp, m.Name, pads)
+				want := len(embs) > 0
+				for _, e := range embs {
+					want = want && e.NeedsCBILBO()
+				}
+				if got := ForcedCBILBOByEnumeration(dp, m.Name, pads); got != want {
+					t.Fatalf("module %s pads=%v: ForcedCBILBOByEnumeration = %v over %d embeddings, want %v", m.Name, pads, got, len(embs), want)
+				}
+				if want {
+					forced++
+				}
+			}
+		}
+		avg := testing.AllocsPerRun(5, func() {
+			for _, m := range dp.Modules {
+				ForcedCBILBOByEnumeration(dp, m.Name, true)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("ForcedCBILBOByEnumeration allocates %.1f allocs/run, want 0", avg)
+		}
+	}
+	if forced == 0 {
+		t.Fatal("no module is CBILBO-forced; the guard would not exercise the all-CBILBO case")
+	}
+}
+
 // Steady-state guard for the whole search: with a reused Scratch the
 // branch and bound on a paper benchmark must stay within a small pinned
 // allocation budget (the Plan and its result maps are the only per-call
@@ -58,6 +105,35 @@ func TestOptimizeScratchSteadyStateAllocs(t *testing.T) {
 	const budget = 64
 	if avg > budget {
 		t.Fatalf("Optimize with warm Scratch allocates %.1f allocs/run, want <= %d", avg, budget)
+	}
+}
+
+// Steady-state guard for the Pareto walk: on a warm Scratch, paulin's
+// full enumeration (43,305 nodes, over 40,000 leaves, each scheduled
+// into sessions) allocates only per front member and per archive
+// entry: the members' Plans, rebuilt and revalidated, and the
+// assignments the archive keeps. A single allocation per leaf would
+// overshoot the budget about 200-fold.
+func TestOptimizeParetoScratchSteadyStateAllocs(t *testing.T) {
+	dp, _, _ := buildBench(t, benchdata.Paulin(), false)
+	var m Metrics
+	opts := DefaultOptions(8)
+	opts.Scratch, opts.Metrics = NewScratch(), &m
+	if _, err := OptimizePareto(context.Background(), dp, opts); err != nil {
+		t.Fatal(err)
+	}
+	if m.Nodes != 43305 {
+		t.Fatalf("paulin walk visited %d nodes, want 43305", m.Nodes)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := OptimizePareto(context.Background(), dp, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Pinned just above the current count (161).
+	const budget = 170
+	if avg > budget {
+		t.Fatalf("OptimizePareto with warm Scratch allocates %.1f allocs/run, want <= %d", avg, budget)
 	}
 }
 

@@ -1,6 +1,9 @@
 package bist
 
 import (
+	"slices"
+	"strings"
+
 	"bistpath/internal/area"
 	"bistpath/internal/interconnect"
 )
@@ -14,13 +17,21 @@ type embRef struct{ l, r, t int32 }
 
 // searchArena is one search's state: per-register duty counters indexed
 // by interned register id, the current partial assignment (embedding
-// index per module position) and the incumbent assignment. A Scratch
-// holds one and recycles it across searches; size re-dimensions (and
-// zeroes) it for the current problem.
+// index per module position), the incumbent assignment and, for the
+// searches that schedule sessions, the scheduler's buffers. A Scratch
+// holds one and recycles it across searches; size (and
+// prepareSchedule) re-dimension and zero it for the current problem.
 type searchArena struct {
 	tpg, sa, cb []int32 // duty counters per interned register
 	cur         []int32 // embedding index per module position
 	bestCur     []int32 // incumbent assignment
+
+	byName []int32 // module positions in name order
+	cbilbo []bool  // per register: a CBILBO under the scheduled genome
+	sess   []int32 // session per module position
+	taken  []bool  // per session: conflicts with the module being placed
+	load   []int   // per session: summed power weight
+	power  []int   // per module position: power weight (Pareto leaves)
 }
 
 func (a *searchArena) size(nregs, nmods int) {
@@ -31,16 +42,33 @@ func (a *searchArena) size(nregs, nmods int) {
 	a.bestCur = growInt32(a.bestCur, nmods)
 }
 
+// prepareSchedule readies the scheduler's buffers for sp (see
+// schedule), ordering the module positions by name, the order
+// ScheduleSessions places modules in.
+func (a *searchArena) prepareSchedule(sp *searchSpace) {
+	n := len(sp.mods)
+	a.byName = grow(a.byName, n)
+	for i := range a.byName {
+		a.byName[i] = int32(i)
+	}
+	slices.SortFunc(a.byName, func(x, y int32) int { return strings.Compare(sp.mods[x].name, sp.mods[y].name) })
+	a.cbilbo = grow(a.cbilbo, sp.nregs)
+	clear(a.cbilbo)
+	a.sess, a.taken, a.load, a.power = grow(a.sess, n), grow(a.taken, n), grow(a.load, n), grow(a.power, n)
+}
+
 // Scratch owns the optimizer's reusable memory: one search arena plus
 // the enumeration state (embedding slices, interning tables, compact
 // refs) a search builds before it starts. Passing one Scratch
-// (Options.Scratch) to successive Optimize calls makes the whole search
-// essentially allocation-free after the first call.
+// (Options.Scratch) to successive Optimize (or OptimizePareto) calls
+// makes the whole search essentially allocation-free after the first
+// call.
 //
 // A Scratch serves one Optimize call at a time, and one arena suffices
 // within a call: the exact search finishes before its greedy fallback
-// starts, and the stochastic search's exact probe finishes before the
-// genetic search starts. Use one Scratch per synthesis worker.
+// starts, the stochastic search's exact probe finishes before the
+// genetic search starts, and the Pareto walk before its empty-front
+// fallback. Use one Scratch per synthesis worker.
 type Scratch struct {
 	arena searchArena
 

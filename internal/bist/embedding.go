@@ -66,37 +66,11 @@ func Embeddings(dp *datapath.Datapath, module string, allowPadHeads bool) []Embe
 // enumerate through. The appended run is in the same canonical
 // (HeadL, HeadR, Tail) order Embeddings returns.
 func AppendEmbeddings(dst []Embedding, dp *datapath.Datapath, module string, allowPadHeads bool) []Embedding {
-	m := dp.Module(module)
-	if m == nil {
-		return dst
-	}
 	start := len(dst)
-	diagonal := dp.ModuleDiagonal(module)
-	skip := func(s string) bool { return interconnect.IsPad(s) && !allowPadHeads }
-	if len(m.Right) == 0 { // unary module
-		for _, l := range m.Left {
-			if skip(l) {
-				continue
-			}
-			for _, t := range m.Dests {
-				dst = append(dst, Embedding{Module: module, HeadL: l, Tail: t})
-			}
-		}
-	} else {
-		for _, l := range m.Left {
-			if skip(l) {
-				continue
-			}
-			for _, r := range m.Right {
-				if skip(r) || (l == r && !diagonal) {
-					continue
-				}
-				for _, t := range m.Dests {
-					dst = append(dst, Embedding{Module: module, HeadL: l, HeadR: r, Tail: t})
-				}
-			}
-		}
-	}
+	eachEmbedding(dp, module, allowPadHeads, func(e Embedding) bool {
+		dst = append(dst, e)
+		return true
+	})
 	// Canonical order on both arities: the optimizer's deterministic
 	// tie-break is defined over this order, so it must be a pure
 	// function of the data path, never of construction order. Left,
@@ -116,6 +90,38 @@ func AppendEmbeddings(dst []Embedding, dp *datapath.Datapath, module string, all
 		})
 	}
 	return dst
+}
+
+// eachEmbedding calls visit on every embedding of the module, in
+// enumeration order, until visit returns false, and reports whether it
+// reached the end. It is the one statement of the enumeration rules.
+func eachEmbedding(dp *datapath.Datapath, module string, allowPadHeads bool, visit func(Embedding) bool) bool {
+	m := dp.Module(module)
+	if m == nil {
+		return true
+	}
+	diagonal := dp.ModuleDiagonal(module)
+	skip := func(s string) bool { return interconnect.IsPad(s) && !allowPadHeads }
+	rights := m.Right
+	if len(rights) == 0 {
+		rights = []string{""} // unary module: no right head
+	}
+	for _, l := range m.Left {
+		if skip(l) {
+			continue
+		}
+		for _, r := range rights {
+			if r != "" && (skip(r) || (l == r && !diagonal)) {
+				continue
+			}
+			for _, t := range m.Dests {
+				if !visit(Embedding{Module: module, HeadL: l, HeadR: r, Tail: t}) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // embeddingsOrdered reports whether the run is already in canonical
@@ -144,18 +150,16 @@ func embeddingsOrdered(es []Embedding) bool {
 
 // ForcedCBILBOByEnumeration reports whether every embedding of the module
 // requires a CBILBO register (the brute-force ground truth for Lemma 2).
-// It returns false if the module has no embedding at all.
+// It returns false if the module has no embedding at all. It walks the
+// enumeration without materializing it and stops at the first embedding
+// that needs no CBILBO, so it allocates nothing.
 func ForcedCBILBOByEnumeration(dp *datapath.Datapath, module string, allowPadHeads bool) bool {
-	embs := Embeddings(dp, module, allowPadHeads)
-	if len(embs) == 0 {
-		return false
-	}
-	for _, e := range embs {
-		if !e.NeedsCBILBO() {
-			return false
-		}
-	}
-	return true
+	found := false
+	all := eachEmbedding(dp, module, allowPadHeads, func(e Embedding) bool {
+		found = true
+		return e.NeedsCBILBO()
+	})
+	return found && all
 }
 
 // roles accumulates the duties assigned to a register across modules.

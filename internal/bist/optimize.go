@@ -79,9 +79,9 @@ type Options struct {
 	// node-budget poll interval. It must not block.
 	Progress func(nodes int64)
 	// Scratch, when non-nil, supplies the reusable search arenas and
-	// enumeration buffers; successive Optimize calls sharing one Scratch
-	// run essentially allocation-free. One Optimize call at a time per
-	// Scratch.
+	// enumeration buffers; successive Optimize (or OptimizePareto)
+	// calls sharing one Scratch run essentially allocation-free. One
+	// Optimize call at a time per Scratch.
 	Scratch *Scratch
 	// Power carries per-module active-power weight overrides for the
 	// multi-objective search (see PowerWeights); modules absent from the
@@ -180,13 +180,13 @@ type modEmb struct {
 }
 
 // searchSpace is the prepared per-call search state shared by the exact
-// branch and bound and the stochastic search: modules and embeddings in
-// canonical search order (canonicalOrder), registers
+// branch and bound, the stochastic search and the Pareto walk: modules
+// and embeddings in canonical search order (canonicalOrder), registers
 // interned to small ids and the compact refs built, with the style
 // upgrade costs pre-resolved from the area model so duty counters
 // translate to cost without a Model call per touch. Everything here is a
 // pure function of the data path and options, never of construction
-// order — both searches' determinism contracts depend on that.
+// order — every search's determinism contract depends on that.
 type searchSpace struct {
 	mods     []modEmb
 	refs     [][]embRef // compact embeddings, parallel to mods
@@ -342,8 +342,7 @@ type search struct {
 	dutyEval
 	ctx  context.Context
 	opts Options
-	mods []modEmb
-	refs [][]embRef // compact embeddings, parallel to mods
+	sp   searchSpace
 	// bound is the cost of the best complete solution known: a
 	// warm-start incumbent's until the search finds one of its own
 	// (math.MaxInt when there is neither).
@@ -359,10 +358,10 @@ type search struct {
 // dutyEval tracks the upgrade cost of a partial embedding assignment
 // incrementally over an arena's interned duty counters: applying or
 // undoing one embedding touches three int32 counters and folds the cost
-// delta into cost. It is the one cost evaluator both searches share —
-// the branch and bound embeds it, and the stochastic search's
-// genome evaluations, greedy seeding and annealing moves all run
-// through the same apply/undo pair, so a cost bug cannot hide in a
+// delta into cost. It is the one cost evaluator every search shares —
+// the branch and bound and the Pareto walk embed it, and the stochastic
+// search's genome evaluations, greedy seeding and annealing moves all
+// run through the same apply/undo pair, so a cost bug cannot hide in a
 // search-specific reimplementation.
 type dutyEval struct {
 	a    *searchArena
@@ -492,19 +491,9 @@ func (w *dutyEval) styleDelta(e embRef) int {
 	return d
 }
 
-// curEmbeddings materializes the current assignment as the embedding
-// map the session scheduler consumes (MinimizeSessions leaves only).
-func (s *search) curEmbeddings() map[string]Embedding {
-	out := make(map[string]Embedding, len(s.mods))
-	for i, m := range s.mods {
-		out[m.name] = m.embs[s.a.cur[i]]
-	}
-	return out
-}
-
 // expand tries every embedding of module position i in canonical order.
 func (s *search) expand(i int) {
-	for j, e := range s.refs[i] {
+	for j, e := range s.sp.refs[i] {
 		s.a.cur[i] = int32(j)
 		s.apply(e)
 		s.dfs(i + 1)
@@ -535,11 +524,11 @@ func (s *search) dfs(i int) {
 	// Adding modules never lowers cost, and an equal-cost completion
 	// cannot beat the search's own earlier solution in depth-first order
 	// (unless the session tie-break still needs the leaves enumerated).
-	if cost > s.bound || (cost == s.bound && s.found && !s.opts.MinimizeSessions && i < len(s.mods)) {
+	if cost > s.bound || (cost == s.bound && s.found && !s.opts.MinimizeSessions && i < len(s.sp.refs)) {
 		s.prunes++
 		return
 	}
-	if i == len(s.mods) {
+	if i == len(s.sp.refs) {
 		s.leaf(cost)
 		return
 	}
@@ -553,7 +542,7 @@ func (s *search) dfs(i int) {
 func (s *search) leaf(cost int) {
 	sessions := 0
 	if s.opts.MinimizeSessions {
-		sessions = sessionsOfEmbeddings(s.curEmbeddings())
+		sessions, _ = s.a.schedule(&s.sp, s.a.cur, nil)
 	}
 	if s.found && cost == s.bound && (!s.opts.MinimizeSessions || sessions >= s.sessions) {
 		return
@@ -561,13 +550,6 @@ func (s *search) leaf(cost int) {
 	copy(s.a.bestCur, s.a.cur)
 	s.bound, s.found, s.sessions = cost, true, sessions
 	s.incumbents++
-}
-
-// sessionsOfEmbeddings counts the test sessions a set of embeddings packs
-// into (used by the MinimizeSessions tie-break).
-func sessionsOfEmbeddings(embs map[string]Embedding) int {
-	p := &Plan{Embeddings: embs, Styles: stylesOf(embs)}
-	return len(ScheduleSessions(p))
 }
 
 // OptimizeCtx is Optimize with cancellation: the search aborts promptly
@@ -607,7 +589,10 @@ func OptimizeCtx(ctx context.Context, dp *datapath.Datapath, opts Options) (*Pla
 		bestCost = 0
 	} else {
 		a.size(sp.nregs, len(mods))
-		s := &search{dutyEval: newDutyEval(&sp, a), ctx: ctx, opts: opts, mods: mods, refs: sp.refs, bound: math.MaxInt}
+		if opts.MinimizeSessions {
+			a.prepareSchedule(&sp)
+		}
+		s := &search{dutyEval: newDutyEval(&sp, a), ctx: ctx, opts: opts, sp: sp, bound: math.MaxInt}
 		if cost, ok := incumbentBound(dp, opts); ok {
 			s.bound = cost
 		}

@@ -7,7 +7,6 @@ import (
 
 	"bistpath/internal/area"
 	"bistpath/internal/datapath"
-	"bistpath/internal/interconnect"
 )
 
 // CostVector is the multi-objective cost of one complete BIST plan:
@@ -119,29 +118,22 @@ type paretoEntry struct {
 	asg []int32
 }
 
-// paretoEnum is the sequential enumeration state. The search walks the
-// exact canonical depth-first order of the area-only branch and bound —
-// most-constrained modules first, each module's embeddings in stable
-// ascending standalone-cost order — so the representative plan kept for
-// each distinct vector is a pure function of the data path, and the
+// paretoWalk is the enumeration state. It walks the exact search's
+// prepared space in its canonical depth-first order — most-constrained
+// modules first, each module's embeddings in stable ascending
+// standalone-cost order — so the representative plan kept for each
+// distinct vector is a pure function of the data path, and the
 // area-minimal front member reproduces the single-objective search's
-// deterministic tie-break.
-type paretoEnum struct {
-	ctx   context.Context
-	opts  Options
-	mods  []modEmb
-	power map[string]int
+// deterministic tie-break. Area comes from the shared duty evaluator;
+// each leaf's session count and peak power from the arena's scheduler.
+type paretoWalk struct {
+	dutyEval
+	ctx  context.Context
+	opts Options
+	sp   searchSpace
 
-	// Incremental register-duty counters and upgrade area, exactly the
-	// exact search's counter scheme but keyed by name (this walk has no
-	// need for interning).
-	tpg, sa, cb map[string]int
-	areaCost    int
-	cur         []int32
-	embs        map[string]Embedding // leaf-evaluation scratch
-
-	// ppLB is the global peak-power lower bound: every module sits in
-	// some session, so any schedule's peak is at least the largest single
+	// ppLB is the peak-power lower bound: every module sits in some
+	// session, so any schedule's peak is at least the largest single
 	// module weight. cornerArea is the smallest area among archive
 	// members that already sit at the (TestTime=1, PeakPower=ppLB) ideal
 	// corner, or -1; any partial assignment whose area has reached it can
@@ -157,46 +149,7 @@ type paretoEnum struct {
 	cancelled bool
 }
 
-func (e *paretoEnum) styleExtra(r string) int {
-	m := e.opts.Model
-	switch {
-	case e.cb[r] > 0:
-		return m.StyleExtra(area.CBILBO)
-	case e.tpg[r] > 0 && e.sa[r] > 0:
-		return m.StyleExtra(area.BILBO)
-	case e.tpg[r] > 0:
-		return m.StyleExtra(area.TPG)
-	case e.sa[r] > 0:
-		return m.StyleExtra(area.SA)
-	}
-	return 0
-}
-
-// bump adjusts one register's duty counters by d, folding the register's
-// upgrade-cost change into the running area.
-func (e *paretoEnum) bump(emb Embedding, d int) {
-	touch := func(h string, isHead bool) {
-		before := e.styleExtra(h)
-		if isHead {
-			e.tpg[h] += d
-			if h == emb.Tail {
-				e.cb[h] += d
-			}
-		} else {
-			e.sa[h] += d
-		}
-		e.areaCost += e.styleExtra(h) - before
-	}
-	for _, h := range []string{emb.HeadL, emb.HeadR} {
-		if h == "" || interconnect.IsPad(h) {
-			continue
-		}
-		touch(h, true)
-	}
-	touch(emb.Tail, false)
-}
-
-func (e *paretoEnum) dfs(i int) {
+func (e *paretoWalk) dfs(i int) {
 	e.nodes++
 	if e.opts.NodeBudget > 0 && e.nodes > int64(e.opts.NodeBudget) {
 		e.inexact = true
@@ -212,7 +165,7 @@ func (e *paretoEnum) dfs(i int) {
 			e.opts.Progress(e.nodes)
 		}
 	}
-	if e.cancelled || e.inexact {
+	if e.cancelled {
 		return
 	}
 	// Ideal-corner dominance prune: adding modules never lowers the
@@ -220,49 +173,28 @@ func (e *paretoEnum) dfs(i int) {
 	// peak power is at least ppLB. A corner member with area <= the
 	// partial area therefore dominates (or equals, and then canonically
 	// precedes) every leaf below this node. See DESIGN.md §9.
-	if e.cornerArea >= 0 && e.cornerArea <= e.areaCost {
+	if e.cornerArea >= 0 && e.cornerArea <= e.cost {
 		e.prunes++
 		return
 	}
-	if i == len(e.mods) {
-		e.leaf()
+	if i == len(e.sp.refs) {
+		n, peak := e.a.schedule(&e.sp, e.a.cur, e.a.power)
+		e.offer(CostVector{Area: e.cost, TestTime: n, PeakPower: peak})
 		return
 	}
-	for j, emb := range e.mods[i].embs {
-		e.cur[i] = int32(j)
-		e.bump(emb, +1)
+	for j, r := range e.sp.refs[i] {
+		e.a.cur[i] = int32(j)
+		e.apply(r)
 		e.dfs(i + 1)
-		e.bump(emb, -1)
+		e.undo(r)
 	}
-}
-
-// leaf evaluates the complete assignment's vector and offers it to the
-// archive.
-func (e *paretoEnum) leaf() {
-	clear(e.embs)
-	for i, m := range e.mods {
-		e.embs[m.name] = m.embs[e.cur[i]]
-	}
-	p := Plan{Embeddings: e.embs, Styles: stylesOf(e.embs)}
-	sessions := ScheduleSessions(&p)
-	v := CostVector{Area: e.areaCost, TestTime: len(sessions)}
-	for _, sess := range sessions {
-		sum := 0
-		for _, m := range sess {
-			sum += e.power[m]
-		}
-		if sum > v.PeakPower {
-			v.PeakPower = sum
-		}
-	}
-	e.offer(v)
 }
 
 // offer inserts a leaf vector into the archive unless it is dominated
 // or duplicates an existing vector (the earlier — canonical depth-first
 // first — representative wins), and evicts members the newcomer
 // dominates.
-func (e *paretoEnum) offer(v CostVector) {
+func (e *paretoWalk) offer(v CostVector) {
 	for _, en := range e.archive {
 		if en.vec == v || en.vec.Dominates(v) {
 			return
@@ -274,7 +206,7 @@ func (e *paretoEnum) offer(v CostVector) {
 			kept = append(kept, en)
 		}
 	}
-	e.archive = append(kept, paretoEntry{vec: v, asg: append([]int32(nil), e.cur...)})
+	e.archive = append(kept, paretoEntry{vec: v, asg: append([]int32(nil), e.a.cur...)})
 	e.incumbent++
 	if v.TestTime == 1 && v.PeakPower == e.ppLB {
 		if e.cornerArea < 0 || v.Area < e.cornerArea {
@@ -290,15 +222,16 @@ func (e *paretoEnum) offer(v CostVector) {
 // TestTime, PeakPower). Each returned plan carries its vector in
 // Plan.Cost and a schedule from ScheduleSessions.
 //
-// The search is a sequential exhaustive walk in the exact canonical
-// order of OptimizeCtx's branch and bound, with dominance pruning at
-// the ideal corner (see paretoEnum); within each distinct vector the
+// The search is a sequential exhaustive walk over OptimizeCtx's
+// prepared space, in its canonical order, with dominance pruning at
+// the ideal corner (see paretoWalk); within each distinct vector the
 // first leaf in that order is the representative, so the result is a
 // pure function of the data path and options — in particular, the
 // area-minimal front member is the plan the single-objective search
 // returns. If Options.NodeBudget is exhausted the walk stops and every
 // returned plan reports Exact=false; the partial front is still
-// mutually non-dominated but may miss vectors.
+// mutually non-dominated but may miss vectors. Options.Scratch is used
+// as by OptimizeCtx.
 func OptimizePareto(ctx context.Context, dp *datapath.Datapath, opts Options) ([]*Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -312,46 +245,37 @@ func OptimizePareto(ctx context.Context, dp *datapath.Datapath, opts Options) ([
 	if opts.NodeBudget == 0 {
 		opts.NodeBudget = 2_000_000
 	}
-	power := PowerWeights(opts.Model, dp, opts.Power)
-
-	mods := make([]modEmb, 0, len(dp.Modules))
-	var embTotal int64
-	for _, m := range dp.Modules {
-		embs := Embeddings(dp, m.Name, opts.AllowPadHeads)
-		if len(embs) == 0 {
-			return nil, fmt.Errorf("bist: module %s has %w (no register I-paths)", m.Name, ErrNoEmbedding)
-		}
-		embTotal += int64(len(embs))
-		mods = append(mods, modEmb{m.Name, embs})
+	sc := opts.Scratch
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	sp, err := prepareSpace(dp, opts, sc)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Metrics != nil {
-		*opts.Metrics = Metrics{Embeddings: embTotal}
+		*opts.Metrics = Metrics{Embeddings: sp.embTotal}
 	}
-	if len(mods) == 0 {
+	if len(sp.mods) == 0 {
 		p := &Plan{Embeddings: map[string]Embedding{}, Styles: map[string]area.Style{}, Exact: true}
 		p.Sessions = ScheduleSessions(p)
 		return []*Plan{p}, nil
 	}
+	power := PowerWeights(opts.Model, dp, opts.Power)
 
-	// The canonical search order OptimizeCtx walks.
-	canonicalOrder(opts.Model, mods, nil, nil)
-
-	e := &paretoEnum{
+	a := &sc.arena
+	a.size(sp.nregs, len(sp.mods))
+	a.prepareSchedule(&sp)
+	e := &paretoWalk{
+		dutyEval:   newDutyEval(&sp, a),
 		ctx:        ctx,
 		opts:       opts,
-		mods:       mods,
-		power:      power,
-		tpg:        make(map[string]int),
-		sa:         make(map[string]int),
-		cb:         make(map[string]int),
-		cur:        make([]int32, len(mods)),
-		embs:       make(map[string]Embedding, len(mods)),
+		sp:         sp,
 		cornerArea: -1,
 	}
-	for _, m := range dp.Modules {
-		if w := power[m.Name]; w > e.ppLB {
-			e.ppLB = w
-		}
+	for i, m := range sp.mods {
+		a.power[i] = power[m.name]
+		e.ppLB = max(e.ppLB, a.power[i])
 	}
 	e.dfs(0)
 	if e.cancelled {
@@ -366,11 +290,7 @@ func OptimizePareto(ctx context.Context, dp *datapath.Datapath, opts Options) ([
 	sort.Slice(e.archive, func(i, j int) bool { return e.archive[i].vec.Less(e.archive[j].vec) })
 	front := make([]*Plan, 0, len(e.archive))
 	for _, en := range e.archive {
-		embs := make(map[string]Embedding, len(mods))
-		for i, m := range mods {
-			embs[m.name] = m.embs[en.asg[i]]
-		}
-		p := PlanFromEmbeddings(opts.Model, embs, !e.inexact)
+		p := PlanFromEmbeddings(opts.Model, sp.embeddingsOf(en.asg), !e.inexact)
 		p.Cost = PlanCost(p, power)
 		if p.Cost != en.vec {
 			return nil, fmt.Errorf("bist: pareto plan cost %v diverges from search vector %v", p.Cost, en.vec)

@@ -71,6 +71,56 @@ func ScheduleSessions(p *Plan) [][]string {
 	return sessions
 }
 
+// schedule is ScheduleSessions over a prepared space's interned
+// registers: the same first-fit coloring, in module-name order, of a
+// complete assignment (one embedding index per module position). A
+// register is a CBILBO iff some chosen embedding uses it as both head
+// and tail, so the conflict test reads the genome alone, never the
+// duty counters. It returns the session count and, when power holds a
+// weight per module position, the peak per-session power; a.sess is
+// left holding each position's session.
+func (a *searchArena) schedule(sp *searchSpace, genome []int32, power []int) (sessions, peak int) {
+	for i, g := range genome {
+		if e := sp.refs[i][g]; e.l == e.t || e.r == e.t {
+			a.cbilbo[e.t] = true
+		}
+	}
+	for k, i := range a.byName {
+		e := sp.refs[i][genome[i]]
+		clear(a.taken[:sessions])
+		for _, j := range a.byName[:k] {
+			if o := sp.refs[j][genome[j]]; e.t == o.t || a.crossed(e, o) || a.crossed(o, e) {
+				a.taken[a.sess[j]] = true
+			}
+		}
+		s := 0
+		for s < sessions && a.taken[s] {
+			s++
+		}
+		sessions = max(sessions, s+1)
+		a.sess[i] = int32(s)
+	}
+	for i, g := range genome {
+		a.cbilbo[sp.refs[i][g].t] = false
+	}
+	if power != nil {
+		clear(a.load[:sessions])
+		for i, s := range a.sess[:len(genome)] {
+			a.load[s] += power[i]
+		}
+		for _, l := range a.load[:sessions] {
+			peak = max(peak, l)
+		}
+	}
+	return sessions, peak
+}
+
+// crossed is the interned half of sessionConflict: a head of x is y's
+// tail, which is not a CBILBO.
+func (a *searchArena) crossed(x, y embRef) bool {
+	return (x.l == y.t || x.r == y.t) && !a.cbilbo[y.t]
+}
+
 // checkSession verifies that a set of modules can run concurrently.
 func (p *Plan) checkSession(sess []string) error {
 	for i, a := range sess {

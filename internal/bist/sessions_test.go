@@ -1,10 +1,14 @@
 package bist
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"bistpath/internal/area"
+	"bistpath/internal/benchdata"
+	"bistpath/internal/datapath"
 )
 
 // planOf builds a Plan directly from embeddings, deriving styles the
@@ -153,5 +157,71 @@ func TestCheckSessionRejectsConflict(t *testing.T) {
 	}
 	if err := p.checkSession([]string{"m1"}); err != nil {
 		t.Fatalf("singleton session rejected: %v", err)
+	}
+}
+
+// TestInternedScheduleMatchesScheduleSessions holds the interned
+// scheduler, which scores Pareto leaves and breaks MinimizeSessions
+// ties, to ScheduleSessions. For random complete assignments on the
+// paper designs (both binding modes) and DefaultRandomConfig designs,
+// pads on and off, its sessions read back in name order must equal
+// ScheduleSessions(PlanFromEmbeddings(...)) member for member and in
+// order, and its peak power must equal PlanCost's, under the default
+// weights and with one module overridden to a negative weight.
+func TestInternedScheduleMatchesScheduleSessions(t *testing.T) {
+	type design struct {
+		name string
+		dp   *datapath.Datapath
+	}
+	var designs []design
+	for _, b := range benchdata.All() {
+		for _, trad := range []bool{false, true} {
+			dp, _, _ := buildBench(t, b, trad)
+			designs = append(designs, design{fmt.Sprintf("%s trad=%v", b.Name, trad), dp})
+		}
+	}
+	for seed := int64(1); seed <= 100; seed++ {
+		designs = append(designs, design{fmt.Sprintf("random-%d", seed), buildRandomDP(t, benchdata.DefaultRandomConfig(seed))})
+	}
+	sc := NewScratch()
+	rng := rand.New(rand.NewSource(1))
+	for _, d := range designs {
+		name, dp := d.name, d.dp
+		for _, pads := range []bool{true, false} {
+			opts := DefaultOptions(8)
+			opts.AllowPadHeads = pads
+			sp, err := prepareSpace(dp, opts, sc)
+			if err != nil {
+				continue // a module without embeddings has nothing to schedule
+			}
+			a := &sc.arena
+			a.size(sp.nregs, len(sp.mods))
+			a.prepareSchedule(&sp)
+			genome := make([]int32, len(sp.mods))
+			weights := make([]int, len(sp.mods))
+			for trial := 0; trial < 40; trial++ {
+				var override map[string]int
+				if trial%2 == 1 {
+					override = map[string]int{sp.mods[rng.Intn(len(sp.mods))].name: -50}
+				}
+				power := PowerWeights(opts.Model, dp, override)
+				for i, m := range sp.mods {
+					genome[i] = int32(rng.Intn(len(sp.refs[i])))
+					weights[i] = power[m.name]
+				}
+				n, peak := a.schedule(&sp, genome, weights)
+				got := make([][]string, n)
+				for _, i := range a.byName {
+					got[a.sess[i]] = append(got[a.sess[i]], sp.mods[i].name)
+				}
+				p := PlanFromEmbeddings(opts.Model, sp.embeddingsOf(genome), true)
+				if !reflect.DeepEqual(got, p.Sessions) {
+					t.Fatalf("%s pads=%v genome %v: interned sessions %v, ScheduleSessions %v", name, pads, genome, got, p.Sessions)
+				}
+				if want := PlanCost(p, power).PeakPower; peak != want {
+					t.Fatalf("%s pads=%v genome %v: interned peak power %d, PlanCost %d", name, pads, genome, peak, want)
+				}
+			}
+		}
 	}
 }

@@ -170,9 +170,12 @@ func OptimizeStochasticCtx(ctx context.Context, dp *datapath.Datapath, opts Opti
 	// One cost evaluator over the scratch's arena, which the probe has
 	// finished with.
 	sc.arena.size(sp.nregs, nm)
+	if opts.MinimizeSessions {
+		sc.arena.prepareSchedule(&sp)
+	}
 	ev := newDutyEval(&sp, &sc.arena)
 
-	st := &stochState{sp: &sp, dp: dp, opts: opts, bestCost: -1, bestSessions: -1}
+	st := &stochState{sp: &sp, a: &sc.arena, dp: dp, opts: opts, bestCost: -1, bestSessions: -1}
 	rng := rand.New(rand.NewSource(seed))
 
 	// Phase 2: seeded initial population.
@@ -398,6 +401,7 @@ func (sp *searchSpace) genomeOf(embs map[string]Embedding, genome []int32) bool 
 // of scan order details.
 type stochState struct {
 	sp   *searchSpace
+	a    *searchArena // for schedule
 	dp   *datapath.Datapath
 	opts Options
 
@@ -426,7 +430,7 @@ func (st *stochState) improve(g []int32, cost int) (bool, error) {
 			return false, nil
 		}
 		if st.opts.MinimizeSessions {
-			s := sessionsOfEmbeddings(st.sp.embeddingsOf(g))
+			s, _ := st.a.schedule(st.sp, g, nil)
 			bs := st.sessionsOfBest()
 			if s > bs || (s == bs && !int32Less(g, st.best)) {
 				return false, nil
@@ -452,7 +456,7 @@ func (st *stochState) improve(g []int32, cost int) (bool, error) {
 
 func (st *stochState) sessionsOfBest() int {
 	if st.bestSessions < 0 {
-		st.bestSessions = sessionsOfEmbeddings(st.sp.embeddingsOf(st.best))
+		st.bestSessions, _ = st.a.schedule(st.sp, st.best, nil)
 	}
 	return st.bestSessions
 }
