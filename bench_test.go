@@ -368,7 +368,19 @@ func BenchmarkInterconnectBind_l(b *testing.B) {
 // space, then the branch and bound until its node budget runs out, on a
 // warm Scratch as a Synthesizer handle keeps one.
 func BenchmarkOptimizeExact_xl(b *testing.B) {
-	g, mb, rb := presetBound(b, "xl", 3)
+	benchmarkOptimizeExact(b, "xl", 3)
+}
+
+// Exact BIST search on dfgen l-1, which the branch and bound proves
+// only with its lower bound and greedy seed (a walk without them spends
+// its whole node budget and returns greedy's costlier plan), on a warm
+// Scratch.
+func BenchmarkOptimizeExact_l(b *testing.B) {
+	benchmarkOptimizeExact(b, "l", 1)
+}
+
+func benchmarkOptimizeExact(b *testing.B, preset string, seed int64) {
+	g, mb, rb := presetBound(b, preset, seed)
 	ib, err := interconnect.Bind(g, mb, rb, regassign.NewSharing(g, mb))
 	if err != nil {
 		b.Fatal(err)

@@ -32,6 +32,15 @@ type searchArena struct {
 	taken  []bool  // per session: conflicts with the module being placed
 	load   []int   // per session: summed power weight
 	power  []int   // per module position: power weight (Pareto leaves)
+
+	// The exact search's lower-bound tables (prepareBound), carved from
+	// one slab, and greedy's assignment (search.seed).
+	slab    []int32
+	tailOff []int32 // per module position: where its tails start in tails
+	tails   []int32 // each module position's distinct tail registers
+	packOff []int32 // per depth: where its packing starts in pack
+	pack    []int32 // per depth i: positions in i..n-1 with pairwise disjoint tails
+	greedy  []int32 // greedy's embedding index per module position
 }
 
 func (a *searchArena) size(nregs, nmods int) {
@@ -57,6 +66,59 @@ func (a *searchArena) prepareSchedule(sp *searchSpace) {
 	a.sess, a.taken, a.load, a.power = grow(a.sess, n), grow(a.taken, n), grow(a.load, n), grow(a.power, n)
 }
 
+// prepareBound builds search.lowerBound's tables for sp: each module
+// position's distinct tail registers and, for each depth i, a packing
+// of the positions i..n-1 whose tail sets are pairwise disjoint, taken
+// greedily in canonical order.
+func (a *searchArena) prepareBound(sp *searchSpace) {
+	n := len(sp.mods)
+	tailCap := 0
+	for _, rr := range sp.refs {
+		tailCap += min(len(rr), sp.nregs)
+	}
+	a.slab = grow(a.slab, 2*(n+1)+n*(n+1)/2+sp.nregs+tailCap)
+	rest := a.slab
+	take := func(k int) []int32 {
+		out := rest[:k:k]
+		rest = rest[k:]
+		return out
+	}
+	a.tailOff, a.packOff, a.pack = take(n+1), take(n+1), take(n*(n+1)/2)
+	// mark[t] holds the stamp of the last pass that claimed register t:
+	// i+1 while position i's tails are collected, n+1+d while depth d's
+	// packing is built.
+	mark := take(sp.nregs)
+	clear(mark)
+	a.tails = rest[:0]
+	for i, rr := range sp.refs {
+		a.tailOff[i] = int32(len(a.tails))
+		for _, e := range rr {
+			if mark[e.t] != int32(i+1) {
+				mark[e.t] = int32(i + 1)
+				a.tails = append(a.tails, e.t)
+			}
+		}
+	}
+	a.tailOff[n] = int32(len(a.tails))
+	w := int32(0)
+	for d := 0; d < n; d++ {
+		a.packOff[d] = w
+		stamp := int32(n + 1 + d)
+		for j := d; j < n; j++ {
+			ts := a.tails[a.tailOff[j]:a.tailOff[j+1]]
+			if slices.ContainsFunc(ts, func(t int32) bool { return mark[t] == stamp }) {
+				continue
+			}
+			for _, t := range ts {
+				mark[t] = stamp
+			}
+			a.pack[w] = int32(j)
+			w++
+		}
+	}
+	a.packOff[n] = w
+}
+
 // Scratch owns the optimizer's reusable memory: one search arena plus
 // the enumeration state (embedding slices, interning tables, compact
 // refs) a search builds before it starts. Passing one Scratch
@@ -65,10 +127,11 @@ func (a *searchArena) prepareSchedule(sp *searchSpace) {
 // call.
 //
 // A Scratch serves one Optimize call at a time, and one arena suffices
-// within a call: the exact search finishes before its greedy fallback
-// starts, the stochastic search's exact probe finishes before the
-// genetic search starts, and the Pareto walk before its empty-front
-// fallback. Use one Scratch per synthesis worker.
+// within a call: the exact search runs its greedy seed on the arena's
+// zeroed counters with its own path lifted off them, the stochastic
+// search's exact probe finishes before the genetic search starts, and
+// the Pareto walk before its empty-front fallback. Use one Scratch per
+// synthesis worker.
 type Scratch struct {
 	arena searchArena
 

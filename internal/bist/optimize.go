@@ -59,7 +59,7 @@ func (p *Plan) NumBISTRegisters() int {
 type Options struct {
 	Model         area.Model
 	AllowPadHeads bool // pads may source test patterns (Definition 1)
-	NodeBudget    int  // branch&bound node cap before greedy fallback (0 = default)
+	NodeBudget    int  // branch&bound node cap (0 = default); past it the best plan found returns inexact
 	// MinimizeSessions breaks area ties in favor of plans that schedule
 	// into fewer test sessions (shorter total test time). Area remains
 	// the primary objective — the paper's; this is the natural secondary
@@ -139,7 +139,7 @@ type Options struct {
 // a pure function of the data path and Options.
 type Metrics struct {
 	Nodes       int64 // branch-and-bound nodes expanded
-	BoundPrunes int64 // subtrees cut by the incumbent bound
+	BoundPrunes int64 // subtrees cut by the incumbent bound (and lower bound)
 	Incumbents  int64 // incumbent improvements taken
 	Embeddings  int64 // candidate embeddings enumerated across modules
 
@@ -167,8 +167,11 @@ func DefaultOptions(width int) Options {
 
 // Optimize chooses one embedding per module minimizing the total register
 // upgrade area, then schedules test sessions. The search is exact branch
-// and bound for realistic sizes; beyond the node budget it falls back to
-// a greedy pass with local improvement (Exact reports which).
+// and bound; when it outlives its first 1,024 nodes it also prunes on a
+// lower bound for the unassigned modules and seeds its bound with a
+// greedy pass with local improvement. If the node budget runs out first
+// it returns the best plan found, never worse than the greedy one, with
+// Exact false.
 func Optimize(dp *datapath.Datapath, opts Options) (*Plan, error) {
 	return OptimizeCtx(context.Background(), dp, opts)
 }
@@ -344,11 +347,15 @@ type search struct {
 	opts Options
 	sp   searchSpace
 	// bound is the cost of the best complete solution known: a
-	// warm-start incumbent's until the search finds one of its own
-	// (math.MaxInt when there is neither).
+	// warm-start incumbent's or greedy's until the search finds one of
+	// its own (math.MaxInt when there is none).
 	bound    int
 	found    bool // the search has its own incumbent
 	sessions int  // the incumbent's session count (MinimizeSessions only)
+	// bounded is set at the walk's first poll, which builds the
+	// lower-bound tables and seeds the bound with greedy's cost.
+	bounded    bool
+	greedyCost int // greedy's cost once seed has run, else -1
 
 	nodes, prunes, incumbents int64
 	inexact                   bool // node budget exhausted
@@ -508,31 +515,110 @@ func (s *search) dfs(i int) {
 		return
 	}
 	if s.nodes&1023 == 0 {
-		select {
-		case <-s.ctx.Done():
-			s.cancelled = true
-		default:
-		}
-		if s.opts.Progress != nil {
-			s.opts.Progress(s.nodes)
-		}
+		s.poll(i)
 	}
 	if s.cancelled {
 		return
 	}
-	cost := s.cost
-	// Adding modules never lowers cost, and an equal-cost completion
+	n := len(s.sp.refs)
+	// Adding modules never lowers cost, so no completion costs less than
+	// the committed cost plus lowerBound, and an equal-cost completion
 	// cannot beat the search's own earlier solution in depth-first order
 	// (unless the session tie-break still needs the leaves enumerated).
-	if cost > s.bound || (cost == s.bound && s.found && !s.opts.MinimizeSessions && i < len(s.sp.refs)) {
+	least := s.cost
+	if s.bounded && i < n && least <= s.bound {
+		least += s.lowerBound(i)
+	}
+	if least > s.bound || (least == s.bound && s.found && !s.opts.MinimizeSessions && i < n) {
 		s.prunes++
 		return
 	}
-	if i == len(s.sp.refs) {
-		s.leaf(cost)
+	if i == n {
+		s.leaf(s.cost)
 		return
 	}
 	s.expand(i)
+}
+
+// poll runs every 1,024 nodes, at depth i: it observes cancellation and
+// reports progress, and the first poll switches the bound on. A search
+// that finishes inside its first 1,024 nodes, as nearly every one on a
+// paper-sized design does, thus never pays for the tables or the seed.
+func (s *search) poll(i int) {
+	select {
+	case <-s.ctx.Done():
+		s.cancelled = true
+	default:
+	}
+	if s.opts.Progress != nil {
+		s.opts.Progress(s.nodes)
+	}
+	if s.bounded || s.cancelled {
+		return
+	}
+	s.bounded = true
+	s.a.prepareBound(&s.sp)
+	// greedyAssignment wants a zeroed evaluator: lift the committed path
+	// off the counters while it runs.
+	for k := range i {
+		s.undo(s.sp.refs[k][s.a.cur[k]])
+	}
+	gc := s.seed()
+	for k := range i {
+		s.apply(s.sp.refs[k][s.a.cur[k]])
+	}
+	// The warm-start rule: greedy's plan is not the search's own, so the
+	// equal-cost cut still waits for one, keeping the plan the first
+	// optimum in canonical order.
+	if gc < s.bound {
+		s.bound, s.found = gc, false
+	}
+}
+
+// seed runs greedyAssignment once per search on the zeroed evaluator,
+// into the arena's greedy genome, undoes it and returns its cost: the
+// bound at the first poll and the post-walk fallback share the run.
+func (s *search) seed() int {
+	if s.greedyCost < 0 {
+		s.a.greedy = grow(s.a.greedy, len(s.sp.mods))
+		s.greedyCost = greedyAssignment(&s.sp, &s.dutyEval, s.a.greedy)
+		for k, g := range s.a.greedy {
+			s.undo(s.sp.refs[k][g])
+		}
+	}
+	return s.greedyCost
+}
+
+// lowerBound returns a lower bound on what completing the positions
+// i..n-1 adds to the committed cost. Every module packed at depth i
+// puts SA duty on one of its own tails, and the packed modules' tails
+// are distinct registers, so each adds at least its cheapest SA
+// marginal under the current duties: 0 on a tail that already has SA
+// or CBILBO duty, BILBO minus TPG on one with TPG duty only, and an SA
+// otherwise. Admissible because style cost is monotone in duties
+// (area.Default keeps 0 <= TPG, SA <= BILBO <= CBILBO), which the
+// committed-cost prune already assumes.
+func (s *search) lowerBound(i int) int {
+	a := s.a
+	lb := 0
+	for _, m := range a.pack[a.packOff[i]:a.packOff[i+1]] {
+		least := math.MaxInt
+		for _, t := range a.tails[a.tailOff[m]:a.tailOff[m+1]] {
+			switch {
+			case a.sa[t] > 0 || a.cb[t] > 0:
+				least = 0
+			case a.tpg[t] > 0:
+				least = min(least, s.exBILBO-s.exTPG)
+			default:
+				least = min(least, s.exSA)
+			}
+			if least == 0 {
+				break
+			}
+		}
+		lb += least
+	}
+	return lb
 }
 
 // leaf considers a complete assignment, which costs at most the bound.
@@ -575,24 +661,17 @@ func OptimizeCtx(ctx context.Context, dp *datapath.Datapath, opts Options) (*Pla
 	if err != nil {
 		return nil, err
 	}
-	mods := sp.mods
-
-	best := make(map[string]Embedding, len(mods))
-	bestCost := -1
-	exact := true
-
 	if opts.Metrics != nil {
 		*opts.Metrics = Metrics{Embeddings: sp.embTotal}
 	}
 	a := &sc.arena
-	if len(mods) == 0 {
-		bestCost = 0
-	} else {
-		a.size(sp.nregs, len(mods))
+	a.size(sp.nregs, len(sp.mods))
+	genome, bestCost, exact := a.bestCur, 0, true
+	if len(sp.mods) > 0 {
 		if opts.MinimizeSessions {
 			a.prepareSchedule(&sp)
 		}
-		s := &search{dutyEval: newDutyEval(&sp, a), ctx: ctx, opts: opts, sp: sp, bound: math.MaxInt}
+		s := &search{dutyEval: newDutyEval(&sp, a), ctx: ctx, opts: opts, sp: sp, bound: math.MaxInt, greedyCost: -1}
 		if cost, ok := incumbentBound(dp, opts); ok {
 			s.bound = cost
 		}
@@ -606,28 +685,17 @@ func OptimizeCtx(ctx context.Context, dp *datapath.Datapath, opts Options) (*Pla
 			opts.Metrics.Incumbents = s.incumbents
 		}
 		exact = !s.inexact
-		if s.found {
-			for i, m := range mods {
-				best[m.name] = m.embs[a.bestCur[i]]
+		bestCost = s.bound
+		// A walk without a plan of its own returns greedy's; one the
+		// budget cut short returns greedy's where that is cheaper.
+		if !s.found || s.inexact {
+			if gc := s.seed(); !s.found || gc < bestCost {
+				genome, bestCost = a.greedy, gc
 			}
-			bestCost = s.bound
 		}
 	}
 
-	if bestCost < 0 || !exact {
-		// Greedy fallback (also used when the budget ran out before any
-		// complete solution, which cannot happen with the default budget
-		// but is handled for safety).
-		a.size(sp.nregs, len(mods))
-		ev := newDutyEval(&sp, a)
-		genome := make([]int32, len(mods))
-		gc := greedyAssignment(&sp, &ev, genome)
-		if bestCost < 0 || gc < bestCost {
-			best = sp.embeddingsOf(genome)
-			bestCost = gc
-		}
-	}
-
+	best := sp.embeddingsOf(genome)
 	plan := &Plan{
 		Embeddings: best,
 		Styles:     stylesOf(best),

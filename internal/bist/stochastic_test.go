@@ -36,8 +36,10 @@ func buildRandomDP(t testing.TB, cfg benchdata.RandomConfig) *datapath.Datapath 
 	return dp
 }
 
-// mediumConfig is a random shape past AutoExactBits but still quick to
-// search; largeConfig blows the exact node budget entirely.
+// mediumConfig is a random shape past AutoExactBits; largeConfig, the
+// dfgen l shape, is larger still. The exact search proves every seed
+// these tests use well inside its default budget, so the tests that
+// exercise the genetic operators disable the exact probe.
 func mediumConfig(seed int64) benchdata.RandomConfig {
 	return benchdata.RandomConfig{
 		Seed: seed, Steps: 14, OpsPerStep: 4, Inputs: 6,
