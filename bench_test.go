@@ -324,6 +324,28 @@ func BenchmarkRegisterBind(b *testing.B) {
 	}
 }
 
+// The paper's register binder on dfgen xl-3, the largest design in
+// perfbench's large-designs workload, on a warm Scratch as a
+// Synthesizer handle keeps one.
+func BenchmarkRegisterBind_xl(b *testing.B) {
+	cfg, _ := benchdata.Preset("xl", 3)
+	g, mb, err := benchdata.RandomWithModules(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := regassign.DefaultOptions()
+	opts.Scratch = regassign.NewScratch()
+	if _, err := regassign.Bind(g, mb, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := regassign.Bind(g, mb, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBISTOptimize(b *testing.B) {
 	dp := builtDatapath(b, "tseng1", false)
 	b.ResetTimer()

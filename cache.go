@@ -145,10 +145,11 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // flightOutcome is what one singleflight execution publishes: the
-// master Result and whether it was recovered from the disk layer.
+// master Result and whether it was served without a synthesis (from the
+// memory layer or recovered from the disk layer).
 type flightOutcome struct {
-	res      *Result
-	fromDisk bool
+	res *Result
+	hit bool
 }
 
 // synthesize is the cache-enabled synthesis path: memory lookup, then a
@@ -163,7 +164,7 @@ func (c *Cache) synthesize(ctx context.Context, g *dfg.Graph, mb *modassign.Bind
 			return c.serve(v.(*Result), cfg, g.Name, true), nil
 		}
 		v, err, shared := c.flight.Do(ctx, key, func() (any, error) {
-			return c.fill(ctx, g, mb, cfg, key, sc)
+			return c.lead(ctx, g, mb, cfg, key, sc)
 		})
 		if err != nil {
 			if shared && isContextError(err) && ctx.Err() == nil {
@@ -174,7 +175,7 @@ func (c *Cache) synthesize(ctx context.Context, g *dfg.Graph, mb *modassign.Bind
 			return nil, err
 		}
 		out := v.(flightOutcome)
-		hit := out.fromDisk
+		hit := out.hit
 		if shared {
 			c.coalesced.Add(1)
 			expCacheHits.Add(1)
@@ -182,6 +183,20 @@ func (c *Cache) synthesize(ctx context.Context, g *dfg.Graph, mb *modassign.Bind
 		}
 		return c.serve(out.res, cfg, g.Name, hit), nil
 	}
+}
+
+// lead is the body of a flight for key. It re-probes the memory layer
+// before filling: the probe in synthesize runs outside the flight, so a
+// caller whose probe missed just before another flight stored key can
+// reach Do after that flight has ended and lead a new one. It is then
+// served the stored Result as a memory hit instead of synthesizing again.
+func (c *Cache) lead(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config, key cache.Key, sc *synthScratch) (any, error) {
+	if v, ok := c.mem.Get(key); ok {
+		c.memHits.Add(1)
+		expCacheHits.Add(1)
+		return flightOutcome{res: v.(*Result), hit: true}, nil
+	}
+	return c.fill(ctx, g, mb, cfg, key, sc)
 }
 
 // fill runs as a flight leader: one pipeline pass, offered the disk
@@ -206,7 +221,7 @@ func (c *Cache) fill(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, c
 		expCacheHits.Add(1)
 		expCacheDiskHits.Add(1)
 		c.store(key, res)
-		return flightOutcome{res: res, fromDisk: true}, nil
+		return flightOutcome{res: res, hit: true}, nil
 	}
 	c.misses.Add(1)
 	expCacheMisses.Add(1)

@@ -331,6 +331,44 @@ func TestCacheConcurrentStorm(t *testing.T) {
 	}
 }
 
+// A caller whose memory probe misses just before another flight stores
+// its key can reach the singleflight after that flight has ended, and so
+// lead a flight of its own: the race behind TestCacheConcurrentStorm's
+// occasional second miss. Replayed deterministically by calling the
+// leader once the key is stored, it must serve the stored Result from
+// memory rather than synthesize again.
+func TestCacheLeaderServesStoredResult(t *testing.T) {
+	c := newTestCache(t, CacheOptions{})
+	d, mods, err := Benchmark("paulin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Cache = c
+	if _, err := d.SynthesizeCtx(context.Background(), mods, cfg); err != nil {
+		t.Fatal(err)
+	}
+	mb, err := d.moduleBinding(mods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cacheKey(d.g, mb, cfg)
+	stored, ok := c.mem.Get(key)
+	if !ok {
+		t.Fatal("the first synthesis stored nothing under its key")
+	}
+	v, err := c.lead(context.Background(), d.g, mb, cfg, key, newSynthScratch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := v.(flightOutcome); out.res != stored.(*Result) || !out.hit {
+		t.Fatalf("leader returned a fresh synthesis (hit=%v), not the stored Result", out.hit)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.MemoryHits != 1 {
+		t.Fatalf("misses = %d, memory hits = %d; want 1 and 1", st.Misses, st.MemoryHits)
+	}
+}
+
 // A handle's Config.Cache shares one cache across a batch: duplicate
 // jobs coalesce and the results stay byte-identical to an uncached batch.
 func TestCacheBatchCoalesce(t *testing.T) {

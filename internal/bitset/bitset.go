@@ -98,6 +98,16 @@ func (s Set) AndNotCount(t Set) int {
 	return n
 }
 
+// OrCount returns the number of bits set in s or t, |s ∪ t|, without
+// materializing the union (equal word counts).
+func (s Set) OrCount(t Set) int {
+	n := 0
+	for i, w := range s {
+		n += bits.OnesCount64(w | t[i])
+	}
+	return n
+}
+
 // Matrix is n rows of equal-width bit sets in one contiguous backing
 // array — one allocation for a whole adjacency or incidence relation.
 type Matrix struct {

@@ -50,6 +50,11 @@ func TestSetAlgebra(t *testing.T) {
 	if got := a.AndNotCount(b); got != 2 {
 		t.Fatalf("AndNotCount = %d, want 2", got)
 	}
+	b.Set(2)
+	if got, want := a.OrCount(b), 4; got != want || b.OrCount(a) != want {
+		t.Fatalf("OrCount = %d/%d, want %d", got, b.OrCount(a), want)
+	}
+	b.Clear(2)
 	c := Make(100)
 	c.Or(a)
 	c.Or(b)

@@ -1,6 +1,7 @@
 package dfg
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -144,6 +145,53 @@ func TestOverlaps(t *testing.T) {
 		}
 		if got := c.b.Overlaps(c.a); got != c.want {
 			t.Errorf("overlap not symmetric for %v, %v", c.a, c.b)
+		}
+	}
+}
+
+// TestCliqueSizesMatchesCounting checks CliqueSizes' difference array
+// against the definition: count, per step, the lifetimes occupying a
+// register during it. The scratch profile is handed back dirty.
+func TestCliqueSizesMatchesCounting(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var dens []int32
+	for trial := 0; trial < 200; trial++ {
+		lts := make([]Lifetime, rng.Intn(12))
+		for i := range lts {
+			born := rng.Intn(10)
+			lts[i] = Lifetime{Born: born, Dies: born + 1 + rng.Intn(5)}
+		}
+		occupied := func(lt Lifetime, step int) bool { return lt.Born < step && step <= lt.Dies }
+		density := func(step int) int32 {
+			n := int32(0)
+			for _, lt := range lts {
+				if occupied(lt, step) {
+					n++
+				}
+			}
+			return n
+		}
+		wantMax := int32(0)
+		for step := 1; step <= 15; step++ {
+			wantMax = max(wantMax, density(step))
+		}
+		mcs := make([]int32, len(lts))
+		var got int
+		got, dens = CliqueSizes(lts, mcs, dens)
+		if got != int(wantMax) {
+			t.Fatalf("trial %d: max density %d, want %d (%v)", trial, got, wantMax, lts)
+		}
+		for i, lt := range lts {
+			want := int32(0)
+			for step := lt.Born + 1; step <= lt.Dies; step++ {
+				want = max(want, density(step))
+			}
+			if mcs[i] != want {
+				t.Fatalf("trial %d: MCS(%v) = %d, want %d (%v)", trial, lt, mcs[i], want, lts)
+			}
+		}
+		if k, _ := CliqueSizes(lts, nil, nil); k != got {
+			t.Fatalf("trial %d: without mcs, max density %d, want %d", trial, k, got)
 		}
 	}
 }

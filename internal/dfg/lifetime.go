@@ -99,68 +99,84 @@ func (g *Graph) Conflicts() (map[string]map[string]bool, error) {
 	return out, nil
 }
 
-// Density returns, for each control-step boundary t in [1, NumSteps()+1],
-// the number of variables alive across it (occupying a register during
-// step t). The maximum density equals the minimum number of registers
-// required and the size of the largest clique of the conflict graph.
-func (g *Graph) Density() ([]int, error) {
+// CliqueSizes measures the interval conflict graph of a set of lifetimes
+// from its density profile, the number of lifetimes occupying a register
+// during each control step. It writes into mcs[i] the size of the largest
+// clique containing lts[i] — the maximum density over its occupancy
+// interval, the MCS(v) measure of the paper (Section III.A.1) — and
+// returns the maximum density overall, which is both the largest clique
+// and the minimum number of registers any binding needs. mcs may be nil.
+// dens is scratch for the profile; it comes back, possibly grown, for
+// reuse.
+func CliqueSizes(lts []Lifetime, mcs, dens []int32) (int, []int32) {
+	last := 0
+	for _, lt := range lts {
+		last = max(last, lt.Dies)
+	}
+	// A difference array over steps, then prefix sums: a lifetime
+	// occupies a register during steps Born+1 .. Dies.
+	if cap(dens) < last+2 {
+		dens = make([]int32, last+2)
+	}
+	dens = dens[:last+2]
+	clear(dens)
+	for _, lt := range lts {
+		dens[lt.Born+1]++
+		dens[lt.Dies+1]--
+	}
+	maxDens := int32(0)
+	for t := 1; t <= last; t++ {
+		dens[t] += dens[t-1]
+		maxDens = max(maxDens, dens[t])
+	}
+	if mcs != nil {
+		for i, lt := range lts {
+			m := int32(0)
+			for t := lt.Born + 1; t <= lt.Dies; t++ {
+				m = max(m, dens[t])
+			}
+			mcs[i] = m
+		}
+	}
+	return int(maxDens), dens
+}
+
+// lifetimeList returns the lifetimes of Lifetimes in no particular order.
+func (g *Graph) lifetimeList() ([]Lifetime, error) {
 	lts, err := g.Lifetimes()
 	if err != nil {
 		return nil, err
 	}
-	last := 0
+	out := make([]Lifetime, 0, len(lts))
 	for _, lt := range lts {
-		if lt.Dies > last {
-			last = lt.Dies
-		}
+		out = append(out, lt)
 	}
-	dens := make([]int, last+1) // index = step, 1-based; index 0 unused
-	for _, lt := range lts {
-		for t := lt.Born + 1; t <= lt.Dies && t <= last; t++ {
-			dens[t]++
-		}
-	}
-	return dens[1:], nil
+	return out, nil
 }
 
 // MinRegisters returns the minimum number of registers needed by any valid
 // binding, i.e. the maximum lifetime density.
 func (g *Graph) MinRegisters() (int, error) {
-	dens, err := g.Density()
+	lts, err := g.lifetimeList()
 	if err != nil {
 		return 0, err
 	}
-	max := 0
-	for _, d := range dens {
-		if d > max {
-			max = d
-		}
-	}
-	return max, nil
+	k, _ := CliqueSizes(lts, nil, nil)
+	return k, nil
 }
 
 // MaxCliqueSize returns, for each variable v, the size of the largest
-// conflict-graph clique containing v. For interval graphs this is the
-// maximum lifetime density over v's own occupancy interval. This is the
-// MCS(v) measure of the paper (Section III.A.1).
+// conflict-graph clique containing v (see CliqueSizes).
 func (g *Graph) MaxCliqueSize() (map[string]int, error) {
-	lts, err := g.Lifetimes()
+	lts, err := g.lifetimeList()
 	if err != nil {
 		return nil, err
 	}
-	dens, err := g.Density()
-	if err != nil {
-		return nil, err
-	}
+	mcs := make([]int32, len(lts))
+	CliqueSizes(lts, mcs, nil)
 	out := make(map[string]int, len(lts))
-	for name, lt := range lts {
-		max := 0
-		for t := lt.Born + 1; t <= lt.Dies && t <= len(dens); t++ {
-			if dens[t-1] > max {
-				max = dens[t-1]
-			}
-		}
-		out[name] = max
+	for i, lt := range lts {
+		out[lt.Var] = int(mcs[i])
 	}
 	return out, nil
 }

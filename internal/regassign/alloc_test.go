@@ -35,9 +35,25 @@ func TestBindScratchSteadyStateAllocs(t *testing.T) {
 				rb.NumRegisters(), warm.NumRegisters())
 		}
 	})
-	const budget = 120
+	const budget = 40
 	if avg > budget {
 		t.Fatalf("Bind with warm Scratch allocates %.1f allocs/run, want <= %d", avg, budget)
+	}
+}
+
+// Traditional runs on the binder's indexed state, so it too stays
+// within a small pinned budget: the state's rows, the lifetimes map and
+// the returned Binding.
+func TestTraditionalAllocs(t *testing.T) {
+	g := benchdata.Paulin().Graph
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := Traditional(g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 100
+	if avg > budget {
+		t.Fatalf("Traditional allocates %.1f allocs/run, want <= %d", avg, budget)
 	}
 }
 

@@ -1,8 +1,10 @@
 package regassign
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"bistpath/internal/bitset"
@@ -13,29 +15,38 @@ import (
 // binderState is the binder's indexed working set: every variable,
 // module and interconnect endpoint is interned to a small integer once
 // per Bind call, and every relation the coloring loop queries — the
-// conflict graph, module input/output incidence, per-instance operand
-// sets, register contents and register source/destination footprints —
-// is a preallocated bitset row over those integers. The inner loops
-// (candidate filtering, sharing degrees, Lemma-2 trials, interconnect
-// scoring) then run without allocating, where the previous map-of-maps
-// representation allocated on every query.
+// conflict graph, module input/output incidence in both directions,
+// per-instance operand sets, register contents and register
+// footprints — is a preallocated bitset row over those integers.
+//
+// Nothing the coloring loop asks is recomputed from scratch. Register
+// footprints (module incidence, interconnect endpoints, Case 2's
+// per-module register counts and the Lemma-2 forced-module flags) are
+// maintained by assign; sharing degrees are popcounts of those rows, and
+// a Lemma-2 trial re-evaluates only the modules the variable touches.
 //
 // The decision semantics are exactly those of the paper binder's
-// original string/map implementation; regassign_test.go and the
-// package-level golden tests pin the outputs byte-for-byte.
+// original scan-everything implementation, kept as referenceBind in
+// bindref_test.go; TestBindMatchesReference and the package-level golden
+// tests pin the outputs bit for bit.
 //
 // A binderState is single-threaded. Reusing one across Bind calls (via
-// Scratch) recycles the backing arrays; init re-dimensions everything
-// for the new graph.
+// Scratch) recycles the backing arrays; initVars and initModules
+// re-dimension everything for the new graph.
 type binderState struct {
 	names []string // var id -> name (lexicographic, so id order = name order)
 	varID map[string]int32
+	lts   map[string]dfg.Lifetime // the bind's one Lifetimes pass, reused by validate
+	life  []dfg.Lifetime          // var id -> lifetime
+	dens  []int32                 // scratch for dfg.CliqueSizes' density profile
 
 	conf bitset.Matrix // var id -> conflicting var ids
 
 	modNames  []string      // sorted module names (Sharing.Modules order)
 	modIn     bitset.Matrix // module -> input variable ids (alloc vars only)
 	modOut    bitset.Matrix // module -> output variable ids
+	varMIn    bitset.Matrix // var id -> modules it is an input of (modIn transposed)
+	varMOut   bitset.Matrix // var id -> modules it is an output of (modOut transposed)
 	instRow   bitset.Matrix // flattened per-instance operand sets
 	instStart []int32       // module m's instances are rows [instStart[m], instStart[m+1])
 
@@ -51,23 +62,31 @@ type binderState struct {
 	regBits bitset.Matrix // register -> var ids
 	regSrc  bitset.Matrix // register -> source ids
 	regDst  bitset.Matrix // register -> destination ids
+	regMIn  bitset.Matrix // register -> modules whose input set it touches
+	regMOut bitset.Matrix // register -> modules whose output set it touches
 	numRegs int
+	inRegs  []int32 // module -> registers touching its input set
 
-	rank []int32 // PVES elimination priority per var id
-	mcs  []int32 // max clique size per var id
-	sdv  []int32 // SD(v) per var id (Definition 4)
+	// Lemma-2 state, maintained by assign only when lemma2 is set: the
+	// modules the current registers force into a CBILBO, and their count.
+	lemma2  bool
+	forced  bitset.Set
+	nForced int
 
-	// Reusable buffers for the per-variable decision.
-	scheme   []int32
-	alive    bitset.Set
-	nbr      bitset.Set
-	cands    []int
-	ranked   []int
-	div      []int
-	divTmp   []int
-	divSeen  bitset.Set
-	candBits bitset.Set
-	ordered  []int32
+	rank    []int32 // PVES elimination priority per var id (a permutation)
+	ordered []int32 // rank -> var id
+	mcs     []int32 // max clique size per var id
+	sdv     []int32 // SD(v) per var id (Definition 4)
+
+	// Reusable buffers for PVES and the per-variable decision.
+	scheme []int32
+	alive  bitset.Set // var ids not yet eliminated
+	simp   bitset.Set // ranks of alive simplicial vertices
+	nbr    bitset.Set
+	cands  []int
+	keys   []rankKey
+	div    []rankKey
+	busyIn bitset.Set // modules of v's input sets two registers already touch
 }
 
 // Scratch owns a reusable binderState. Passing one Scratch to
@@ -82,12 +101,64 @@ type Scratch struct {
 // NewScratch returns an empty reusable binder scratch.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// init re-dimensions the state for one graph + module binding,
-// recycling backing arrays where capacities allow.
-func (bs *binderState) init(g *dfg.Graph, mb *modassign.Binding) error {
+// initVars interns the graph's register variables and derives the
+// conflict rows from one Lifetimes pass, sizing the register rows and
+// the PVES buffers. Traditional needs nothing more.
+func (bs *binderState) initVars(g *dfg.Graph) error {
 	names := g.AllocVars()
 	nv := len(names)
 	bs.names = names
+	lts, err := g.Lifetimes()
+	if err != nil {
+		return err
+	}
+	bs.lts = lts
+	if cap(bs.life) < nv {
+		bs.life = make([]dfg.Lifetime, nv)
+	}
+	bs.life = bs.life[:nv]
+	for i, n := range names {
+		bs.life[i] = lts[n]
+	}
+
+	// Conflict graph straight from the lifetimes (the same relation
+	// dfg.Conflicts materializes as nested maps).
+	bs.conf.Grow(nv, nv)
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
+			if bs.life[i].Overlaps(bs.life[j]) {
+				bs.conf.Row(i).Set(j)
+				bs.conf.Row(j).Set(i)
+			}
+		}
+	}
+
+	// Register rows: at most one register per variable.
+	bs.regBits.Grow(nv, nv)
+	if cap(bs.regVars) < nv {
+		bs.regVars = make([][]int32, nv)
+	}
+	bs.regVars = bs.regVars[:nv]
+	for i := range bs.regVars {
+		bs.regVars[i] = bs.regVars[i][:0]
+	}
+	bs.numRegs = 0
+
+	bs.rank = growInt32(bs.rank, nv)
+	bs.ordered = growInt32(bs.ordered, nv)
+	bs.scheme = growInt32(bs.scheme, nv)
+	bs.alive = growSet(bs.alive, nv)
+	bs.simp = growSet(bs.simp, nv)
+	bs.nbr = growSet(bs.nbr, nv)
+	return nil
+}
+
+// initModules interns the module binding: incidence rows in both
+// directions, instance operand rows, interconnect endpoints and the
+// register footprint rows, then SD(v) per variable.
+func (bs *binderState) initModules(g *dfg.Graph, mb *modassign.Binding) {
+	names := bs.names
+	nv := len(names)
 	if bs.varID == nil {
 		bs.varID = make(map[string]int32, nv)
 	} else {
@@ -95,22 +166,6 @@ func (bs *binderState) init(g *dfg.Graph, mb *modassign.Binding) error {
 	}
 	for i, n := range names {
 		bs.varID[n] = int32(i)
-	}
-
-	// Conflict graph straight from the lifetimes (the same relation
-	// dfg.Conflicts materializes as nested maps).
-	lts, err := g.Lifetimes()
-	if err != nil {
-		return err
-	}
-	bs.conf.Grow(nv, nv)
-	for i := 0; i < nv; i++ {
-		for j := i + 1; j < nv; j++ {
-			if lts[names[i]].Overlaps(lts[names[j]]) {
-				bs.conf.Row(i).Set(j)
-				bs.conf.Row(j).Set(i)
-			}
-		}
 	}
 
 	// Modules in sorted-name order, matching Sharing.Modules.
@@ -122,6 +177,8 @@ func (bs *binderState) init(g *dfg.Graph, mb *modassign.Binding) error {
 	nm := len(bs.modNames)
 	bs.modIn.Grow(nm, nv)
 	bs.modOut.Grow(nm, nv)
+	bs.varMIn.Grow(nv, nm)
+	bs.varMOut.Grow(nv, nm)
 	totalInst := 0
 	for _, m := range mb.Modules {
 		totalInst += len(m.Ops)
@@ -137,6 +194,7 @@ func (bs *binderState) init(g *dfg.Graph, mb *modassign.Binding) error {
 			for _, a := range op.Args {
 				if id, ok := bs.varID[a]; ok {
 					bs.modIn.Row(mi).Set(int(id))
+					bs.varMIn.Row(int(id)).Set(mi)
 					bs.instRow.Row(int(row)).Set(int(id))
 				}
 				// Port-fed operands have no register bit: they can never
@@ -144,6 +202,7 @@ func (bs *binderState) init(g *dfg.Graph, mb *modassign.Binding) error {
 			}
 			if id, ok := bs.varID[op.Result]; ok {
 				bs.modOut.Row(mi).Set(int(id))
+				bs.varMOut.Row(int(id)).Set(mi)
 			}
 			row++
 		}
@@ -168,31 +227,20 @@ func (bs *binderState) init(g *dfg.Graph, mb *modassign.Binding) error {
 		}
 	}
 
-	// Register rows: at most one register per variable.
-	bs.regBits.Grow(nv, nv)
 	bs.regSrc.Grow(nv, nm+nv)
 	bs.regDst.Grow(nv, nm+1)
-	if cap(bs.regVars) < nv {
-		bs.regVars = make([][]int32, nv)
-	}
-	bs.regVars = bs.regVars[:nv]
-	for i := range bs.regVars {
-		bs.regVars[i] = bs.regVars[i][:0]
-	}
-	bs.numRegs = 0
+	bs.regMIn.Grow(nv, nm)
+	bs.regMOut.Grow(nv, nm)
+	bs.inRegs = growInt32(bs.inRegs, nm)
+	bs.forced = growSet(bs.forced, nm)
+	bs.nForced = 0
+	bs.busyIn = growSet(bs.busyIn, nm)
 
-	bs.rank = growInt32(bs.rank, nv)
 	bs.mcs = growInt32(bs.mcs, nv)
-	bs.scheme = growInt32(bs.scheme, nv)
 	bs.sdv = growInt32(bs.sdv, nv)
 	for v := 0; v < nv; v++ {
-		bs.sdv[v] = int32(bs.sdVar(int32(v)))
+		bs.sdv[v] = int32(bs.varMIn.Row(v).Count() + bs.varMOut.Row(v).Count())
 	}
-	bs.alive = growSet(bs.alive, nv)
-	bs.nbr = growSet(bs.nbr, nv)
-	bs.divSeen = growSet(bs.divSeen, nv)
-	bs.candBits = growSet(bs.candBits, nv)
-	return nil
 }
 
 func growSet(s bitset.Set, n int) bitset.Set {
@@ -235,49 +283,20 @@ func (bs *binderState) instances(mi int) (lo, hi int32) {
 	return bs.instStart[mi], bs.instStart[mi+1]
 }
 
-// --- sharing degrees (Definitions 4 and 5) over bits ---
+// --- sharing degrees (Definitions 4 and 5) ---
 
-func (bs *binderState) sdVar(v int32) int {
-	sd := 0
-	for mi := range bs.modNames {
-		if bs.modIn.Row(mi).Has(int(v)) {
-			sd++
-		}
-		if bs.modOut.Row(mi).Has(int(v)) {
-			sd++
-		}
-	}
-	return sd
-}
+// A register touches I_M exactly when one of its variables is in I_M,
+// so SD(R) and SD(R, v) are popcounts of the register's module rows.
 
 func (bs *binderState) sdReg(r int) int {
-	sd := 0
-	rb := bs.regBits.Row(r)
-	for mi := range bs.modNames {
-		if rb.Intersects(bs.modIn.Row(mi)) {
-			sd++
-		}
-		if rb.Intersects(bs.modOut.Row(mi)) {
-			sd++
-		}
-	}
-	return sd
+	return bs.regMIn.Row(r).Count() + bs.regMOut.Row(r).Count()
 }
 
 // sdRegWith returns SD(R, v): the register's sharing degree with v
 // hypothetically added.
 func (bs *binderState) sdRegWith(r int, v int32) int {
-	sd := 0
-	rb := bs.regBits.Row(r)
-	for mi := range bs.modNames {
-		if rb.Intersects(bs.modIn.Row(mi)) || bs.modIn.Row(mi).Has(int(v)) {
-			sd++
-		}
-		if rb.Intersects(bs.modOut.Row(mi)) || bs.modOut.Row(mi).Has(int(v)) {
-			sd++
-		}
-	}
-	return sd
+	return bs.regMIn.Row(r).OrCount(bs.varMIn.Row(int(v))) +
+		bs.regMOut.Row(r).OrCount(bs.varMOut.Row(int(v)))
 }
 
 func (bs *binderState) deltaSD(r int, v int32) int {
@@ -295,13 +314,46 @@ func (bs *binderState) icScore(r int, v int32) int {
 	return cost
 }
 
-// assign commits variable v to register r, maintaining every register
-// footprint incrementally.
-func (bs *binderState) assign(r int, v int32) {
+// hold records v among register r's variables.
+func (bs *binderState) hold(r int, v int32) {
 	bs.regVars[r] = append(bs.regVars[r], v)
 	bs.regBits.Row(r).Set(int(v))
+}
+
+// assign commits variable v to register r, maintaining every register
+// footprint incrementally: interconnect endpoints, module rows, the
+// per-module count of registers touching each input set and, under
+// Lemma 2, the forced-module flags of v's modules.
+func (bs *binderState) assign(r int, v int32) {
+	bs.hold(r, v)
 	bs.regSrc.Row(r).Set(int(bs.srcOf[v]))
 	bs.regDst.Row(r).Or(bs.dstBits.Row(int(v)))
+	in, rin := bs.varMIn.Row(int(v)), bs.regMIn.Row(r)
+	for wi, w := range in {
+		for fresh := w &^ rin[wi]; fresh != 0; fresh &= fresh - 1 {
+			bs.inRegs[wi<<6+bits.TrailingZeros64(fresh)]++
+		}
+		rin[wi] |= w
+	}
+	bs.regMOut.Row(r).Or(bs.varMOut.Row(int(v)))
+	if !bs.lemma2 {
+		return
+	}
+	out := bs.varMOut.Row(int(v))
+	for wi := range in {
+		for w := in[wi] | out[wi]; w != 0; w &= w - 1 {
+			mi := wi<<6 + bits.TrailingZeros64(w)
+			if now := bs.forcedModule(mi); now != bs.forced.Has(mi) {
+				if now {
+					bs.forced.Set(mi)
+					bs.nForced++
+				} else {
+					bs.forced.Clear(mi)
+					bs.nForced--
+				}
+			}
+		}
+	}
 }
 
 // openRegister starts a fresh register holding v and returns its index.
@@ -314,21 +366,11 @@ func (bs *binderState) openRegister(v int32) int {
 
 // --- Lemma 2 over bits ---
 
-// forcedCount returns how many modules the current (possibly trial)
-// register contents force into a CBILBO, mirroring forcedForModule's
+// forcedModule reports whether the current (possibly trial) register
+// contents force module mi into a CBILBO, mirroring forcedForModule's
 // map formulation exactly: case (i) needs one register holding all
 // output variables and an operand of every instance; case (ii) needs a
 // pair that partitions the outputs, each member hitting every instance.
-func (bs *binderState) forcedCount() int {
-	count := 0
-	for mi := range bs.modNames {
-		if bs.forcedModule(mi) {
-			count++
-		}
-	}
-	return count
-}
-
 func (bs *binderState) forcedModule(mi int) bool {
 	out := bs.modOut.Row(mi)
 	lo, hi := bs.instances(mi)
@@ -381,45 +423,82 @@ func (bs *binderState) pairCoversOut(a, b, out bitset.Set) bool {
 	return true
 }
 
-// forcedCountWith evaluates forcedCount with v hypothetically added to
-// register r — the Lemma-2 trial of the coloring loop, previously a
-// full deep copy of the register sets per candidate.
-func (bs *binderState) forcedCountWith(r int, v int32) int {
+// forcedWith returns the number of forced modules with v hypothetically
+// added to register r — the Lemma-2 trial of the coloring loop. Adding v
+// changes regBits[r] in bit v only, and forcedModule(M) reads register
+// contents only through O_M and M's instance operand rows, which lie
+// inside I_M; so only the modules v is an input or output of can change
+// status, and the maintained count is corrected on those alone.
+func (bs *binderState) forcedWith(r int, v int32) int {
 	rb := bs.regBits.Row(r)
 	rb.Set(int(v))
-	n := bs.forcedCount()
+	n := bs.nForced
+	in, out := bs.varMIn.Row(int(v)), bs.varMOut.Row(int(v))
+	for wi := range in {
+		for w := in[wi] | out[wi]; w != 0; w &= w - 1 {
+			mi := wi<<6 + bits.TrailingZeros64(w)
+			if bs.forced.Has(mi) {
+				n--
+			}
+			if bs.forcedModule(mi) {
+				n++
+			}
+		}
+	}
 	rb.Clear(int(v))
 	return n
 }
 
 // --- PVES (Section III.A.1) over bits ---
 
-// pves computes the perfect vertex elimination scheme minimizing rank
-// at every elimination step, ties broken by ascending id (= ascending
-// name, the same lexicographic tie-break as graph.Undirected.PVES).
+// pves computes the perfect vertex elimination scheme that eliminates,
+// at every step, the alive simplicial vertex of least rank. Simpliciality
+// is hereditary — a simplicial vertex stays simplicial as others are
+// eliminated, since a subset of a clique is a clique — and eliminating u
+// changes only the alive neighbourhoods of u's alive neighbours. So every
+// vertex is tested once, then only those neighbours are re-tested, and
+// bs.simp (indexed by rank) yields the next vertex as its first set bit.
 func (bs *binderState) pves() error {
 	nv := len(bs.names)
 	bs.alive.Reset()
+	bs.simp.Reset()
 	for v := 0; v < nv; v++ {
 		bs.alive.Set(v)
 	}
-	for k := 0; k < nv; k++ {
-		best := int32(-1)
-		for v := 0; v < nv; v++ {
-			if !bs.alive.Has(v) || !bs.simplicial(v) {
-				continue
-			}
-			if best < 0 || bs.rank[v] < bs.rank[best] {
-				best = int32(v)
-			}
+	for v := 0; v < nv; v++ {
+		if bs.simplicial(v) {
+			bs.simp.Set(int(bs.rank[v]))
 		}
-		if best < 0 {
+	}
+	for k := 0; k < nv; k++ {
+		pos := firstSet(bs.simp)
+		if pos < 0 {
 			return fmt.Errorf("graph is not chordal: no simplicial vertex among %d remaining", nv-k)
 		}
+		best := bs.ordered[pos]
 		bs.scheme[k] = best
+		bs.simp.Clear(pos)
 		bs.alive.Clear(int(best))
+		for wi, w := range bs.conf.Row(int(best)) {
+			for w &= bs.alive[wi]; w != 0; w &= w - 1 {
+				u := wi<<6 + bits.TrailingZeros64(w)
+				if ru := int(bs.rank[u]); !bs.simp.Has(ru) && bs.simplicial(u) {
+					bs.simp.Set(ru)
+				}
+			}
+		}
 	}
 	return nil
+}
+
+// firstSet returns the lowest set bit of s, or -1.
+func firstSet(s bitset.Set) int {
+	for wi, w := range s {
+		if w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
 }
 
 // simplicial reports whether v's alive neighborhood induces a clique.
@@ -456,111 +535,68 @@ func (bs *binderState) candidateRegs(v int32) []int {
 	return bs.cands
 }
 
-// insertionSortStable sorts xs stably in place by less over values —
-// the allocation-free replacement for sort.SliceStable on the binder's
-// short candidate lists.
-func insertionSortStable(xs []int, less func(a, b int) bool) {
-	for i := 1; i < len(xs); i++ {
-		x := xs[i]
-		j := i - 1
-		for j >= 0 && less(x, xs[j]) {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = x
-	}
+// rankKey holds one candidate register's ranking inputs for the variable
+// being colored, computed once per candidate.
+type rankKey struct {
+	r     int // register index
+	delta int // ΔSD^v(R)
+	sd    int // SD(R)
+	ic    int // Fig. 6 interconnect estimate
 }
 
-// insertionSortStable32 is insertionSortStable over int32 ids.
-func insertionSortStable32(xs []int32, less func(a, b int32) bool) {
-	for i := 1; i < len(xs); i++ {
-		x := xs[i]
-		j := i - 1
-		for j >= 0 && less(x, xs[j]) {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = x
-	}
-}
-
-// diversion computes the Case 1 / Case 2 candidate registers for v
-// (Section III.A.2), ordered by (ΔSD desc, interconnect asc, SD(R,v)
-// desc, index) — the indexed equivalent of the map-based diversionSet
-// this binder previously used. On return bs.divSeen holds the
-// membership bits of the returned set, which chooseRegister uses to
-// filter the primary ranking without allocating.
-func (bs *binderState) diversion(cands []int, v int32, primary int) []int {
-	sdPrimary := bs.sdRegWith(primary, v)
-	bs.candBits.Reset()
-	for _, c := range cands {
-		bs.candBits.Set(c)
-	}
-	bs.divSeen.Reset()
-
-	// Case 1: v is an output variable of module Mj and some candidate
-	// register already holds an output variable of Mj.
-	for mi := range bs.modNames {
-		if !bs.modOut.Row(mi).Has(int(v)) {
-			continue
-		}
-		for r := 0; r < bs.numRegs; r++ {
-			if r == primary || !bs.candBits.Has(r) || !bs.regBits.Row(r).Intersects(bs.modOut.Row(mi)) {
-				continue
-			}
-			if bs.sdReg(r) > sdPrimary {
-				bs.divSeen.Set(r)
+// divert applies the Case 1 / Case 2 diversion (Section III.A.2) to a
+// primary ranking, in place. The candidates that already hold an output
+// variable of a module v is an output of (Case 1), or an input variable
+// of a module v is an input of whose TPG pair already exists (Case 2),
+// and whose SD(R) exceeds SD(primary, v), move to the front, ordered by
+// (ΔSD desc, interconnect asc, SD(R, v) desc, index); the rest keep
+// their primary order. It reports whether any candidate moved: the
+// primary itself never qualifies, so the first choice changes exactly
+// then.
+func (bs *binderState) divert(ranked []rankKey, v int32) bool {
+	primary := ranked[0]
+	sdPrimary := primary.sd + primary.delta
+	// Because operators are binary, Case 2 applies only when two
+	// registers already hold input variables of the module.
+	busy := bs.busyIn
+	for wi, w := range bs.varMIn.Row(int(v)) {
+		busy[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			if mi := wi<<6 + bits.TrailingZeros64(w); bs.inRegs[mi] >= 2 {
+				busy[wi] |= w & -w
 			}
 		}
 	}
-	// Case 2: v is an input variable of Mj; because operators are binary
-	// the diversion applies only when two registers already hold input
-	// variables of Mj (the module's TPG pair already exists).
-	for mi := range bs.modNames {
-		if !bs.modIn.Row(mi).Has(int(v)) {
-			continue
-		}
-		touching := 0
-		for r := 0; r < bs.numRegs; r++ {
-			if bs.regBits.Row(r).Intersects(bs.modIn.Row(mi)) {
-				touching++
-			}
-		}
-		if touching < 2 {
-			continue
-		}
-		for r := 0; r < bs.numRegs; r++ {
-			if r == primary || !bs.candBits.Has(r) || !bs.regBits.Row(r).Intersects(bs.modIn.Row(mi)) {
-				continue
-			}
-			if bs.sdReg(r) > sdPrimary {
-				bs.divSeen.Set(r)
-			}
+	out := bs.varMOut.Row(int(v))
+	div, n := bs.div[:0], 0
+	for _, k := range ranked {
+		if k.r != primary.r && k.sd > sdPrimary &&
+			(bs.regMOut.Row(k.r).Intersects(out) || bs.regMIn.Row(k.r).Intersects(busy)) {
+			div = append(div, k)
+		} else {
+			ranked[n] = k
+			n++
 		}
 	}
-	out := bs.div[:0]
-	for r := 0; r < bs.numRegs; r++ {
-		if bs.divSeen.Has(r) {
-			out = append(out, r)
-		}
+	bs.div = div
+	if len(div) == 0 {
+		return false
 	}
-	bs.div = out
-	insertionSortStable(out, func(ia, ib int) bool {
-		da, db := bs.deltaSD(ia, v), bs.deltaSD(ib, v)
-		if da != db {
-			return da > db
+	slices.SortFunc(div, func(a, b rankKey) int {
+		if c := cmp.Compare(b.delta, a.delta); c != 0 {
+			return c
 		}
-		ca, cb := bs.icScore(ia, v), bs.icScore(ib, v)
-		if ca != cb {
-			return ca < cb
+		if c := cmp.Compare(a.ic, b.ic); c != 0 {
+			return c
 		}
-		sa, sb := bs.sdRegWith(ia, v), bs.sdRegWith(ib, v)
-		if sa != sb {
-			return sa > sb
+		if c := cmp.Compare(b.sd+b.delta, a.sd+a.delta); c != 0 {
+			return c
 		}
-		return ia < ib
+		return cmp.Compare(a.r, b.r)
 	})
-	return out
+	copy(ranked[len(div):], ranked[:n])
+	copy(ranked, div)
+	return true
 }
 
 // varNames materializes a register's variable names (trace path only).

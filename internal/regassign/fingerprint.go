@@ -11,11 +11,12 @@ import (
 )
 
 // Fingerprint digests exactly the inputs the paper's binder projects the
-// design onto — the working set binderState.init interns — so two
-// (graph, module binding, options) triples with equal fingerprints are
-// guaranteed to produce the identical Binding, decision trace and
-// Metrics. The incremental re-synthesis layer diffs it to decide whether
-// the register-bind phase of a previous run survives an edit.
+// design onto — the working set binderState's initVars and initModules
+// intern — so two (graph, module binding, options) triples with equal
+// fingerprints are guaranteed to produce the identical Binding, decision
+// trace and Metrics. The incremental re-synthesis layer diffs it to
+// decide whether the register-bind phase of a previous run survives an
+// edit.
 //
 // The serialized projection, in order:
 //
@@ -38,7 +39,7 @@ import (
 // of pairwise-overlapping lifetimes and MaxCliqueSize/MinRegisters
 // follow from the conflict rows alone.
 func Fingerprint(g *dfg.Graph, mb *modassign.Binding, opts Options) ([32]byte, error) {
-	// Pairwise lifetime overlaps, exactly as binderState.init builds its
+	// Pairwise lifetime overlaps, exactly as binderState.initVars builds its
 	// conflict rows (g.Conflicts would materialize the same relation as
 	// nested maps — too slow for a per-Resynthesize check).
 	lts, err := g.Lifetimes()

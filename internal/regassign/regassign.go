@@ -1,7 +1,9 @@
 package regassign
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -62,10 +64,18 @@ func (b *Binding) String() string {
 // Validate checks that the binding is a partition of the graph's
 // variables and that no register holds two conflicting variables.
 func (b *Binding) Validate(g *dfg.Graph) error {
-	conf, err := g.Conflicts()
+	lts, err := g.Lifetimes()
 	if err != nil {
 		return err
 	}
+	return b.validate(g, lts)
+}
+
+// validate is Validate over the graph's lifetimes: two variables
+// conflict exactly when their lifetimes overlap. Port inputs have no
+// lifetime, so they conflict with nothing here and fail the port check
+// below instead.
+func (b *Binding) validate(g *dfg.Graph, lts map[string]dfg.Lifetime) error {
 	seen := make(map[string]bool)
 	for _, r := range b.Registers {
 		for i, u := range r.Vars {
@@ -79,8 +89,9 @@ func (b *Binding) Validate(g *dfg.Graph) error {
 			if b.byVar[u] != r.Name {
 				return fmt.Errorf("regassign: index inconsistent for %q", u)
 			}
+			lu := lts[u]
 			for _, v := range r.Vars[i+1:] {
-				if conf[u][v] {
+				if v != u && lu.Overlaps(lts[v]) {
 					return fmt.Errorf("regassign: register %s holds conflicting variables %q and %q", r.Name, u, v)
 				}
 			}
@@ -150,18 +161,37 @@ func DefaultOptions() Options {
 // Traditional binds variables to the minimum number of registers with no
 // testability consideration: optimal chordal coloring of the conflict
 // graph in reverse perfect-elimination order (the "traditional HLS"
-// baseline of Table I).
+// baseline of Table I). It runs on the binder's indexed state: PVES with
+// the identity rank breaks ties lexicographically, as graph.PVES(nil)
+// does, and first-fit over the registers in reverse scheme order picks
+// the lowest free color, as GreedyColor does, so the binding equals
+// OptimalChordalColor's color classes.
 func Traditional(g *dfg.Graph) (*Binding, error) {
-	cg, err := conflictGraph(g)
-	if err != nil {
+	var bs binderState
+	if err := bs.initVars(g); err != nil {
 		return nil, err
 	}
-	colors, err := cg.OptimalChordalColor()
-	if err != nil {
+	nv := len(bs.names)
+	for v := 0; v < nv; v++ {
+		bs.rank[v], bs.ordered[v] = int32(v), int32(v)
+	}
+	if err := bs.pves(); err != nil {
 		return nil, err
 	}
-	b := FromSets(graph.ColorClasses(colors))
-	return b, b.Validate(g)
+	for i := nv - 1; i >= 0; i-- {
+		v := bs.scheme[i]
+		cv := bs.conf.Row(int(v))
+		r := 0
+		for r < bs.numRegs && bs.regBits.Row(r).Intersects(cv) {
+			r++
+		}
+		if r == bs.numRegs {
+			bs.numRegs++
+		}
+		bs.hold(r, v)
+	}
+	b := FromSets(bs.sets())
+	return b, b.validate(g, bs.lts)
 }
 
 // Bind runs the paper's register binder for the given module binding.
@@ -172,44 +202,40 @@ func Bind(g *dfg.Graph, mb *modassign.Binding, opts Options) (*Binding, error) {
 // bindInternal is Bind with an optional decision trace collector. All
 // per-variable work runs on the indexed binderState (binderstate.go):
 // variables, modules and interconnect endpoints are interned once, and
-// the coloring loop queries only bitset rows, so a warm Scratch makes
-// the whole bind essentially allocation-free.
+// the coloring loop queries only bitset rows and maintained counts, so
+// a warm Scratch makes the whole bind essentially allocation-free.
 func bindInternal(g *dfg.Graph, mb *modassign.Binding, opts Options, trace *[]Decision) (*Binding, error) {
 	var local binderState
 	bs := &local
 	if opts.Scratch != nil {
 		bs = &opts.Scratch.bs
 	}
-	if err := bs.init(g, mb); err != nil {
+	if err := bs.initVars(g); err != nil {
 		return nil, err
 	}
-	mcs, err := g.MaxCliqueSize()
-	if err != nil {
-		return nil, err
-	}
-	for i, n := range bs.names {
-		bs.mcs[i] = int32(mcs[n])
-	}
+	bs.initModules(g, mb)
+	bs.lemma2 = opts.AvoidCBILBO
+	var minRegs int
+	minRegs, bs.dens = dfg.CliqueSizes(bs.life, bs.mcs, bs.dens)
 
 	// 1. PVES selection (Section III.A.1): eliminate low-SD, low-MCS
 	// variables first so that high-SD variables are colored first (in
 	// reverse order) while flexibility is maximal. Variable ids are in
 	// name order, so the id tie-break is the lexicographic one.
 	nv := len(bs.names)
-	ordered := bs.ordered[:0]
-	for i := 0; i < nv; i++ {
-		ordered = append(ordered, int32(i))
+	ordered := bs.ordered
+	for i := range ordered {
+		ordered[i] = int32(i)
 	}
-	bs.ordered = ordered
 	if opts.SharingDegree {
-		insertionSortStable32(ordered, func(a, b int32) bool {
-			if bs.sdv[a] != bs.sdv[b] {
-				return bs.sdv[a] < bs.sdv[b]
+		slices.SortFunc(ordered, func(a, b int32) int {
+			if c := cmp.Compare(bs.sdv[a], bs.sdv[b]); c != 0 {
+				return c
 			}
-			if bs.mcs[a] != bs.mcs[b] {
-				return bs.mcs[a] < bs.mcs[b]
+			if c := cmp.Compare(bs.mcs[a], bs.mcs[b]); c != 0 {
+				return c
 			}
-			return a < b
+			return cmp.Compare(a, b)
 		})
 	}
 	for i, v := range ordered {
@@ -220,10 +246,6 @@ func bindInternal(g *dfg.Graph, mb *modassign.Binding, opts Options, trace *[]De
 	}
 
 	// 2. Color in reverse PVES order (Section III.A.2).
-	minRegs, err := g.MinRegisters()
-	if err != nil {
-		return nil, err
-	}
 	for i := nv - 1; i >= 0; i-- {
 		v := bs.scheme[i]
 		d := Decision{Index: nv - i, Var: bs.names[v], SD: int(bs.sdv[v])}
@@ -268,7 +290,7 @@ func bindInternal(g *dfg.Graph, mb *modassign.Binding, opts Options, trace *[]De
 		bs.assign(choice, v)
 	}
 	b := FromSets(bs.sets())
-	return b, b.Validate(g)
+	return b, b.validate(g, bs.lts)
 }
 
 // chooseRegister implements the coloring decision for one vertex:
@@ -278,80 +300,64 @@ func bindInternal(g *dfg.Graph, mb *modassign.Binding, opts Options, trace *[]De
 func chooseRegister(bs *binderState, cands []int, v int32, minRegs int, opts Options, d *Decision) int {
 	// Primary ranking: maximize ΔSD, then SD(R), then minimize estimated
 	// interconnect cost, then lowest index (the left-edge default).
-	ranked := append(bs.ranked[:0], cands...)
-	bs.ranked = ranked
+	ranked := bs.keys[:0]
+	for _, r := range cands {
+		sd := bs.sdReg(r)
+		ranked = append(ranked, rankKey{r: r, delta: bs.sdRegWith(r, v) - sd, sd: sd, ic: bs.icScore(r, v)})
+	}
+	bs.keys = ranked
 	if opts.SharingDegree {
-		insertionSortStable(ranked, func(ia, ib int) bool {
-			da, db := bs.deltaSD(ia, v), bs.deltaSD(ib, v)
-			if da != db {
-				return da > db
+		ties := opts.InterconnectTies
+		slices.SortFunc(ranked, func(a, b rankKey) int {
+			if c := cmp.Compare(b.delta, a.delta); c != 0 {
+				return c
 			}
-			sa, sb := bs.sdReg(ia), bs.sdReg(ib)
-			if sa != sb {
-				return sa > sb
+			if c := cmp.Compare(b.sd, a.sd); c != 0 {
+				return c
 			}
-			if opts.InterconnectTies {
-				ca, cb := bs.icScore(ia, v), bs.icScore(ib, v)
-				if ca != cb {
-					return ca < cb
-				}
+			if c := cmp.Compare(a.ic, b.ic); ties && c != 0 {
+				return c
 			}
-			return ia < ib
+			return cmp.Compare(a.r, b.r)
 		})
 	}
-	primary := ranked[0]
 
 	// Case 1 / Case 2 diversion (Section III.A.2): prefer a register that
 	// already shares the module's output set (Case 1) or one of the two
 	// registers already covering its input set (Case 2), when that
 	// register's established sharing degree exceeds what the primary
 	// choice would reach.
-	if opts.SharingDegree && opts.CaseOverrides {
-		if div := bs.diversion(cands, v, primary); len(div) > 0 {
-			// Reorder in place: the diversion set first (its own order),
-			// then the surviving primary ranking. bs.divSeen still holds
-			// div's membership bits.
-			tmp := append(bs.divTmp[:0], ranked...)
-			bs.divTmp = tmp
-			ranked = append(ranked[:0], div...)
-			for _, r := range tmp {
-				if !bs.divSeen.Has(r) {
-					ranked = append(ranked, r)
-				}
-			}
-			bs.ranked = ranked
-			if ranked[0] != primary {
-				d.Diverted = true
-			}
-		}
+	if opts.SharingDegree && opts.CaseOverrides && bs.divert(ranked, v) {
+		d.Diverted = true
 	}
 
 	// Lemma-2 avoidance (Section III.B): take the best-ranked candidate
 	// that does not increase the number of forced-CBILBO modules; if all
 	// do, allow the assignment (paper: avoided only when possible without
-	// an extra register).
+	// an extra register). The tally counts the evaluation of the current
+	// assignment (the maintained count) plus one per trial.
 	if opts.AvoidCBILBO {
-		// checks tallies the forcedCount evaluations locally and folds
-		// into Metrics once, keeping the loop free of pointer tests.
 		checks := int64(1)
-		defer func() {
-			if opts.Metrics != nil {
-				opts.Metrics.Lemma2Checks += checks
-			}
-		}()
-		base := bs.forcedCount()
-		for _, r := range ranked {
+		choice := -1
+		for _, k := range ranked {
 			checks++
-			if bs.forcedCountWith(r, v) <= base {
-				return r
+			if bs.forcedWith(k.r, v) <= bs.nForced {
+				choice = k.r
+				break
 			}
 			d.Lemma2Skips++
+		}
+		if opts.Metrics != nil {
+			opts.Metrics.Lemma2Checks += checks
+		}
+		if choice >= 0 {
+			return choice
 		}
 		if bs.numRegs < minRegs {
 			return -1 // open a fresh register: free within the budget
 		}
 	}
-	return ranked[0]
+	return ranked[0].r
 }
 
 func conflictGraph(g *dfg.Graph) (*graph.Undirected, error) {
