@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -499,50 +500,53 @@ func reusablePlan(cfg Config) bool {
 // trusts none of it blindly; each phase revalidates its part against the
 // live inputs or recomputes.
 type artifacts struct {
-	// Register bind: reused iff bindFP equals the binder fingerprint of
-	// the live inputs. rb is nil for a disk entry.
-	bindFP [32]byte
-	rb     *regassign.Binding
-	trace  []regassign.Decision
-
-	// The interconnect binding, for the Session's reschedule fast path
-	// (conflict-preserving step edits rebuild only the control program
-	// around the previous netlist; see Session.Resynthesize).
+	// The register and interconnect bindings, for the Session's
+	// reschedule fast path (conflict-preserving step edits rebuild only
+	// the control program around the previous netlist; see
+	// Session.Resynthesize). Both are nil for a disk entry.
+	rb *regassign.Binding
 	ib *interconnect.Binding
 
 	// BIST search: the plan is spliced in place of the search iff the
-	// structure matches — dpFP equals the rebuilt data path's
-	// fingerprint, or keyed marks a disk entry found under the live
+	// structure matches — dp has the rebuilt data path's structure
+	// (sameStructure), or keyed marks a disk entry found under the live
 	// inputs' cache key — and it passes bist.Plan.Revalidate. forced
 	// holds the forced-CBILBO classifications, a pure function of the
 	// same structure.
-	dpFP           string
+	dp             *datapath.Datapath
 	keyed          bool
 	plan           *bist.Plan
 	searchStrategy string
 	forced         map[string]bool
 }
 
-// dpStructuralFP digests the data-path structure the BIST search space
-// is a pure function of: per module (in dp.Modules order) the name,
-// kinds, left/right port sources, destinations and the diagonal flag.
-// The schedule (dp.Steps) is deliberately absent — embeddings do not
-// depend on it, which is exactly why a conflict-preserving reschedule
-// can splice the previous plan. Config inputs of the search (width,
-// AllowPadTPG, MinimizeSessions, Seed, ...) are not folded in either:
-// the Session pins its Config at creation, so they cannot drift between
-// the runs being compared.
-func dpStructuralFP(dp *datapath.Datapath) string {
-	var sb strings.Builder
-	for _, m := range dp.Modules {
-		fmt.Fprintf(&sb, "%s %v L%v R%v D%v diag%t\n",
-			m.Name, m.Kinds, m.Left, m.Right, m.Dests, dp.ModuleDiagonal(m.Name))
+// sameStructure reports whether two data paths agree on everything the
+// BIST search space is a pure function of: per module (in Modules
+// order) the name, kinds, left/right port sources, destinations and the
+// diagonal flag, and per register the name and sources. The schedule
+// (Steps) is deliberately not compared — embeddings do not depend on
+// it, which is exactly why a conflict-preserving reschedule can splice
+// the previous plan. Config inputs of the search (width, AllowPadTPG,
+// MinimizeSessions, ...) are not compared either: the Session pins its
+// Config at creation, so they cannot drift between the runs compared.
+func sameStructure(a, b *datapath.Datapath) bool {
+	if len(a.Modules) != len(b.Modules) || len(a.Regs) != len(b.Regs) {
+		return false
 	}
-	fmt.Fprintf(&sb, "regs %d\n", len(dp.Regs))
-	for _, r := range dp.Regs {
-		fmt.Fprintf(&sb, "reg %s S%v\n", r.Name, r.Sources)
+	for i, m := range a.Modules {
+		n := b.Modules[i]
+		if m.Name != n.Name || !slices.Equal(m.Kinds, n.Kinds) ||
+			!slices.Equal(m.Left, n.Left) || !slices.Equal(m.Right, n.Right) ||
+			!slices.Equal(m.Dests, n.Dests) || a.ModuleDiagonal(m.Name) != b.ModuleDiagonal(n.Name) {
+			return false
+		}
 	}
-	return sb.String()
+	for i, r := range a.Regs {
+		if r.Name != b.Regs[i].Name || !slices.Equal(r.Sources, b.Regs[i].Sources) {
+			return false
+		}
+	}
+	return true
 }
 
 // synthesizePipeline runs the synthesis pipeline on a normalized cfg.
@@ -553,15 +557,14 @@ func dpStructuralFP(dp *datapath.Datapath) string {
 // the phase that produced them. A nil sc simply allocates fresh state
 // (the Results are identical either way).
 //
-// prior, when non-nil, offers the artifacts of an earlier run, and each
-// phase applies one revalidate-or-recompute step to its part: the
-// register binding is reused on a binder-fingerprint match; the plan is
-// spliced on a structural match once it revalidates, and otherwise
-// warm-starts the MinArea search as its incumbent bound. Reuse never
-// changes the Result's content — only Stats.ReusedPhases and the effort
-// counters, which record the work this pass actually did, betray it.
-// capture asks for this run's artifacts (a Session's next prior); cold
-// runs leave it false and compute no fingerprints.
+// prior, when non-nil, offers the artifacts of an earlier run. Every
+// phase up to the data path runs; the BIST search then splices the
+// prior plan on a structural match once it revalidates, and otherwise
+// warm-starts the MinArea search with it as the incumbent bound. Reuse
+// never changes the Result's content — only Stats.ReusedPhases and the
+// effort counters, which record the work this pass actually did, betray
+// it. capture asks for this run's artifacts (a Session's next prior);
+// cold runs leave it false and precompute nothing for a next run.
 func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config,
 	sc *synthScratch, prior *artifacts, capture bool) (res *Result, art *artifacts, retErr error) {
 	if err := ctx.Err(); err != nil {
@@ -614,7 +617,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	var rb *regassign.Binding
 	var trace []regassign.Decision
 	var rm regassign.Metrics
-	var bindFP [32]byte
 	if err := phase(PhaseRegisterBind, &st.RegisterBind, func() error {
 		ropts := regassign.Options{
 			SharingDegree:    cfg.Sharing,
@@ -625,23 +627,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		}
 		if sc != nil {
 			ropts.Scratch = sc.bind
-		}
-		// A binder-fingerprint match with the prior run proves the binder
-		// would make the identical decisions, so its binding and decision
-		// trace are reused. (This also covers TraditionalHLS: its chordal
-		// coloring depends only on the conflict rows the fingerprint
-		// digests.)
-		if capture || (prior != nil && prior.rb != nil) {
-			fp, err := regassign.Fingerprint(g, mb, ropts)
-			if err != nil {
-				return err
-			}
-			bindFP = fp
-			if prior != nil && prior.rb != nil && fp == prior.bindFP {
-				rb, trace = prior.rb, prior.trace
-				st.ReusedPhases = append(st.ReusedPhases, PhaseRegisterBind.String())
-				return nil
-			}
 		}
 		var err error
 		switch {
@@ -688,17 +673,13 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	var plan *bist.Plan
 	var front []*bist.Plan
 	var bm bist.Metrics
-	var dpFP string
-	if capture || (prior != nil && prior.dpFP != "") {
-		dpFP = dpStructuralFP(dp)
-	}
-	sameStructure := prior != nil && (prior.keyed || (prior.dpFP != "" && dpFP == prior.dpFP))
+	sameDP := prior != nil && (prior.keyed || (prior.dp != nil && sameStructure(prior.dp, dp)))
 	if err := phase(PhaseBISTSearch, &st.BISTSearch, func() error {
 		// Splice: a reusable plan is a pure function of the data-path
 		// structure, so under a structural match the prior plan IS the
 		// search result — once rebuilt from its embeddings and
 		// revalidated against the fresh data path.
-		if sameStructure && prior.plan != nil && reusablePlan(cfg) {
+		if sameDP && prior.plan != nil && reusablePlan(cfg) {
 			p := bist.PlanFromEmbeddings(area.Default(cfg.Width), prior.plan.Embeddings, prior.plan.Exact)
 			if p.Revalidate(dp, cfg.AllowPadTPG) == nil {
 				plan = p
@@ -790,7 +771,7 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	// capturing runs otherwise compute it once here for the next round
 	// (other runs let assemble derive it per module, allocation-free).
 	var forced map[string]bool
-	if sameStructure && prior.forced != nil {
+	if sameDP && prior.forced != nil {
 		forced = prior.forced
 	} else if capture {
 		forced = make(map[string]bool, len(mb.Modules))
@@ -814,8 +795,8 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	recordRun(&st)
 	if capture {
 		art = &artifacts{
-			bindFP: bindFP, rb: rb, trace: trace, ib: ib,
-			dpFP: dpFP, plan: plan, searchStrategy: st.SearchStrategy, forced: forced,
+			rb: rb, ib: ib,
+			dp: dp, plan: plan, searchStrategy: st.SearchStrategy, forced: forced,
 		}
 	}
 	return res, art, nil

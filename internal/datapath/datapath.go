@@ -184,8 +184,9 @@ func buildSteps(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, ib *
 // re-synthesis layer's datapath phase for edits that change nothing but
 // control steps: the caller must guarantee g is structurally identical
 // to the graph dp was built from — same operations, operand wiring,
-// port marks and bindings — which the Session proves by fingerprint
-// before taking this path.
+// port marks and bindings — which the Session proves by equal
+// lifetime-overlap matrices and an identical module binding before
+// taking this path.
 func (dp *Datapath) WithSchedule(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, ib *interconnect.Binding) (*Datapath, error) {
 	lts, err := g.Lifetimes()
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"bistpath/internal/cache"
 	"bistpath/internal/dfg"
 	"bistpath/internal/modassign"
 )
@@ -16,15 +15,15 @@ import (
 // design that can be edited in place and re-synthesized, with the
 // pipeline reusing whatever the edit provably did not invalidate. The
 // mutators (SetStep, ReplaceOp, RemapModule, RetimePort) apply the edit
-// immediately and record it as a typed Delta; Resynthesize then offers
-// the previous run's artifacts to the pipeline, which carries forward
-// whatever still revalidates:
+// immediately and record it as a typed Delta; Resynthesize then
+// compares the live design with the previous run it retains and carries
+// forward whatever still revalidates:
 //
-//   - the canonical cache key is unchanged → the previous Result is
+//   - no edit since the last successful run → the previous Result is
 //     replayed outright;
-//   - the register binder's fingerprint still matches (e.g. a
-//     reschedule that preserves every lifetime overlap) → the
-//     register-bind phase is skipped and the previous binding reused;
+//   - only step edits that preserve every lifetime overlap and the
+//     module binding → the previous netlist and plan are reused and
+//     only the control program is rebuilt;
 //   - the rebuilt data path is structurally identical → the previous
 //     BIST plan is revalidated and spliced in place of the search;
 //   - otherwise the previous plan warm-starts the branch and bound as
@@ -56,15 +55,13 @@ type Session struct {
 }
 
 // sessionState is the survivable residue of one successful Resynthesize:
-// the cache key of the inputs it ran on, the reusable phase artifacts
-// it captured, a private clone of its Result, and the wall
-// time of the most recent run that reused nothing (the baseline
-// IncrementalSpeedup is measured against). The module binding and the
-// lifetime-overlap matrix back the reschedule fast path, which must
-// decide "did this step edit preserve every overlap?" without paying
-// for serialization or hashing.
+// the reusable phase artifacts it captured, a private clone of its
+// Result, and the wall time of the most recent run that reused nothing
+// (the baseline IncrementalSpeedup is measured against). The module
+// binding and the lifetime-overlap matrix back the reschedule fast
+// path, which must decide "did this step edit preserve every overlap?"
+// without paying for serialization or hashing.
 type sessionState struct {
-	key       cache.Key // zero after a fast-path run (see fastReschedule)
 	arts      *artifacts
 	result    *Result
 	coldTotal time.Duration
@@ -155,8 +152,8 @@ func (s *Synthesizer) NewSessionConfig(d *DFG, opToModule map[string]string, cfg
 	if closed {
 		return nil, ErrSynthesizerClosed
 	}
-	// Normalize once so the cache keys computed across the session's
-	// lifetime agree with what the pipeline actually runs.
+	// Normalize once so every run of the session sees the Config the
+	// pipeline actually runs.
 	cfg = cfg.normalized()
 	cfg.Cache = nil
 	var m map[string]string
@@ -316,13 +313,18 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 	}
 	start := time.Now()
 
+	// Every successful mutator records a delta, so none pending means
+	// the design is the one the previous run synthesized: replay it.
+	if ss.prev != nil && len(ss.deltas) == 0 {
+		return ss.replay(allPhaseNames(), start), nil
+	}
+
 	// Reschedule fast path: if every pending edit is a SetStep and the
 	// new schedule preserves the lifetime-overlap matrix and the module
 	// binding, the previous run's netlist and plan are reusable
 	// wholesale — only the control program is rebuilt. This sidesteps
-	// the pipeline (and all its fingerprint hashing) entirely;
-	// correctness rests on those two comparisons plus the differential
-	// property/fuzz tests.
+	// the pipeline entirely; correctness rests on those two comparisons
+	// plus the differential property/fuzz tests.
 	if res, handled, err := ss.fastReschedule(start); handled {
 		return res, err
 	}
@@ -340,27 +342,10 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 		return nil, phaseError(ss.g.Name, PhaseValidate, err)
 	}
 
-	// An unchanged cache key means no edit reached the pipeline's inputs
-	// (e.g. a step edit that was immediately undone): replay the
-	// previous Result.
-	key := cacheKey(ss.g, mb, ss.cfg)
-	if prev := ss.prev; prev != nil && key == prev.key {
-		res := prev.result.clone()
-		st := res.Stats // the populating run's stats, replayed
-		st.ReusedPhases = allPhaseNames()
-		st.IncrementalSpeedup = 0
-		if el := time.Since(start); prev.coldTotal > 0 && el > 0 {
-			st.IncrementalSpeedup = float64(prev.coldTotal) / float64(el)
-		}
-		res.Stats = st
-		ss.deltas = nil
-		return res, nil
-	}
-
 	// Something changed: re-enter the pipeline with the previous run's
-	// artifacts as its prior. The pipeline's own finer-grained checks
-	// (binder fingerprint, data-path structural fingerprint, plan
-	// revalidation) decide phase by phase what actually survives.
+	// artifacts as its prior. The pipeline's own checks (the rebuilt
+	// data path's structure against the previous one, plan
+	// revalidation) decide what actually survives.
 	var prior *artifacts
 	if ss.prev != nil {
 		prior = ss.prev.arts
@@ -389,7 +374,7 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 		}
 	}
 	res.Stats = st
-	state := &sessionState{key: key, arts: art, result: res.clone(), coldTotal: coldTotal, mb: mb}
+	state := &sessionState{arts: art, result: res.clone(), coldTotal: coldTotal, mb: mb}
 	if vars, m, err := overlapMatrix(g); err == nil {
 		state.allocVars, state.overlaps = vars, m
 	}
@@ -409,13 +394,13 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 // plus rebuilding the control program on the previous netlist
 // (Datapath.WithSchedule).
 //
-// handled=false falls through to the general path, which re-derives
-// everything through its own fingerprint ladder. handled=true with an
-// error reports a design the full pipeline would reject identically
-// (validation failure), leaving the pending deltas in place.
+// handled=false falls through to the general path, which re-runs the
+// pipeline. handled=true with an error reports a design the full
+// pipeline would reject identically (validation failure), leaving the
+// pending deltas in place.
 func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, err error) {
 	prev := ss.prev
-	if prev == nil || len(ss.deltas) == 0 || !reusablePlan(ss.cfg) {
+	if prev == nil || !reusablePlan(ss.cfg) {
 		return nil, false, nil
 	}
 	if prev.mb == nil || prev.overlaps == nil || prev.arts.ib == nil || prev.arts.rb == nil {
@@ -450,28 +435,33 @@ func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, e
 		return nil, false, nil // shouldn't happen; re-derive from scratch
 	}
 
-	res = prev.result.clone()
-	res.dp = dp
-	st := res.Stats // the populating run's stats, replayed
-	st.ReusedPhases = []string{
+	res = ss.replay([]string{
 		PhaseRegisterBind.String(), PhaseInterconnect.String(),
 		PhaseDatapath.String(), PhaseBISTSearch.String(),
-	}
+	}, start)
+	res.dp = dp
+
+	// Persist the rescheduled state. The overlap matrix carries forward
+	// unchanged — that's exactly what was just proven.
+	stored := *prev
+	stored.result = res.clone()
+	ss.prev = &stored
+	return res, true, nil
+}
+
+// replay clones the previous run's Result with its stats, reporting the
+// given phases reused and the speedup over the previous baseline, and
+// consumes the pending deltas (Resynthesize holds ss.mu).
+func (ss *Session) replay(reused []string, start time.Time) *Result {
+	prev := ss.prev
+	res := prev.result.clone()
+	st := res.Stats
+	st.ReusedPhases = reused
 	st.IncrementalSpeedup = 0
 	if el := time.Since(start); prev.coldTotal > 0 && el > 0 {
 		st.IncrementalSpeedup = float64(prev.coldTotal) / float64(el)
 	}
 	res.Stats = st
-
-	// Persist the rescheduled state. The key is zeroed: the one on file
-	// describes the pre-edit schedule, and replaying against it after a
-	// later (say, undoing) edit would resurrect a Result with the wrong
-	// control program. The overlap matrix carries forward unchanged —
-	// that's exactly what was just proven.
-	stored := *prev
-	stored.key = cache.Key{}
-	stored.result = res.clone()
-	ss.prev = &stored
 	ss.deltas = nil
-	return res, true, nil
+	return res
 }
