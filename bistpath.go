@@ -494,30 +494,16 @@ func reusablePlan(cfg Config) bool {
 		(cfg.Search == SearchExact || cfg.TimeBudget == 0)
 }
 
-// artifacts are the reusable products of one pipeline run, offered as the
-// prior of a later run over the same design: a Session's previous
-// Resynthesize, or a result-cache disk entry (a plan only). The pipeline
-// trusts none of it blindly; each phase revalidates its part against the
-// live inputs or recomputes.
+// artifacts are what a later pipeline run over the same design may
+// splice in place of its BIST search: a Session's previous Result, or a
+// result-cache disk entry. The plan is spliced iff the structure matches
+// — the rebuilt data path has dp's structure (sameStructure), or dp is
+// nil for a disk entry, whose cache key vouches for the structure — and
+// the plan passes bist.Plan.Revalidate against the rebuilt data path.
 type artifacts struct {
-	// The register and interconnect bindings, for the Session's
-	// reschedule fast path (conflict-preserving step edits rebuild only
-	// the control program around the previous netlist; see
-	// Session.Resynthesize). Both are nil for a disk entry.
-	rb *regassign.Binding
-	ib *interconnect.Binding
-
-	// BIST search: the plan is spliced in place of the search iff the
-	// structure matches — dp has the rebuilt data path's structure
-	// (sameStructure), or keyed marks a disk entry found under the live
-	// inputs' cache key — and it passes bist.Plan.Revalidate. forced
-	// holds the forced-CBILBO classifications, a pure function of the
-	// same structure.
-	dp             *datapath.Datapath
-	keyed          bool
 	plan           *bist.Plan
+	dp             *datapath.Datapath
 	searchStrategy string
-	forced         map[string]bool
 }
 
 // sameStructure reports whether two data paths agree on everything the
@@ -557,18 +543,16 @@ func sameStructure(a, b *datapath.Datapath) bool {
 // the phase that produced them. A nil sc simply allocates fresh state
 // (the Results are identical either way).
 //
-// prior, when non-nil, offers the artifacts of an earlier run. Every
-// phase up to the data path runs; the BIST search then splices the
-// prior plan on a structural match once it revalidates, and otherwise
-// warm-starts the MinArea search with it as the incumbent bound. Reuse
+// prior, when non-nil, offers the plan of an earlier run. Every phase up
+// to the data path runs; the BIST search then splices the prior plan on
+// a structural match once it revalidates, and searches otherwise. Reuse
 // never changes the Result's content — only Stats.ReusedPhases and the
 // effort counters, which record the work this pass actually did, betray
-// it. capture asks for this run's artifacts (a Session's next prior);
-// cold runs leave it false and precompute nothing for a next run.
+// it.
 func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config,
-	sc *synthScratch, prior *artifacts, capture bool) (res *Result, art *artifacts, retErr error) {
+	sc *synthScratch, prior *artifacts) (res *Result, retErr error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer func() {
 		if retErr != nil {
@@ -611,7 +595,7 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		}
 		return mb.Validate(g)
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	var rb *regassign.Binding
@@ -639,7 +623,7 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		}
 		return err
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st.Lemma2Checks = rm.Lemma2Checks
 	st.CaseOverrides = rm.CaseOverrides
@@ -650,7 +634,7 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		shw = sh
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var ib *interconnect.Binding
 	if err := phase(PhaseInterconnect, &st.Interconnect, func() error {
@@ -658,7 +642,7 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		ib, err = interconnect.Bind(g, mb, rb, shw)
 		return err
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	var dp *datapath.Datapath
@@ -667,19 +651,18 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		dp, err = datapath.Build(g, mb, rb, ib, cfg.Width)
 		return err
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	var plan *bist.Plan
 	var front []*bist.Plan
 	var bm bist.Metrics
-	sameDP := prior != nil && (prior.keyed || (prior.dp != nil && sameStructure(prior.dp, dp)))
 	if err := phase(PhaseBISTSearch, &st.BISTSearch, func() error {
 		// Splice: a reusable plan is a pure function of the data-path
 		// structure, so under a structural match the prior plan IS the
 		// search result — once rebuilt from its embeddings and
 		// revalidated against the fresh data path.
-		if sameDP && prior.plan != nil && reusablePlan(cfg) {
+		if prior != nil && reusablePlan(cfg) && (prior.dp == nil || sameStructure(prior.dp, dp)) {
 			p := bist.PlanFromEmbeddings(area.Default(cfg.Width), prior.plan.Embeddings, prior.plan.Exact)
 			if p.Revalidate(dp, cfg.AllowPadTPG) == nil {
 				plan = p
@@ -703,14 +686,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 			bopts.Progress = func(nodes int64) {
 				obs(Event{Design: g.Name, Kind: SearchProgress, Phase: PhaseBISTSearch, SearchNodes: nodes})
 			}
-		}
-		if prior != nil && prior.plan != nil && cfg.Objective == MinArea {
-			// Warm start: a full search is due, but the prior plan, if it
-			// still revalidates, seeds the exact branch and bound's
-			// incumbent bound (the optimizer ignores it otherwise). The
-			// plan returned is provably the one a cold search finds; only
-			// the effort counters shrink.
-			bopts.Incumbent = prior.plan
 		}
 		if cfg.Objective == MinArea {
 			strategy := cfg.Search
@@ -754,7 +729,7 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		}
 		return nil
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st.SearchNodes = bm.Nodes
 	st.BoundPrunes = bm.BoundPrunes
@@ -766,23 +741,9 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		st.BestCurve = append(st.BestCurve, SearchCurvePoint{Generation: cp.Generation, Cost: cp.Cost})
 	}
 
-	// Forced-CBILBO classification is a pure function of the data-path
-	// structure, so a structural match reuses the prior run's map;
-	// capturing runs otherwise compute it once here for the next round
-	// (other runs let assemble derive it per module, allocation-free).
-	var forced map[string]bool
-	if sameDP && prior.forced != nil {
-		forced = prior.forced
-	} else if capture {
-		forced = make(map[string]bool, len(mb.Modules))
-		for _, m := range mb.Modules {
-			forced[m.Name] = bist.ForcedCBILBOByEnumeration(dp, m.Name, cfg.AllowPadTPG)
-		}
-	}
-
-	res, err := assemble(g, mb, rb, dp, plan, sh, cfg, forced)
+	res, err := assemble(g, mb, rb, dp, plan, sh, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if front != nil {
 		attachPareto(res, front)
@@ -793,22 +754,12 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	st.Total = time.Since(t0)
 	res.Stats = st
 	recordRun(&st)
-	if capture {
-		art = &artifacts{
-			rb: rb, ib: ib,
-			dp: dp, plan: plan, searchStrategy: st.SearchStrategy, forced: forced,
-		}
-	}
-	return res, art, nil
+	return res, nil
 }
 
 // assemble builds the public Result from the completed allocation.
-// forced, when non-nil, supplies precomputed forced-CBILBO
-// classifications per module (an incremental run's reuse path); nil
-// computes each by enumeration.
 func assemble(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding,
-	dp *datapath.Datapath, plan *bist.Plan, sh *regassign.Sharing, cfg Config,
-	forced map[string]bool) (*Result, error) {
+	dp *datapath.Datapath, plan *bist.Plan, sh *regassign.Sharing, cfg Config) (*Result, error) {
 
 	model := area.Default(cfg.Width)
 	res := &Result{
@@ -834,19 +785,12 @@ func assemble(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding,
 		})
 	}
 	for _, m := range mb.Modules {
-		f, ok := false, false
-		if forced != nil {
-			f, ok = forced[m.Name]
-		}
-		if !ok {
-			f = bist.ForcedCBILBOByEnumeration(dp, m.Name, cfg.AllowPadTPG)
-		}
 		res.Modules = append(res.Modules, ModuleInfo{
 			Name:         m.Name,
 			Class:        m.Class.Name,
 			Ops:          append([]string(nil), m.Ops...),
 			Embedding:    plan.Embeddings[m.Name].String(),
-			ForcedCBILBO: f,
+			ForcedCBILBO: bist.ForcedCBILBOByEnumeration(dp, m.Name, cfg.AllowPadTPG),
 		})
 	}
 	res.MuxCount, res.MuxExtraInputs = dp.MuxStats()

@@ -214,7 +214,7 @@ func (c *Cache) fill(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, c
 			prior, frozen, _ = decodeCacheEntry(payload) // undecodable: a miss
 		}
 	}
-	res, _, err := synthesizePipeline(ctx, g, mb, cfg, sc, prior, false)
+	res, err := synthesizePipeline(ctx, g, mb, cfg, sc, prior)
 	if err == nil && slices.Contains(res.Stats.ReusedPhases, PhaseBISTSearch.String()) {
 		res.Stats = frozen
 		c.diskHits.Add(1)
@@ -368,10 +368,11 @@ func resultFootprint(r *Result) int64 {
 }
 
 // cacheKey computes the canonical content-addressed key for one
-// synthesis request — the one notion of "same inputs" shared by the
-// cache and Session replay. Everything semantic goes in; Workers (read
-// by nothing), Observer and Cache stay out. The DFG contributes its canonical text
-// plus the port-input marks the text format omits; the module binding
+// synthesis request — the result cache's one notion of "same inputs"
+// (a Session compares against its previous Result instead). Everything
+// semantic goes in; Workers (read by nothing), Observer and Cache stay
+// out. The DFG contributes its canonical text plus the port-input marks
+// the text format omits; the module binding
 // contributes a name-sorted inventory with sorted op lists, so the
 // explicit map and the automatic binder hit the same entry whenever
 // they resolve identically. The pre-image streams straight into the
@@ -481,8 +482,9 @@ func encodeCacheEntry(r *Result) ([]byte, error) {
 }
 
 // decodeCacheEntry parses a disk payload into a pipeline prior — the
-// persisted plan's embeddings, vouched for structurally by the cache key
-// it was found under — and the frozen Stats a disk hit replays.
+// persisted plan's embeddings, with no data path, since the cache key it
+// was found under vouches for the structure — and the frozen Stats a
+// disk hit replays.
 func decodeCacheEntry(payload []byte) (*artifacts, Stats, error) {
 	var e cacheEntryJSON
 	if err := json.Unmarshal(payload, &e); err != nil {
@@ -495,5 +497,5 @@ func decodeCacheEntry(payload []byte) (*artifacts, Stats, error) {
 	for name, emb := range e.Embeddings {
 		embs[name] = bist.Embedding{Module: name, HeadL: emb.HeadL, HeadR: emb.HeadR, Tail: emb.Tail}
 	}
-	return &artifacts{keyed: true, plan: &bist.Plan{Embeddings: embs, Exact: e.Exact}}, statsFromJSON(e.Stats), nil
+	return &artifacts{plan: &bist.Plan{Embeddings: embs, Exact: e.Exact}}, statsFromJSON(e.Stats), nil
 }

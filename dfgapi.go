@@ -128,8 +128,18 @@ func (d *DFG) SynthesizeCtx(ctx context.Context, opToModule map[string]string, c
 }
 
 // moduleBinding resolves an explicit op→module map (nil = automatic
-// area-driven binding) into a module binding.
-func (d *DFG) moduleBinding(opToModule map[string]string) (*modassign.Binding, error) {
+// area-driven binding) into a module binding. It is the front door of
+// every synthesis, cold or in a Session: an unscheduled graph fails
+// first, so the explicit and automatic paths both report ErrUnscheduled
+// rather than a binder-specific message, and every failure is
+// attributed to the validate phase.
+func (d *DFG) moduleBinding(opToModule map[string]string) (mb *modassign.Binding, err error) {
+	defer func() { err = phaseError(d.g.Name, PhaseValidate, err) }()
+	for _, o := range d.g.Ops() {
+		if o.Step == 0 {
+			return nil, fmt.Errorf("%w: op %q", ErrUnscheduled, o.Name)
+		}
+	}
 	if opToModule != nil {
 		return modassign.FromMap(d.g, opToModule)
 	}

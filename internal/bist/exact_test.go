@@ -16,11 +16,11 @@ import (
 
 // referenceOptimize is the exact search as it stood before it gained a
 // lower bound and a greedy seed: the same canonical walk, pruned only
-// on the committed cost against a bound that starts infinite (or at a
-// warm-start incumbent's cost), with greedy's plan computed only after
-// the walk, when the node budget ran out. It is the oracle for
-// OptimizeCtx: where it completes, the plans must be identical, and
-// where it finishes inside the first poll interval, the Metrics too.
+// on the committed cost against a bound that starts infinite, with
+// greedy's plan computed only after the walk, when the node budget ran
+// out. It is the oracle for OptimizeCtx: where it completes, the plans
+// must be identical, and where it finishes inside the first poll
+// interval, the Metrics too.
 func referenceOptimize(ctx context.Context, dp *datapath.Datapath, opts Options) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -57,9 +57,6 @@ func referenceOptimize(ctx context.Context, dp *datapath.Datapath, opts Options)
 			a.prepareSchedule(&sp)
 		}
 		s := &referenceSearch{dutyEval: newDutyEval(&sp, a), ctx: ctx, opts: opts, sp: sp, bound: math.MaxInt}
-		if cost, ok := incumbentBound(dp, opts); ok {
-			s.bound = cost
-		}
 		s.expand(0)
 		if s.cancelled {
 			return nil, ctx.Err()
@@ -209,19 +206,6 @@ func checkExactMatchesReference(t *testing.T, name string, dp *datapath.Datapath
 	return ref, want
 }
 
-// checkExactCase runs checkExactMatchesReference on a fresh Scratch and
-// on shared, then, where the reference completed or ended below the
-// first poll, again on shared with the reference's plan as a warm-start
-// Incumbent on both sides.
-func checkExactCase(t *testing.T, name string, dp *datapath.Datapath, opts Options, shared *Scratch) {
-	t.Helper()
-	ref, m := checkExactMatchesReference(t, name, dp, opts, opts, NewScratch(), shared)
-	if ref != nil && (ref.Exact || m.Nodes < firstPoll) {
-		opts.Incumbent = ref
-		checkExactMatchesReference(t, name+" incumbent", dp, opts, opts, shared)
-	}
-}
-
 // TestExactMatchesReference holds the exact search to the reference
 // walk. The matrix: the five paper designs (both binding modes), the
 // RandomDesign sweep shapes and the dfgen s and m presets, each with pad
@@ -254,7 +238,8 @@ func TestExactMatchesReference(t *testing.T) {
 					}
 					opts := DefaultOptions(8)
 					opts.AllowPadHeads, opts.MinimizeSessions, opts.NodeBudget = pads, minSess, budget
-					checkExactCase(t, fmt.Sprintf("%s pads=%v minSess=%v budget=%d", d.name, pads, minSess, budget), d.dp, opts, shared)
+					name := fmt.Sprintf("%s pads=%v minSess=%v budget=%d", d.name, pads, minSess, budget)
+					checkExactMatchesReference(t, name, d.dp, opts, opts, NewScratch(), shared)
 				}
 			}
 		}
@@ -285,11 +270,10 @@ func TestExactMatchesReference(t *testing.T) {
 // TestExactMatchesReference: a random design from the fuzzed seed, under
 // a fuzzed pad-head flag, MinimizeSessions flag and node budget, must
 // come out of OptimizeCtx exactly as out of referenceOptimize wherever
-// the reference completes, and never costlier where it does not; with
-// the incumbent flag, again with the reference's plan as a warm-start
-// Incumbent. One Scratch serves every input, so residue from an earlier
-// design would show. flags bit 0 disallows pad heads, bit 1 sets
-// MinimizeSessions, bit 2 adds the warm-start run, and bit 3 picks the
+// the reference completes, and never costlier where it does not. One
+// Scratch serves every input, so residue from an earlier design would
+// show. flags bit 0 disallows pad heads, bit 1 sets MinimizeSessions,
+// bit 2 runs the search on a fresh Scratch too, and bit 3 picks the
 // dfgen m shape, whose searches outlive the first poll, instead of the
 // DefaultRandomConfig one. The committed corpus is in
 // testdata/fuzz/FuzzExactMatchesReference.
@@ -306,11 +290,11 @@ func FuzzExactMatchesReference(f *testing.F) {
 		opts.MinimizeSessions = flags&2 != 0
 		opts.NodeBudget = int(budget)
 		name := fmt.Sprintf("seed=%d flags=%#x budget=%d", seed, flags, budget)
+		scratches := []*Scratch{sc}
 		if flags&4 != 0 {
-			checkExactCase(t, name, dp, opts, sc)
-		} else {
-			checkExactMatchesReference(t, name, dp, opts, opts, sc)
+			scratches = []*Scratch{NewScratch(), sc}
 		}
+		checkExactMatchesReference(t, name, dp, opts, opts, scratches...)
 	})
 }
 

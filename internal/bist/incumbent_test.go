@@ -1,80 +1,35 @@
 package bist
 
 import (
-	"context"
-	"reflect"
+	"strings"
 	"testing"
 
 	"bistpath/internal/benchdata"
 	"bistpath/internal/interconnect"
 )
 
-// TestIncumbentWarmStartIdentity checks the warm-start contract on every
-// paper benchmark: seeding the bound with the cold optimum as incumbent
-// must return the identical Plan while expanding no more nodes than the
-// cold search.
-func TestIncumbentWarmStartIdentity(t *testing.T) {
-	for _, b := range benchdata.All() {
-		for _, minSess := range []bool{false, true} {
-			dp, _, _ := buildBench(t, b, false)
-			opts := DefaultOptions(8)
-			opts.MinimizeSessions = minSess
-			var cold Metrics
-			opts.Metrics = &cold
-			coldPlan, err := Optimize(dp, opts)
-			if err != nil {
-				t.Fatalf("%s: cold: %v", b.Name, err)
-			}
-			var warm Metrics
-			wopts := opts
-			wopts.Metrics = &warm
-			wopts.Incumbent = coldPlan
-			warmPlan, err := OptimizeCtx(context.Background(), dp, wopts)
-			if err != nil {
-				t.Fatalf("%s: warm: %v", b.Name, err)
-			}
-			if !reflect.DeepEqual(coldPlan.Embeddings, warmPlan.Embeddings) ||
-				!reflect.DeepEqual(coldPlan.Sessions, warmPlan.Sessions) ||
-				coldPlan.ExtraArea != warmPlan.ExtraArea ||
-				coldPlan.Exact != warmPlan.Exact {
-				t.Errorf("%s minSess=%v: warm plan differs from cold", b.Name, minSess)
-			}
-			if warm.Nodes > cold.Nodes {
-				t.Errorf("%s minSess=%v: warm search expanded %d nodes, cold %d",
-					b.Name, minSess, warm.Nodes, cold.Nodes)
-			}
-		}
-	}
-}
-
-// TestIncumbentRejectsStale checks that an incumbent that does not
-// validate against the data path — or that rides a pad head while pads
-// are forbidden — is ignored rather than corrupting the bound.
+// TestIncumbentRejectsStale checks Plan.Revalidate, the check a previous
+// run's incumbent plan must pass before a later run splices it in place
+// of a search: a plan with an embedding for a module the data path lacks
+// is rejected, and so is a plan that rides a pad head while pads are
+// forbidden, even though it validates structurally. Paulin's port-fed
+// inputs put pads on module ports; ex1 has none.
 func TestIncumbentRejectsStale(t *testing.T) {
 	dp, _, _ := buildBench(t, benchdata.Ex1(), false)
-	opts := DefaultOptions(8)
-	coldPlan, err := Optimize(dp, opts)
+	cold, err := Optimize(dp, DefaultOptions(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := cold.Revalidate(dp, false); err != nil {
+		t.Fatalf("fresh plan rejected: %v", err)
+	}
 
-	// A bogus incumbent referencing an unknown module fails Validate.
 	bogus := &Plan{Embeddings: map[string]Embedding{"nope": {Module: "nope", HeadL: "x", Tail: "y"}}}
-	if _, ok := incumbentBound(dp, Options{Incumbent: bogus, Model: opts.Model}); ok {
-		t.Error("stale incumbent accepted")
-	}
-	wopts := opts
-	wopts.Incumbent = bogus
-	plan, err := OptimizeCtx(context.Background(), dp, wopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.ExtraArea != coldPlan.ExtraArea {
-		t.Errorf("bogus incumbent changed the optimum: %d != %d", plan.ExtraArea, coldPlan.ExtraArea)
+	if err := bogus.Revalidate(dp, true); err == nil || !strings.Contains(err.Error(), "unknown module") {
+		t.Errorf("plan for an unknown module: Revalidate = %v", err)
 	}
 
-	// A pad-headed incumbent is unusable when pads are forbidden, even
-	// if it validates structurally.
+	dp, _, _ = buildBench(t, benchdata.Paulin(), false)
 	padOpts := DefaultOptions(8)
 	padOpts.AllowPadHeads = true
 	padPlan, err := Optimize(dp, padOpts)
@@ -87,12 +42,13 @@ func TestIncumbentRejectsStale(t *testing.T) {
 			usesPad = true
 		}
 	}
-	if usesPad {
-		noPad := padOpts
-		noPad.AllowPadHeads = false
-		noPad.Incumbent = padPlan
-		if _, ok := incumbentBound(dp, noPad); ok {
-			t.Error("pad-headed incumbent accepted with pads forbidden")
-		}
+	if !usesPad {
+		t.Fatal("paulin's plan with pad heads allowed uses none; the pad-head rule goes unchecked")
+	}
+	if err := padPlan.Revalidate(dp, true); err != nil {
+		t.Fatalf("pad-headed plan rejected with pads allowed: %v", err)
+	}
+	if err := padPlan.Revalidate(dp, false); err == nil || !strings.Contains(err.Error(), "input pad") {
+		t.Errorf("pad-headed plan with pads forbidden: Revalidate = %v", err)
 	}
 }

@@ -88,21 +88,6 @@ type Options struct {
 	// map use the area-proportional default. The pure-area search
 	// ignores it.
 	Power map[string]int
-	// Incumbent, when non-nil, warm-starts the exact branch and bound
-	// with a known-feasible plan (incremental re-synthesis hands over
-	// the surviving plan of the previous run). Its cost — recomputed
-	// against Model from the embeddings, never trusted from the stale
-	// plan — seeds the bound before the first node, so subtrees that
-	// cannot beat it are pruned immediately. The returned Plan is
-	// identical to a cold search's: equal-cost subtrees are cut only
-	// once the search has found a solution of its own, so every
-	// equal-cost canonical tie-break stays reachable and only the effort
-	// metrics (Nodes, BoundPrunes) shrink.
-	// An incumbent that fails Plan.Validate against the data path, or
-	// that uses a pad head while AllowPadHeads is false, is silently
-	// ignored. The stochastic search ignores this field entirely.
-	Incumbent *Plan
-
 	// The remaining fields configure OptimizeStochastic only; the exact
 	// branch and bound ignores them.
 
@@ -346,9 +331,9 @@ type search struct {
 	ctx  context.Context
 	opts Options
 	sp   searchSpace
-	// bound is the cost of the best complete solution known: a
-	// warm-start incumbent's or greedy's until the search finds one of
-	// its own (math.MaxInt when there is none).
+	// bound is the cost of the best complete solution known: greedy's
+	// from the first poll until the search finds one of its own
+	// (math.MaxInt when there is none).
 	bound    int
 	found    bool // the search has its own incumbent
 	sessions int  // the incumbent's session count (MinimizeSessions only)
@@ -567,9 +552,9 @@ func (s *search) poll(i int) {
 	for k := range i {
 		s.apply(s.sp.refs[k][s.a.cur[k]])
 	}
-	// The warm-start rule: greedy's plan is not the search's own, so the
-	// equal-cost cut still waits for one, keeping the plan the first
-	// optimum in canonical order.
+	// Greedy's plan is not the search's own, so the equal-cost cut still
+	// waits for one, keeping the plan the first optimum in canonical
+	// order.
 	if gc < s.bound {
 		s.bound, s.found = gc, false
 	}
@@ -672,9 +657,6 @@ func OptimizeCtx(ctx context.Context, dp *datapath.Datapath, opts Options) (*Pla
 			a.prepareSchedule(&sp)
 		}
 		s := &search{dutyEval: newDutyEval(&sp, a), ctx: ctx, opts: opts, sp: sp, bound: math.MaxInt, greedyCost: -1}
-		if cost, ok := incumbentBound(dp, opts); ok {
-			s.bound = cost
-		}
 		s.expand(0)
 		if s.cancelled {
 			return nil, ctx.Err()
@@ -706,23 +688,11 @@ func OptimizeCtx(ctx context.Context, dp *datapath.Datapath, opts Options) (*Pla
 	return plan, plan.Validate(dp)
 }
 
-// incumbentBound revalidates opts.Incumbent against the data path and
-// returns its extra-area cost recomputed from the embeddings under
-// opts.Model. ok is false when there is no usable incumbent: the field
-// is nil or the plan fails Revalidate.
-func incumbentBound(dp *datapath.Datapath, opts Options) (cost int, ok bool) {
-	inc := opts.Incumbent
-	if inc == nil || inc.Revalidate(dp, opts.AllowPadHeads) != nil {
-		return 0, false
-	}
-	return extraArea(opts.Model, stylesOf(inc.Embeddings)), true
-}
-
 // Revalidate is the check every plan carried over from an earlier run
-// (a result-cache entry, a session's previous plan, a warm-start
-// incumbent) must pass before it is trusted on dp: Validate, plus the
-// pad-head rule — a plan that sources test patterns from an input pad
-// is unusable unless allowPadHeads.
+// (a result-cache entry, a session's previous plan) must pass before it
+// is trusted on dp: Validate, plus the pad-head rule — a plan that
+// sources test patterns from an input pad is unusable unless
+// allowPadHeads.
 func (p *Plan) Revalidate(dp *datapath.Datapath, allowPadHeads bool) error {
 	if err := p.Validate(dp); err != nil {
 		return err

@@ -169,29 +169,47 @@ func buildSteps(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, ib *
 			Var: v.Name,
 		})
 	}
+	sortSteps(steps)
+	return steps
+}
+
+// sortSteps puts each step's micro-ops in op-name order and its loads in
+// variable order, the canonical order of a control program.
+func sortSteps(steps []Step) {
 	for s := range steps {
 		ops := steps[s].Ops
 		sort.Slice(ops, func(i, j int) bool { return ops[i].Op < ops[j].Op })
 		lds := steps[s].Loads
 		sort.Slice(lds, func(i, j int) bool { return lds[i].Var < lds[j].Var })
 	}
-	return steps
 }
 
 // WithSchedule returns a copy of dp re-targeted at g: the same netlist
-// (registers, modules and pads are shared, not copied) with only the
-// control program rebuilt from g's schedule. It is the incremental
-// re-synthesis layer's datapath phase for edits that change nothing but
-// control steps: the caller must guarantee g is structurally identical
-// to the graph dp was built from — same operations, operand wiring,
-// port marks and bindings — which the Session proves by equal
-// lifetime-overlap matrices and an identical module binding before
-// taking this path.
-func (dp *Datapath) WithSchedule(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, ib *interconnect.Binding) (*Datapath, error) {
-	lts, err := g.Lifetimes()
-	if err != nil {
-		return nil, err
+// (registers, modules and pads are shared, not copied) with the control
+// program re-timed to g's schedule. Each micro-op moves to its op's step
+// in g and each input load to its input's birth step in lts, g's
+// lifetimes. It is the incremental re-synthesis layer's datapath phase
+// for edits that change nothing but control steps: the caller must
+// guarantee g is structurally identical to the graph dp was built from —
+// same operations, operand wiring, port marks and bindings — which the
+// Session proves by equal lifetime-overlap matrices and an identical
+// module binding before taking this path.
+func (dp *Datapath) WithSchedule(g *dfg.Graph, lts map[string]dfg.Lifetime) (*Datapath, error) {
+	steps := make([]Step, g.NumSteps()+1)
+	for s := range steps {
+		steps[s].N = s
 	}
+	for _, st := range dp.Steps {
+		for _, mo := range st.Ops {
+			s := g.Op(mo.Op).Step
+			steps[s].Ops = append(steps[s].Ops, mo)
+		}
+		for _, ld := range st.Loads {
+			born := lts[ld.Var].Born
+			steps[born].Loads = append(steps[born].Loads, ld)
+		}
+	}
+	sortSteps(steps)
 	ndp := &Datapath{
 		Name:    dp.Name,
 		Width:   dp.Width,
@@ -199,7 +217,7 @@ func (dp *Datapath) WithSchedule(g *dfg.Graph, mb *modassign.Binding, rb *regass
 		Modules: dp.Modules,
 		InPads:  dp.InPads,
 		Outputs: dp.Outputs,
-		Steps:   buildSteps(g, mb, rb, ib, lts),
+		Steps:   steps,
 		graph:   g,
 		regIx:   dp.regIx,
 		modIx:   dp.modIx,

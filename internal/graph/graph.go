@@ -1,14 +1,10 @@
 // Package graph provides the undirected-graph machinery used by the
 // allocation algorithms: conflict/compatibility graphs over string-named
 // vertices, simplicial-vertex detection, perfect vertex elimination
-// schemes (PVES) for chordal/interval graphs, greedy coloring, and
-// weighted clique partitioning.
+// schemes (PVES) for chordal/interval graphs and greedy coloring.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Undirected is a simple undirected graph with string vertices.
 // The zero value is not usable; construct with NewUndirected.
@@ -112,44 +108,6 @@ func (g *Undirected) RemoveVertex(v string) {
 	}
 }
 
-// Induced returns the subgraph induced by keep.
-func (g *Undirected) Induced(keep []string) *Undirected {
-	in := make(map[string]bool, len(keep))
-	for _, v := range keep {
-		in[v] = true
-	}
-	c := NewUndirected()
-	for _, v := range g.order {
-		if in[v] {
-			c.AddVertex(v)
-		}
-	}
-	for _, v := range keep {
-		for u := range g.adj[v] {
-			if in[u] {
-				c.AddEdge(v, u)
-			}
-		}
-	}
-	return c
-}
-
-// Complement returns the complement graph on the same vertex set.
-func (g *Undirected) Complement() *Undirected {
-	c := NewUndirected()
-	for _, v := range g.order {
-		c.AddVertex(v)
-	}
-	for i, v := range g.order {
-		for _, u := range g.order[i+1:] {
-			if !g.adj[v][u] {
-				c.AddEdge(v, u)
-			}
-		}
-	}
-	return c
-}
-
 // IsClique reports whether the given vertices are pairwise adjacent.
 func (g *Undirected) IsClique(vs []string) bool {
 	for i, v := range vs {
@@ -160,37 +118,4 @@ func (g *Undirected) IsClique(vs []string) bool {
 		}
 	}
 	return true
-}
-
-// ConnectedComponents returns the vertex sets of the connected components,
-// each sorted, in order of smallest member.
-func (g *Undirected) ConnectedComponents() [][]string {
-	seen := make(map[string]bool, len(g.adj))
-	var comps [][]string
-	for _, start := range g.SortedVertices() {
-		if seen[start] {
-			continue
-		}
-		var comp []string
-		stack := []string{start}
-		seen[start] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
-			for _, u := range g.Neighbors(v) {
-				if !seen[u] {
-					seen[u] = true
-					stack = append(stack, u)
-				}
-			}
-		}
-		sort.Strings(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-func (g *Undirected) String() string {
-	return fmt.Sprintf("graph{%d vertices, %d edges}", g.NumVertices(), g.NumEdges())
 }

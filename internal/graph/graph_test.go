@@ -87,18 +87,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestInducedAndComplement(t *testing.T) {
-	g := k4()
-	sub := g.Induced([]string{"a", "b", "c"})
-	if sub.NumVertices() != 3 || sub.NumEdges() != 3 {
-		t.Errorf("induced K3: %v", sub)
-	}
-	comp := path().Complement()
-	if !comp.HasEdge("a", "c") || comp.HasEdge("a", "b") {
-		t.Error("complement wrong")
-	}
-}
-
 func TestIsClique(t *testing.T) {
 	g := k4()
 	if !g.IsClique([]string{"a", "b", "c", "d"}) {
@@ -110,22 +98,6 @@ func TestIsClique(t *testing.T) {
 	}
 	if !p.IsClique([]string{"a"}) || !p.IsClique(nil) {
 		t.Error("trivial cliques rejected")
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := path()
-	g.AddEdge("x", "y")
-	g.AddVertex("lone")
-	comps := g.ConnectedComponents()
-	if len(comps) != 3 {
-		t.Fatalf("got %d components: %v", len(comps), comps)
-	}
-	if !reflect.DeepEqual(comps[0], []string{"a", "b", "c", "d"}) {
-		t.Errorf("comp0 = %v", comps[0])
-	}
-	if !reflect.DeepEqual(comps[1], []string{"lone"}) {
-		t.Errorf("comp1 = %v", comps[1])
 	}
 }
 
@@ -199,42 +171,6 @@ func TestVerifyPVESErrors(t *testing.T) {
 	}
 }
 
-func TestMaximalCliques(t *testing.T) {
-	g := path()
-	cliques, err := g.MaximalCliquesChordal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]string{{"a", "b"}, {"b", "c"}, {"c", "d"}}
-	if !reflect.DeepEqual(cliques, want) {
-		t.Errorf("cliques = %v, want %v", cliques, want)
-	}
-	k, err := k4().MaximalCliquesChordal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(k) != 1 || len(k[0]) != 4 {
-		t.Errorf("K4 cliques = %v", k)
-	}
-}
-
-func TestMaxCliquePerVertex(t *testing.T) {
-	// Triangle abc plus pendant d on c.
-	g := NewUndirected()
-	g.AddEdge("a", "b")
-	g.AddEdge("b", "c")
-	g.AddEdge("a", "c")
-	g.AddEdge("c", "d")
-	mcs, err := g.MaxCliquePerVertex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{"a": 3, "b": 3, "c": 3, "d": 2}
-	if !reflect.DeepEqual(mcs, want) {
-		t.Errorf("MCS = %v, want %v", mcs, want)
-	}
-}
-
 func TestGreedyColor(t *testing.T) {
 	g := path()
 	colors, err := g.GreedyColor([]string{"a", "b", "c", "d"})
@@ -299,62 +235,6 @@ func TestColorClasses(t *testing.T) {
 	want := [][]string{{"a", "c"}, {"b"}}
 	if !reflect.DeepEqual(classes, want) {
 		t.Errorf("classes = %v", classes)
-	}
-}
-
-func TestCliquePartitionUnweighted(t *testing.T) {
-	// Compatibility graph: {a,b,c} mutually compatible, d compatible with
-	// nothing → expect 2 cliques.
-	g := NewUndirected()
-	g.AddEdge("a", "b")
-	g.AddEdge("b", "c")
-	g.AddEdge("a", "c")
-	g.AddVertex("d")
-	part := g.CliquePartition(nil)
-	if err := g.VerifyCliquePartition(part); err != nil {
-		t.Fatal(err)
-	}
-	if len(part) != 2 {
-		t.Errorf("partition = %v, want 2 cliques", part)
-	}
-}
-
-func TestCliquePartitionWeighted(t *testing.T) {
-	// a compatible with b and c; b,c incompatible. Weight drives a to c.
-	g := NewUndirected()
-	g.AddEdge("a", "b")
-	g.AddEdge("a", "c")
-	w := func(u, v string) int {
-		if (u == "a" && v == "c") || (u == "c" && v == "a") {
-			return 10
-		}
-		return 1
-	}
-	part := g.CliquePartition(w)
-	if err := g.VerifyCliquePartition(part); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, c := range part {
-		if len(c) == 2 && c[0] == "a" && c[1] == "c" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("weighted partition = %v, want {a,c} together", part)
-	}
-}
-
-func TestVerifyCliquePartitionErrors(t *testing.T) {
-	g := path()
-	if err := g.VerifyCliquePartition([][]string{{"a", "c"}, {"b"}, {"d"}}); err == nil {
-		t.Error("non-clique cluster accepted")
-	}
-	if err := g.VerifyCliquePartition([][]string{{"a", "b"}, {"b"}, {"c"}, {"d"}}); err == nil {
-		t.Error("duplicated vertex accepted")
-	}
-	if err := g.VerifyCliquePartition([][]string{{"a", "b"}}); err == nil {
-		t.Error("missing vertices accepted")
 	}
 }
 

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // IsSimplicial reports whether v's neighborhood induces a clique.
 func (g *Undirected) IsSimplicial(v string) bool {
@@ -82,88 +79,4 @@ func (g *Undirected) VerifyPVES(scheme []string) error {
 		work.RemoveVertex(v)
 	}
 	return nil
-}
-
-// MaximalCliquesChordal enumerates the maximal cliques of a chordal graph
-// using a perfect elimination scheme: each vertex v together with its
-// later-ordered neighbors forms a clique; the maximal ones among these are
-// exactly the maximal cliques of the graph.
-func (g *Undirected) MaximalCliquesChordal() ([][]string, error) {
-	scheme, err := g.PVES(nil)
-	if err != nil {
-		return nil, err
-	}
-	pos := make(map[string]int, len(scheme))
-	for i, v := range scheme {
-		pos[v] = i
-	}
-	var cands [][]string
-	for i, v := range scheme {
-		c := []string{v}
-		for _, u := range g.Neighbors(v) {
-			if pos[u] > i {
-				c = append(c, u)
-			}
-		}
-		sort.Strings(c)
-		cands = append(cands, c)
-	}
-	// Drop candidates strictly contained in another candidate.
-	var out [][]string
-	for i, c := range cands {
-		maximal := true
-		for j, d := range cands {
-			if i == j || len(c) > len(d) {
-				continue
-			}
-			if len(c) == len(d) && i < j {
-				continue // keep first of duplicates
-			}
-			if subset(c, d) {
-				maximal = false
-				break
-			}
-		}
-		if maximal {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return fmt.Sprint(out[i]) < fmt.Sprint(out[j])
-	})
-	return out, nil
-}
-
-func subset(a, b []string) bool {
-	in := make(map[string]bool, len(b))
-	for _, x := range b {
-		in[x] = true
-	}
-	for _, x := range a {
-		if !in[x] {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxCliquePerVertex returns, for each vertex, the size of the largest
-// maximal clique containing it (chordal graphs only).
-func (g *Undirected) MaxCliquePerVertex() (map[string]int, error) {
-	cliques, err := g.MaximalCliquesChordal()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int, g.NumVertices())
-	for _, v := range g.Vertices() {
-		out[v] = 1
-	}
-	for _, c := range cliques {
-		for _, v := range c {
-			if len(c) > out[v] {
-				out[v] = len(c)
-			}
-		}
-	}
-	return out, nil
 }

@@ -26,29 +26,6 @@ func fromMask(n int, mask uint64) *Undirected {
 	return g
 }
 
-// Complement is an involution on the edge set.
-func TestComplementInvolutionQuick(t *testing.T) {
-	prop := func(mask uint64, nn uint8) bool {
-		n := int(nn%6) + 2
-		g := fromMask(n, mask)
-		cc := g.Complement().Complement()
-		if cc.NumEdges() != g.NumEdges() {
-			return false
-		}
-		for _, u := range g.Vertices() {
-			for _, v := range g.Vertices() {
-				if u != v && g.HasEdge(u, v) != cc.HasEdge(u, v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Clone produces an equal, independent graph.
 func TestCloneEqualQuick(t *testing.T) {
 	prop := func(mask uint64, nn uint8) bool {
@@ -95,19 +72,6 @@ func TestGreedyProperQuick(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// CliquePartition always yields a valid partition.
-func TestCliquePartitionQuick(t *testing.T) {
-	prop := func(mask uint64, nn uint8) bool {
-		n := int(nn%6) + 2
-		g := fromMask(n, mask)
-		part := g.CliquePartition(nil)
-		return g.VerifyCliquePartition(part) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

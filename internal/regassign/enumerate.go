@@ -27,7 +27,7 @@ func EnumerateMinimumBindings(g *dfg.Graph, limit int) ([][][]string, bool, erro
 // EnumerateBindings enumerates every register binding that uses exactly
 // k registers, as canonical set partitions. It generalizes
 // EnumerateMinimumBindings so oracles can grade non-minimal bindings —
-// e.g. an incremental warm-start that lands on a k-register plan — by
+// e.g. one where Lemma-2 avoidance opened an extra register — by
 // enumerating the optimum over the same register count rather than
 // declining. k below the chromatic number simply yields no partitions.
 func EnumerateBindings(g *dfg.Graph, k, limit int) ([][][]string, bool, error) {

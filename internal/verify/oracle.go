@@ -195,8 +195,8 @@ func planFingerprint(p *bist.Plan) string {
 
 // RerunMatch runs search once and reports a violation when its plan
 // differs from the given plan in any observable way. It is the check
-// that a plan served from the cache, spliced by a session or
-// warm-started equals what a fresh search returns.
+// that a plan served from the cache or spliced by a session equals what
+// a fresh search returns.
 func RerunMatch(ctx context.Context, dp *datapath.Datapath, search func(context.Context, *datapath.Datapath) (*bist.Plan, error), plan *bist.Plan) ([]string, error) {
 	p, err := search(ctx, dp)
 	if err != nil {
@@ -227,8 +227,8 @@ type BindingOracleResult struct {
 // dp is nil), pushes each through the interconnect, netlist and BIST
 // pipeline, and reports the best and worst achievable plan cost. A
 // heuristic binding is always graded against its own register count,
-// so non-minimal bindings — e.g. an incremental warm-start landing on
-// a k-register plan — are graded against the enumerated k-register
+// so non-minimal bindings — e.g. one where Lemma-2 avoidance opened an
+// extra register — are graded against the enumerated k-register
 // optimum instead of being declined. The plan under test must land
 // inside the reported range; beating Best would prove the cost model
 // inconsistent.

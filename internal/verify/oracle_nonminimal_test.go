@@ -13,8 +13,9 @@ import (
 
 // The oracle must grade a non-minimal binding against the enumerated
 // optimum of the SAME register count — not decline it, and not compare
-// it to the minimum-register space. This is the case an incremental
-// warm-start can land in.
+// it to the minimum-register space. This is the case Lemma-2 avoidance
+// lands in when every register would force a CBILBO and it opens a new
+// one.
 func TestBindingOracleGradesNonMinimalBinding(t *testing.T) {
 	b := benchdata.ByName("ex1")
 	g := b.Graph

@@ -23,12 +23,10 @@ import (
 //     replayed outright;
 //   - only step edits that preserve every lifetime overlap and the
 //     module binding → the previous netlist and plan are reused and
-//     only the control program is rebuilt;
+//     only the control program is re-timed;
 //   - the rebuilt data path is structurally identical → the previous
 //     BIST plan is revalidated and spliced in place of the search;
-//   - otherwise the previous plan warm-starts the branch and bound as
-//     the incumbent bound, pruning the search without changing its
-//     result.
+//   - otherwise the BIST search runs as in a cold synthesis.
 //
 // Reuse never changes what a Result contains: an incremental Result is
 // identical to a from-scratch synthesis of the edited design — same
@@ -55,31 +53,25 @@ type Session struct {
 }
 
 // sessionState is the survivable residue of one successful Resynthesize:
-// the reusable phase artifacts it captured, a private clone of its
-// Result, and the wall time of the most recent run that reused nothing
-// (the baseline IncrementalSpeedup is measured against). The module
-// binding and the lifetime-overlap matrix back the reschedule fast
-// path, which must decide "did this step edit preserve every overlap?"
-// without paying for serialization or hashing.
+// a private clone of its Result, whose data path, plan and module
+// binding are all a later run reuses, and the wall time of the most
+// recent run that reused nothing (the baseline IncrementalSpeedup is
+// measured against). The lifetime-overlap matrix backs the reschedule
+// fast path, which must decide "did this step edit preserve every
+// overlap?" without paying for serialization or hashing.
 type sessionState struct {
-	arts      *artifacts
 	result    *Result
 	coldTotal time.Duration
 
-	mb        *modassign.Binding
 	allocVars []string
 	overlaps  []bool // allocVars×allocVars lifetime-overlap matrix
 }
 
 // overlapMatrix computes the pairwise lifetime-overlap relation over
-// the allocatable variables — the only way the schedule reaches the
-// register binder. Two schedules with equal matrices (and unchanged
-// graph structure) bind identically.
-func overlapMatrix(g *dfg.Graph) ([]string, []bool, error) {
-	lts, err := g.Lifetimes()
-	if err != nil {
-		return nil, nil, err
-	}
+// the allocatable variables from g's lifetimes lts — the only way the
+// schedule reaches the register binder. Two schedules with equal
+// matrices (and unchanged graph structure) bind identically.
+func overlapMatrix(g *dfg.Graph, lts map[string]dfg.Lifetime) ([]string, []bool) {
 	vars := g.AllocVars()
 	n := len(vars)
 	ls := make([]dfg.Lifetime, n)
@@ -95,7 +87,7 @@ func overlapMatrix(g *dfg.Graph) ([]string, []bool, error) {
 			}
 		}
 	}
-	return vars, m, nil
+	return vars, m
 }
 
 // sameModuleBindingAfterSteps reports whether binding the session's
@@ -303,7 +295,7 @@ func allPhaseNames() []string {
 // Stats.ReusedPhases, Stats.IncrementalSpeedup and the effort counters
 // record that work was saved. A successful call consumes the pending
 // Deltas; a failed one (invalid edited design, cancellation) leaves
-// them pending and keeps the previous run's artifacts for the next
+// them pending and keeps the previous run's Result for the next
 // attempt.
 func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 	ss.mu.Lock()
@@ -329,35 +321,26 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 		return res, err
 	}
 
-	// Mirror synthesizeDFG's front door: the step-0 precheck, then the
-	// module binding, both attributed to the validate phase.
-	for _, o := range ss.g.Ops() {
-		if o.Step == 0 {
-			return nil, phaseError(ss.g.Name, PhaseValidate,
-				fmt.Errorf("%w: op %q", ErrUnscheduled, o.Name))
-		}
-	}
 	mb, err := (&DFG{g: ss.g}).moduleBinding(ss.opToModule)
 	if err != nil {
-		return nil, phaseError(ss.g.Name, PhaseValidate, err)
+		return nil, err
 	}
 
 	// Something changed: re-enter the pipeline with the previous run's
-	// artifacts as its prior. The pipeline's own checks (the rebuilt
-	// data path's structure against the previous one, plan
-	// revalidation) decide what actually survives.
+	// plan as its prior. The pipeline's own checks (the rebuilt data
+	// path's structure against the previous one, plan revalidation)
+	// decide whether it survives.
 	var prior *artifacts
 	if ss.prev != nil {
-		prior = ss.prev.arts
+		r := ss.prev.result
+		prior = &artifacts{plan: r.plan, dp: r.dp, searchStrategy: r.Stats.SearchStrategy}
 	}
-	var art *artifacts
 	// The pipeline runs on a private snapshot so Results handed out
 	// earlier (whose datapath references the run's graph) don't see
 	// later session edits.
 	g, cfg := ss.g.Clone(), ss.cfg
-	res, err := ss.synth.run(ctx, func(ctx context.Context, sc *synthScratch) (res *Result, err error) {
-		res, art, err = synthesizePipeline(ctx, g, mb, cfg, sc, prior, true)
-		return res, err
+	res, err := ss.synth.run(ctx, func(ctx context.Context, sc *synthScratch) (*Result, error) {
+		return synthesizePipeline(ctx, g, mb, cfg, sc, prior)
 	})
 	if err != nil {
 		return nil, err
@@ -374,9 +357,9 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 		}
 	}
 	res.Stats = st
-	state := &sessionState{arts: art, result: res.clone(), coldTotal: coldTotal, mb: mb}
-	if vars, m, err := overlapMatrix(g); err == nil {
-		state.allocVars, state.overlaps = vars, m
+	state := &sessionState{result: res.clone(), coldTotal: coldTotal}
+	if lts, err := g.Lifetimes(); err == nil {
+		state.allocVars, state.overlaps = overlapMatrix(g, lts)
 	}
 	ss.prev = state
 	ss.deltas = nil
@@ -384,14 +367,13 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 }
 
 // fastReschedule is the steps-only fast path of Resynthesize (which
-// holds ss.mu). It applies when every pending delta is a SetStep, the
-// previous run captured a complete artifact set, and the configuration
-// keeps plans spliceable. If the edited schedule preserves the
-// lifetime-overlap matrix — the only channel through which control
+// holds ss.mu). It applies when every pending delta is a SetStep and the
+// configuration keeps plans spliceable. If the edited schedule preserves
+// the lifetime-overlap matrix — the only channel through which control
 // steps reach the register binder — and reproduces the module binding
 // op for op, then the register binding, interconnect, netlist and BIST
 // plan are all provably unchanged, and the run reduces to validation
-// plus rebuilding the control program on the previous netlist
+// plus re-timing the previous control program to the new schedule
 // (Datapath.WithSchedule).
 //
 // handled=false falls through to the general path, which re-runs the
@@ -403,7 +385,7 @@ func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, e
 	if prev == nil || !reusablePlan(ss.cfg) {
 		return nil, false, nil
 	}
-	if prev.mb == nil || prev.overlaps == nil || prev.arts.ib == nil || prev.arts.rb == nil {
+	if prev.overlaps == nil {
 		return nil, false, nil
 	}
 	for _, d := range ss.deltas {
@@ -418,19 +400,20 @@ func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, e
 	if err := ss.g.Validate(); err != nil {
 		return nil, true, phaseError(ss.g.Name, PhaseValidate, err)
 	}
-	vars, m, err := overlapMatrix(ss.g)
+	lts, err := ss.g.Lifetimes()
 	if err != nil {
 		return nil, false, nil // let the general path surface it
 	}
+	vars, m := overlapMatrix(ss.g, lts)
 	if !slices.Equal(vars, prev.allocVars) || !slices.Equal(m, prev.overlaps) {
 		return nil, false, nil // overlaps moved: the binder must re-run
 	}
-	if !ss.sameModuleBindingAfterSteps(prev.mb) {
+	if !ss.sameModuleBindingAfterSteps(prev.result.mb) {
 		return nil, false, nil // the general path rebinds (or rejects) it
 	}
 
 	g := ss.g.Clone() // private snapshot, as in the general path
-	dp, err := prev.result.dp.WithSchedule(g, prev.mb, prev.arts.rb, prev.arts.ib)
+	dp, err := prev.result.dp.WithSchedule(g, lts)
 	if err != nil {
 		return nil, false, nil // shouldn't happen; re-derive from scratch
 	}
@@ -440,12 +423,10 @@ func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, e
 		PhaseDatapath.String(), PhaseBISTSearch.String(),
 	}, start)
 	res.dp = dp
-
-	// Persist the rescheduled state. The overlap matrix carries forward
+	// The previous Result stays the session's memory, now on the
+	// rescheduled data path; the overlap matrix carries forward
 	// unchanged — that's exactly what was just proven.
-	stored := *prev
-	stored.result = res.clone()
-	ss.prev = &stored
+	prev.result.dp = dp
 	return res, true, nil
 }
 

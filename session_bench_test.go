@@ -74,9 +74,9 @@ func BenchmarkResynthesizeSmallEdit(b *testing.B) {
 
 // BenchmarkResynthesizeFirstEdit measures a session's first run after
 // one edit: a new session on ex1, one SetStep, Resynthesize. With no
-// previous run to reuse, this is a cold synthesis that captures the
-// artifacts for the next edit — the shape of a service PATCH that opens
-// a new lineage.
+// previous run to reuse, this is a cold synthesis whose Result the
+// session keeps for the next edit — the shape of a service PATCH that
+// opens a new lineage.
 func BenchmarkResynthesizeFirstEdit(b *testing.B) {
 	s := New(DefaultConfig())
 	defer s.Close()

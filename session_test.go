@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"expvar"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"bistpath/internal/dfg"
 )
 
 // stripStatsJSON renders a Result's JSON with the "stats" member
@@ -34,7 +37,8 @@ func stripStatsJSON(t *testing.T, res *Result) string {
 
 // assertSameResult asserts the incremental and from-scratch results are
 // identical in every deterministic observable: strict ReportText
-// equality and stats-stripped JSON equality.
+// equality, stats-stripped JSON equality and NetlistText equality, the
+// one rendering of the control program the reschedule fast path re-times.
 func assertSameResult(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if g, w := got.ReportText(), want.ReportText(); g != w {
@@ -42,6 +46,9 @@ func assertSameResult(t *testing.T, label string, got, want *Result) {
 	}
 	if g, w := stripStatsJSON(t, got), stripStatsJSON(t, want); g != w {
 		t.Errorf("%s: stats-stripped JSON diverges\n--- incremental ---\n%s\n--- from scratch ---\n%s", label, g, w)
+	}
+	if g, w := got.NetlistText(), want.NetlistText(); g != w {
+		t.Errorf("%s: NetlistText diverges\n--- incremental ---\n%s\n--- from scratch ---\n%s", label, g, w)
 	}
 }
 
@@ -247,6 +254,105 @@ func TestSessionSpliceRecordsNoSearchEffort(t *testing.T) {
 			t.Errorf("%s: spliced run made %d Lemma-2 checks, cold run %d", cfg.Objective, got, w)
 		}
 	}
+}
+
+// stepMove is one single-op reschedule.
+type stepMove struct {
+	op   string
+	step int
+}
+
+// validStepMoves lists every reschedule of one op that keeps g valid
+// under the explicit module map mods, by the rule perfbench's
+// service-mix draws its PATCH edits with: the op stays after its
+// operands' producers, before its result's users and strictly between
+// the neighbouring ops of its module, within the schedule's length.
+func validStepMoves(g *dfg.Graph, mods map[string]string) []stepMove {
+	steps := make(map[string][]int) // module -> steps its ops run at
+	for _, o := range g.Ops() {
+		steps[mods[o.Name]] = append(steps[mods[o.Name]], o.Step)
+	}
+	var out []stepMove
+	for _, o := range g.Ops() {
+		lo, hi := 1, g.NumSteps()
+		for _, a := range o.Args {
+			if def := g.Var(a).Def; def != "" {
+				lo = max(lo, g.Op(def).Step+1)
+			}
+		}
+		for _, u := range g.Var(o.Result).Uses {
+			hi = min(hi, g.Op(u).Step-1)
+		}
+		for _, s := range steps[mods[o.Name]] {
+			switch {
+			case s < o.Step:
+				lo = max(lo, s+1)
+			case s > o.Step:
+				hi = min(hi, s-1)
+			}
+		}
+		for t := lo; t <= hi; t++ {
+			if t != o.Step {
+				out = append(out, stepMove{o.Name, t})
+			}
+		}
+	}
+	return out
+}
+
+// Every single valid step edit of a paper design, applied in a session
+// after one cold run, must match a cold synthesis of the edited design.
+// Where the session reused no phase, it ran the same BIST search as the
+// cold synthesis, so it must also report the same search effort: the
+// previous run's plan is either spliced or plays no part in the search.
+func TestSessionStepEditsMatchColdSearchEffort(t *testing.T) {
+	s := New(DefaultConfig())
+	defer s.Close()
+	searched := 0
+	for _, name := range BenchmarkNames() {
+		d, mods, err := Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mv := range validStepMoves(d.g, mods) {
+			label := fmt.Sprintf("%s %s->%d", name, mv.op, mv.step)
+			ss, err := s.NewSession(d, mods)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ss.Resynthesize(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := ss.SetStep(mv.op, mv.step); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ss.Resynthesize(context.Background())
+			ss.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			edited := &DFG{g: d.g.Clone()}
+			edited.g.Op(mv.op).Step = mv.step
+			want, err := s.Synthesize(context.Background(), edited, mods)
+			if err != nil {
+				t.Fatalf("%s: cold: %v", label, err)
+			}
+			assertSameResult(t, label, got, want)
+			if len(got.Stats.ReusedPhases) > 0 {
+				continue
+			}
+			searched++
+			g, w := got.Stats, want.Stats
+			if g.SearchNodes != w.SearchNodes || g.BoundPrunes != w.BoundPrunes || g.IncumbentUpdates != w.IncumbentUpdates {
+				t.Errorf("%s: session searched %d nodes, %d prunes, %d incumbents; cold %d, %d, %d",
+					label, g.SearchNodes, g.BoundPrunes, g.IncumbentUpdates, w.SearchNodes, w.BoundPrunes, w.IncumbentUpdates)
+			}
+		}
+	}
+	if searched == 0 {
+		t.Fatal("every move reused a phase: the search-effort comparison ran on nothing")
+	}
+	t.Logf("%d moves searched afresh", searched)
 }
 
 // sharedModuleDesign runs two adds with identical operands on module M1

@@ -70,8 +70,9 @@ func applyScriptEdit(sel, arg byte, ss *Session, mirror *DFG, mirrorMods map[str
 // random base design plus a fuzz-chosen edit script, with the session's
 // incremental Resynthesize compared against a from-scratch synthesis of
 // an identically edited mirror after every few edits. Any divergence —
-// in synthesizability, ReportText or the stats-stripped JSON — is a
-// finding, as is any panic in the reuse machinery.
+// in synthesizability, ReportText, the stats-stripped JSON or the
+// netlist with its control program — is a finding, as is any panic in
+// the reuse machinery.
 func FuzzSessionResynthesize(f *testing.F) {
 	f.Add(int64(1), []byte{})
 	f.Add(int64(1), []byte{0, 0})
@@ -113,6 +114,10 @@ func FuzzSessionResynthesize(f *testing.F) {
 			}
 			if g, w := stripStatsJSON(t, got), stripStatsJSON(t, want); g != w {
 				t.Fatalf("seed %d after %d edits (reused %v): JSON diverges\n--- incremental ---\n%s\n--- from scratch ---\n%s",
+					seed, edits, got.Stats.ReusedPhases, g, w)
+			}
+			if g, w := got.NetlistText(), want.NetlistText(); g != w {
+				t.Fatalf("seed %d after %d edits (reused %v): NetlistText diverges\n--- incremental ---\n%s\n--- from scratch ---\n%s",
 					seed, edits, got.Stats.ReusedPhases, g, w)
 			}
 		}

@@ -241,26 +241,16 @@ func (s *Synthesizer) synthesizeDFG(ctx context.Context, d *DFG, opToModule map[
 	if d == nil || d.g == nil {
 		return nil, ErrNoDFG
 	}
-	// Catch unscheduled graphs before module binding so both the explicit
-	// and automatic paths fail with ErrUnscheduled rather than a
-	// binder-specific message.
-	for _, o := range d.g.Ops() {
-		if o.Step == 0 {
-			return nil, phaseError(d.g.Name, PhaseValidate,
-				fmt.Errorf("%w: op %q", ErrUnscheduled, o.Name))
-		}
-	}
 	mb, err := d.moduleBinding(opToModule)
 	if err != nil {
-		return nil, phaseError(d.g.Name, PhaseValidate, err)
+		return nil, err
 	}
 	cfg = cfg.normalized()
 	return s.run(ctx, func(ctx context.Context, sc *synthScratch) (*Result, error) {
 		if cfg.Cache != nil && reusablePlan(cfg) {
 			return cfg.Cache.synthesize(ctx, d.g, mb, cfg, sc)
 		}
-		res, _, err := synthesizePipeline(ctx, d.g, mb, cfg, sc, nil, false)
-		return res, err
+		return synthesizePipeline(ctx, d.g, mb, cfg, sc, nil)
 	})
 }
 
