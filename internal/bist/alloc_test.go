@@ -150,7 +150,7 @@ func TestPrepareSpaceWarmScratchAllocFree(t *testing.T) {
 	for _, m := range dp.Modules {
 		var costs []int
 		for _, e := range Embeddings(dp, m.Name, opts.AllowPadHeads) {
-			costs = append(costs, standaloneCost(opts.Model, e))
+			costs = append(costs, namedStandaloneCost(opts.Model, e))
 		}
 		levels := slices.Clone(costs)
 		slices.Sort(levels)

@@ -161,116 +161,82 @@ func Optimize(dp *datapath.Datapath, opts Options) (*Plan, error) {
 	return OptimizeCtx(context.Background(), dp, opts)
 }
 
-// modEmb pairs a module with its candidate embeddings in search order.
-type modEmb struct {
-	name string
-	embs []Embedding
-}
-
 // searchSpace is the prepared per-call search state shared by the exact
 // branch and bound, the stochastic search and the Pareto walk: modules
-// and embeddings in canonical search order (canonicalOrder), registers
-// interned to small ids and the compact refs built, with the style
-// upgrade costs pre-resolved from the area model so duty counters
-// translate to cost without a Model call per touch. Everything here is a
+// and their candidate embeddings in canonical search order
+// (prepareSpace), each candidate a compact ref over interned register
+// ids plus the source ids that name it. Embedding values are built only
+// for the plans a search returns (embeddingsOf). Everything here is a
 // pure function of the data path and options, never of construction
 // order — every search's determinism contract depends on that.
 type searchSpace struct {
-	mods     []modEmb
-	refs     [][]embRef // compact embeddings, parallel to mods
-	nregs    int        // interned register count
-	embTotal int64      // candidate embeddings across modules
-
-	exTPG, exSA, exBILBO, exCB int
+	styleCosts
+	mods     []string   // module names in search order
+	refs     [][]embRef // per module position: its candidates in search order
+	srcs     [][]srcRef // parallel to refs: the sources naming each candidate
+	srcNames []string   // source id -> register or pad name (0: "")
+	srcID    map[string]int32
+	nregs    int   // interned register count
+	embTotal int64 // candidate embeddings across modules
 }
 
-// prepareSpace enumerates, orders and interns the embedding search space
-// into sc. One prepared space serves one search at a time (it aliases
-// the scratch's storage).
+// prepareSpace builds the embedding search space into sc. Each module's
+// port lists are interned once, and its candidates are generated from
+// them over source ids, in Embeddings' canonical (HeadL, HeadR, Tail)
+// order. Most-constrained modules then come first, which makes pruning
+// effective, ties broken by name (module names are unique, so the order
+// is total), and each module's candidates go cheapest standalone
+// upgrade cost first, which makes the first complete solution strong,
+// keeping enumeration order within a cost (orderByCost). The search
+// order, and with it every deterministic tie-break, is thus a pure
+// function of the data path. One prepared space serves one search at a
+// time (it aliases the scratch's storage).
 func prepareSpace(dp *datapath.Datapath, opts Options, sc *Scratch) (searchSpace, error) {
-	sp := searchSpace{
-		exTPG:   opts.Model.StyleExtra(area.TPG),
-		exSA:    opts.Model.StyleExtra(area.SA),
-		exBILBO: opts.Model.StyleExtra(area.BILBO),
-		exCB:    opts.Model.StyleExtra(area.CBILBO),
-	}
-	// Enumerate embeddings into the scratch's per-position slices.
-	for len(sc.embStore) < len(dp.Modules) {
-		sc.embStore = append(sc.embStore, nil)
-	}
-	mods := sc.mods[:0]
-	for i, m := range dp.Modules {
-		embs := AppendEmbeddings(sc.embStore[i][:0], dp, m.Name, opts.AllowPadHeads)
-		sc.embStore[i] = embs
-		if len(embs) == 0 {
+	sp := searchSpace{styleCosts: newStyleCosts(opts.Model)}
+	n := len(dp.Modules)
+	sc.resetIntern(len(dp.Regs) + len(dp.InPads))
+	sc.refStore, sc.srcStore = extend(sc.refStore, n), extend(sc.srcStore, n)
+	sc.order = grow(sc.order, n)
+	for k, m := range dp.Modules {
+		refs, srcs := sc.appendCandidates(dp, m, opts.AllowPadHeads, sc.refStore[k][:0], sc.srcStore[k][:0])
+		sc.refStore[k], sc.srcStore[k] = refs, srcs
+		if len(refs) == 0 {
 			return sp, fmt.Errorf("bist: module %s has %w (no register I-paths)", m.Name, ErrNoEmbedding)
 		}
-		sp.embTotal += int64(len(embs))
-		mods = append(mods, modEmb{m.Name, embs})
+		sp.embTotal += int64(len(refs))
+		sc.order[k] = int32(k)
 	}
-	sc.mods = mods
-	sc.costs, sc.perm = canonicalOrder(opts.Model, mods, sc.costs, sc.perm)
-
-	// Intern the registers and build the compact search refs.
-	sc.resetIntern()
-	for len(sc.refStore) < len(mods) {
-		sc.refStore = append(sc.refStore, nil)
-	}
-	refs := sc.refStore[:len(mods)]
-	for i, m := range mods {
-		rr := refs[i][:0]
-		for _, e := range m.embs {
-			rr = append(rr, embRef{sc.internReg(e.HeadL), sc.internReg(e.HeadR), sc.internReg(e.Tail)})
+	slices.SortFunc(sc.order, func(x, y int32) int {
+		if c := cmp.Compare(len(sc.refStore[x]), len(sc.refStore[y])); c != 0 {
+			return c
 		}
-		refs[i] = rr
+		return strings.Compare(dp.Modules[x].Name, dp.Modules[y].Name)
+	})
+	sc.mods, sc.refs, sc.srcs = grow(sc.mods, n), grow(sc.refs, n), grow(sc.srcs, n)
+	for i, k := range sc.order {
+		sc.mods[i], sc.refs[i], sc.srcs[i] = dp.Modules[k].Name, sc.refStore[k], sc.srcStore[k]
+		sc.costs, sc.perm = sp.orderByCost(sc.refs[i], sc.srcs[i], sc.costs, sc.perm)
 	}
-	sp.mods = mods
-	sp.refs = refs
-	sp.nregs = len(sc.regNames)
+	sp.mods, sp.refs, sp.srcs = sc.mods, sc.refs, sc.srcs
+	sp.srcNames, sp.srcID = sc.srcNames, sc.srcID
+	sp.nregs = int(sc.nregs)
 	return sp, nil
 }
 
-// canonicalOrder puts a search space into the order every search
-// (exact, stochastic, Pareto) walks. Most-constrained modules come
-// first, which makes pruning effective, ties broken by name (module
-// names are unique, so the order is total). Each module's embeddings
-// then go cheapest standalone upgrade cost first, which makes the first
-// complete solution strong, keeping enumeration order within a cost
-// (orderByCost). Embeddings enumerate in canonical order, so the search
-// order, and with it every deterministic tie-break, is a pure function
-// of the data path. The cost and permutation buffers come back grown
-// for reuse.
-func canonicalOrder(model area.Model, mods []modEmb, costs []int, perm []int32) ([]int, []int32) {
-	slices.SortFunc(mods, func(a, b modEmb) int {
-		if c := cmp.Compare(len(a.embs), len(b.embs)); c != 0 {
-			return c
-		}
-		return strings.Compare(a.name, b.name)
-	})
-	if len(mods) > 0 {
-		// Size both buffers once, for the last module, which has the
-		// most embeddings.
-		n := len(mods[len(mods)-1].embs)
-		costs, perm = grow(costs, n), grow(perm, n)
-	}
-	for _, m := range mods {
-		costs, perm = orderByCost(model, m.embs, costs, perm)
-	}
-	return costs, perm
-}
-
-// orderByCost stably reorders embs by ascending standaloneCost in
-// place. A standalone cost is SA or CBILBO plus at most two TPGs, so it
-// takes at most six distinct values: one pass per value, in ascending
-// order, gathers the indices carrying it into perm, and the permutation
-// is then applied cycle by cycle, so the ordering is linear in
-// len(embs) and copies no second embedding slice.
-func orderByCost(model area.Model, embs []Embedding, costs []int, perm []int32) ([]int, []int32) {
-	n := len(embs)
+// orderByCost stably reorders one module's candidates (refs and, in
+// step, srcs) by ascending standalone cost in place. A standalone cost
+// is SA or CBILBO plus at most two TPGs, so it takes at most six
+// distinct values: one pass per value, in ascending order, gathers the
+// indices carrying it into perm, and the permutation is then applied
+// cycle by cycle, so the ordering is linear in the candidate count and
+// copies no second candidate slice. The cost and permutation buffers
+// come back grown for reuse.
+func (c styleCosts) orderByCost(refs []embRef, srcs []srcRef, costs []int, perm []int32) ([]int, []int32) {
+	n := len(refs)
 	costs = grow(costs, n)
 	sorted := true
-	for j, e := range embs {
-		costs[j] = standaloneCost(model, e)
+	for j, e := range refs {
+		costs[j] = c.standalone(e)
 		sorted = sorted && (j == 0 || costs[j-1] <= costs[j])
 	}
 	if sorted {
@@ -279,46 +245,52 @@ func orderByCost(model area.Model, embs []Embedding, costs []int, perm []int32) 
 	perm = grow(perm, n)
 	for w, level := 0, math.MinInt; w < n; {
 		next := math.MaxInt
-		for _, c := range costs {
-			if c > level && c < next {
-				next = c
+		for _, cost := range costs {
+			if cost > level && cost < next {
+				next = cost
 			}
 		}
-		for j, c := range costs {
-			if c == next {
+		for j, cost := range costs {
+			if cost == next {
 				perm[w] = int32(j)
 				w++
 			}
 		}
 		level = next
 	}
-	// Position i takes the embedding at perm[i]; follow each cycle once,
+	// Position i takes the candidate at perm[i]; follow each cycle once,
 	// marking visited positions with -1.
 	for i := range perm {
 		if perm[i] < 0 {
 			continue
 		}
-		first, j := embs[i], i
+		firstRef, firstSrc, j := refs[i], srcs[i], i
 		for {
 			k := int(perm[j])
 			perm[j] = -1
 			if k == i {
-				embs[j] = first
+				refs[j], srcs[j] = firstRef, firstSrc
 				break
 			}
-			embs[j] = embs[k]
+			refs[j], srcs[j] = refs[k], srcs[k]
 			j = k
 		}
 	}
 	return costs, perm
 }
 
-// embeddingsOf materializes a genome (one embedding index per module
+// embedding materializes candidate j of module position i.
+func (sp *searchSpace) embedding(i int, j int32) Embedding {
+	s := sp.srcs[i][j]
+	return Embedding{Module: sp.mods[i], HeadL: sp.srcNames[s.l], HeadR: sp.srcNames[s.r], Tail: sp.srcNames[s.t]}
+}
+
+// embeddingsOf materializes a genome (one candidate index per module
 // position) as the embedding map a Plan carries.
 func (sp *searchSpace) embeddingsOf(genome []int32) map[string]Embedding {
 	out := make(map[string]Embedding, len(sp.mods))
-	for i, m := range sp.mods {
-		out[m.name] = m.embs[genome[i]]
+	for i, name := range sp.mods {
+		out[name] = sp.embedding(i, genome[i])
 	}
 	return out
 }
@@ -350,20 +322,20 @@ type search struct {
 // dutyEval tracks the upgrade cost of a partial embedding assignment
 // incrementally over an arena's interned duty counters: applying or
 // undoing one embedding touches three int32 counters and folds the cost
-// delta into cost. It is the one cost evaluator every search shares —
+// delta into cost, and delta reads what applying one would add without
+// touching them. It is the one cost evaluator every search shares —
 // the branch and bound and the Pareto walk embed it, and the stochastic
 // search's genome evaluations, greedy seeding and annealing moves all
-// run through the same apply/undo pair, so a cost bug cannot hide in a
-// search-specific reimplementation.
+// run through it, so a cost bug cannot hide in a search-specific
+// reimplementation.
 type dutyEval struct {
+	styleCosts
 	a    *searchArena
 	cost int
-	// Style upgrade costs, pre-resolved from the area model.
-	exTPG, exSA, exBILBO, exCB int
 }
 
 func newDutyEval(sp *searchSpace, a *searchArena) dutyEval {
-	return dutyEval{a: a, exTPG: sp.exTPG, exSA: sp.exSA, exBILBO: sp.exBILBO, exCB: sp.exCB}
+	return dutyEval{styleCosts: sp.styleCosts, a: a}
 }
 
 // styleExtra returns the upgrade cost of register r under its current
@@ -418,6 +390,54 @@ func (w *dutyEval) undo(e embRef) {
 	w.cost += w.styleExtra(e.t) - before
 }
 
+// delta returns the cost change applying e would make now, reading the
+// duty counters without writing them: the tail gains SA duty (and
+// becomes a CBILBO when it is also a head), and each other distinct
+// head gains TPG duty.
+func (w *dutyEval) delta(e embRef) int {
+	var d int
+	if e.l == e.t || e.r == e.t {
+		d = w.exCB - w.styleExtra(e.t)
+	} else {
+		d = w.saMarginal(e.t)
+	}
+	if e.l >= 0 && e.l != e.t {
+		d += w.tpgMarginal(e.l)
+	}
+	if e.r >= 0 && e.r != e.t && e.r != e.l {
+		d += w.tpgMarginal(e.r)
+	}
+	return d
+}
+
+// saMarginal is the cost of giving register r SA duty: 0 if it already
+// has SA or CBILBO duty, BILBO minus TPG if it has TPG duty only, and an
+// SA otherwise.
+func (w *dutyEval) saMarginal(r int32) int {
+	a := w.a
+	switch {
+	case a.sa[r] > 0 || a.cb[r] > 0:
+		return 0
+	case a.tpg[r] > 0:
+		return w.exBILBO - w.exTPG
+	}
+	return w.exSA
+}
+
+// tpgMarginal is the cost of giving register r, not the tail, TPG duty:
+// 0 if it already has TPG duty (which CBILBO duty always comes with),
+// BILBO minus SA if it has SA duty, and a TPG otherwise.
+func (w *dutyEval) tpgMarginal(r int32) int {
+	a := w.a
+	switch {
+	case a.tpg[r] > 0:
+		return 0
+	case a.sa[r] > 0:
+		return w.exBILBO - w.exSA
+	}
+	return w.exTPG
+}
+
 // evalGenome returns the total cost of a complete assignment: it applies
 // every chosen embedding, reads the cost and undoes them again, leaving
 // the evaluator zeroed for the next call.
@@ -436,18 +456,17 @@ func (w *dutyEval) evalGenome(refs [][]embRef, genome []int32) int {
 // embedding choice and returns its cost: each module in search order
 // takes the embedding minimizing the cost of the partial assignment so
 // far, then one sweep retries every module against the complete
-// assignment. ev must arrive zeroed; it is left holding the chosen
-// assignment's duties (callers recycling the arena should undo or zero
-// it). Deterministic: pure function of the prepared space.
+// assignment. Candidates are ranked by delta, so only the chosen ones
+// touch the counters. ev must arrive zeroed; it is left holding the
+// chosen assignment's duties (callers recycling the arena should undo
+// or zero it). Deterministic: pure function of the prepared space.
 func greedyAssignment(sp *searchSpace, ev *dutyEval, genome []int32) int {
 	for i := range sp.mods {
-		bi, bc := 0, -1
+		bi, bc := 0, 0
 		for j, e := range sp.refs[i] {
-			ev.apply(e)
-			if bc < 0 || ev.cost < bc {
-				bi, bc = j, ev.cost
+			if d := ev.delta(e); j == 0 || d < bc {
+				bi, bc = j, d
 			}
-			ev.undo(e)
 		}
 		genome[i] = int32(bi)
 		ev.apply(sp.refs[i][bi])
@@ -456,17 +475,14 @@ func greedyAssignment(sp *searchSpace, ev *dutyEval, genome []int32) int {
 	for i := range sp.mods {
 		cur := genome[i]
 		ev.undo(sp.refs[i][cur])
-		base := ev.cost
-		bi, bc := cur, ev.styleDelta(sp.refs[i][cur])
+		bi, bc := cur, ev.delta(sp.refs[i][cur])
 		for j, e := range sp.refs[i] {
 			if int32(j) == cur {
 				continue
 			}
-			ev.apply(e)
-			if ev.cost-base < bc {
-				bi, bc = int32(j), ev.cost-base
+			if d := ev.delta(e); d < bc {
+				bi, bc = int32(j), d
 			}
-			ev.undo(e)
 		}
 		genome[i] = bi
 		ev.apply(sp.refs[i][bi])
@@ -474,21 +490,36 @@ func greedyAssignment(sp *searchSpace, ev *dutyEval, genome []int32) int {
 	return ev.cost
 }
 
-// styleDelta returns the cost delta applying e would add right now.
-func (w *dutyEval) styleDelta(e embRef) int {
-	before := w.cost
-	w.apply(e)
-	d := w.cost - before
-	w.undo(e)
-	return d
-}
-
 // expand tries every embedding of module position i in canonical order.
+// A child that dfs would cut on entry is cut here instead, from its cost
+// delta and its lowered bound, without writing a counter: it is counted
+// as the node and the prune dfs would count. A child whose node would
+// poll, exceed the node budget or follow cancellation goes through dfs,
+// as does every child the parent cannot cut, so the walk visits the same
+// nodes, counts the same prunes and takes the same leaves as one that
+// enters every child.
 func (s *search) expand(i int) {
+	d, n := i+1, len(s.sp.refs)
+	budget := int64(s.opts.NodeBudget)
+	cached, lb0 := false, 0
+	var own []int32
 	for j, e := range s.sp.refs[i] {
+		if next := s.nodes + 1; next&1023 != 0 && (budget <= 0 || next <= budget) && !s.cancelled {
+			least := s.cost + s.delta(e)
+			if s.bounded && d < n && least <= s.bound {
+				if !cached {
+					lb0, own, cached = s.cacheLeasts(d), s.a.owner[d*s.sp.nregs:(d+1)*s.sp.nregs], true
+				}
+				least += s.childBound(e, own, lb0)
+			}
+			if s.cuts(d, least) {
+				s.nodes, s.prunes = next, s.prunes+1
+				continue
+			}
+		}
 		s.a.cur[i] = int32(j)
 		s.apply(e)
-		s.dfs(i + 1)
+		s.dfs(d)
 		s.undo(e)
 	}
 }
@@ -506,15 +537,11 @@ func (s *search) dfs(i int) {
 		return
 	}
 	n := len(s.sp.refs)
-	// Adding modules never lowers cost, so no completion costs less than
-	// the committed cost plus lowerBound, and an equal-cost completion
-	// cannot beat the search's own earlier solution in depth-first order
-	// (unless the session tie-break still needs the leaves enumerated).
 	least := s.cost
 	if s.bounded && i < n && least <= s.bound {
 		least += s.lowerBound(i)
 	}
-	if least > s.bound || (least == s.bound && s.found && !s.opts.MinimizeSessions && i < n) {
+	if s.cuts(i, least) {
 		s.prunes++
 		return
 	}
@@ -523,6 +550,16 @@ func (s *search) dfs(i int) {
 		return
 	}
 	s.expand(i)
+}
+
+// cuts reports whether the node at depth i, no completion of which
+// costs less than least, is cut. Adding modules never lowers cost, so
+// the committed cost plus lowerBound is such a least, and an equal-cost
+// completion cannot beat the search's own earlier solution in
+// depth-first order (unless the session tie-break still needs the
+// leaves enumerated).
+func (s *search) cuts(i, least int) bool {
+	return least > s.bound || (least == s.bound && s.found && !s.opts.MinimizeSessions && i < len(s.sp.refs))
 }
 
 // poll runs every 1,024 nodes, at depth i: it observes cancellation and
@@ -578,32 +615,87 @@ func (s *search) seed() int {
 // i..n-1 adds to the committed cost. Every module packed at depth i
 // puts SA duty on one of its own tails, and the packed modules' tails
 // are distinct registers, so each adds at least its cheapest SA
-// marginal under the current duties: 0 on a tail that already has SA
-// or CBILBO duty, BILBO minus TPG on one with TPG duty only, and an SA
-// otherwise. Admissible because style cost is monotone in duties
-// (area.Default keeps 0 <= TPG, SA <= BILBO <= CBILBO), which the
-// committed-cost prune already assumes.
+// marginal under the current duties (leastMarginal). Admissible
+// because style cost is monotone in duties (area.Default keeps 0 <=
+// TPG, SA <= BILBO <= CBILBO), which the committed-cost prune already
+// assumes.
 func (s *search) lowerBound(i int) int {
 	a := s.a
 	lb := 0
 	for _, m := range a.pack[a.packOff[i]:a.packOff[i+1]] {
-		least := math.MaxInt
-		for _, t := range a.tails[a.tailOff[m]:a.tailOff[m+1]] {
-			switch {
-			case a.sa[t] > 0 || a.cb[t] > 0:
-				least = 0
-			case a.tpg[t] > 0:
-				least = min(least, s.exBILBO-s.exTPG)
-			default:
-				least = min(least, s.exSA)
-			}
-			if least == 0 {
-				break
-			}
-		}
-		lb += least
+		lb += s.leastMarginal(m)
 	}
 	return lb
+}
+
+// leastMarginal returns module position m's cheapest saMarginal over
+// its tails.
+func (s *search) leastMarginal(m int32) int {
+	a := s.a
+	least := math.MaxInt
+	for _, t := range a.tails[a.tailOff[m]:a.tailOff[m+1]] {
+		if least = min(least, s.saMarginal(t)); least == 0 {
+			break
+		}
+	}
+	return least
+}
+
+// cacheLeasts fills depth d's least slots with each packed module's
+// leastMarginal under the current duties and returns their sum,
+// lowerBound(d).
+func (s *search) cacheLeasts(d int) int {
+	a := s.a
+	lb := 0
+	for k := a.packOff[d]; k < a.packOff[d+1]; k++ {
+		m := s.leastMarginal(a.pack[k])
+		a.least[k] = int32(m)
+		lb += m
+	}
+	return lb
+}
+
+// childBound returns lowerBound(d) as it would read after applying e,
+// from depth d's cached leasts (sum lb) and owner row own. Applying e
+// changes the marginals of at most its three registers, and each is a
+// tail of at most one packed module: the tail's falls to 0, and a
+// head's to 0 if it has SA or CBILBO duty, else BILBO minus TPG. A
+// module's least becomes the smaller of its cached least and its
+// changed registers' marginals. That is exact where no marginal rises
+// (area.Default: BILBO-TPG <= SA); under a model where a head's TPG
+// duty raises its marginal it is a lower estimate, so the parent cuts
+// less and dfs cuts the rest.
+func (s *search) childBound(e embRef, own []int32, lb int) int {
+	least := s.a.least
+	ot, ol := own[e.t], int32(-1)
+	if ot >= 0 {
+		lb -= int(least[ot])
+	}
+	leastL := 0
+	if e.l >= 0 && e.l != e.t {
+		if o := own[e.l]; o >= 0 && o != ot {
+			ol, leastL = o, min(int(least[o]), s.headMarginal(e.l))
+			lb -= int(least[o]) - leastL
+		}
+	}
+	if e.r >= 0 && e.r != e.t && e.r != e.l {
+		if o := own[e.r]; o >= 0 && o != ot {
+			if o == ol {
+				lb -= leastL - min(leastL, s.headMarginal(e.r))
+			} else {
+				lb -= int(least[o]) - min(int(least[o]), s.headMarginal(e.r))
+			}
+		}
+	}
+	return lb
+}
+
+// headMarginal is register h's SA marginal once it has TPG duty.
+func (s *search) headMarginal(h int32) int {
+	if s.a.sa[h] > 0 || s.a.cb[h] > 0 {
+		return 0
+	}
+	return s.exBILBO - s.exTPG
 }
 
 // leaf considers a complete assignment, which costs at most the bound.

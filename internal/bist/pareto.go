@@ -274,7 +274,7 @@ func OptimizePareto(ctx context.Context, dp *datapath.Datapath, opts Options) ([
 		cornerArea: -1,
 	}
 	for i, m := range sp.mods {
-		a.power[i] = power[m.name]
+		a.power[i] = power[m]
 		e.ppLB = max(e.ppLB, a.power[i])
 	}
 	e.dfs(0)

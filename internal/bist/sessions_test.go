@@ -202,17 +202,17 @@ func TestInternedScheduleMatchesScheduleSessions(t *testing.T) {
 			for trial := 0; trial < 40; trial++ {
 				var override map[string]int
 				if trial%2 == 1 {
-					override = map[string]int{sp.mods[rng.Intn(len(sp.mods))].name: -50}
+					override = map[string]int{sp.mods[rng.Intn(len(sp.mods))]: -50}
 				}
 				power := PowerWeights(opts.Model, dp, override)
 				for i, m := range sp.mods {
 					genome[i] = int32(rng.Intn(len(sp.refs[i])))
-					weights[i] = power[m.name]
+					weights[i] = power[m]
 				}
 				n, peak := a.schedule(&sp, genome, weights)
 				got := make([][]string, n)
 				for _, i := range a.byName {
-					got[a.sess[i]] = append(got[a.sess[i]], sp.mods[i].name)
+					got[a.sess[i]] = append(got[a.sess[i]], sp.mods[i])
 				}
 				p := PlanFromEmbeddings(opts.Model, sp.embeddingsOf(genome), true)
 				if !reflect.DeepEqual(got, p.Sessions) {

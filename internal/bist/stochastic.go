@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"bistpath/internal/area"
 	"bistpath/internal/datapath"
+	"bistpath/internal/interconnect"
 )
 
 // Stochastic-search defaults (Options fields left zero resolve to these).
@@ -28,18 +30,40 @@ const AutoExactBits = 32
 
 // SearchSpaceBits returns log2 of the number of complete embedding
 // assignments for the data path — the sum of log2(per-module candidate
-// counts). It enumerates candidates per module but materializes nothing
-// else, so it is cheap relative to either search.
+// counts). It counts each module's candidates from its port lists
+// (candidateCount) and enumerates nothing, so it is cheap relative to
+// either search.
 func SearchSpaceBits(dp *datapath.Datapath, allowPadHeads bool) float64 {
-	var buf []Embedding
 	bits := 0.0
 	for _, m := range dp.Modules {
-		buf = AppendEmbeddings(buf[:0], dp, m.Name, allowPadHeads)
-		if n := len(buf); n > 1 {
+		if n := candidateCount(dp, m, allowPadHeads); n > 1 {
 			bits += math.Log2(float64(n))
 		}
 	}
 	return bits
+}
+
+// candidateCount returns len(Embeddings(dp, m.Name, allowPadHeads))
+// without enumerating: the head pairs eachEmbedding accepts (one per
+// usable left source on a unary module) times the destinations.
+func candidateCount(dp *datapath.Datapath, m *datapath.Module, allowPadHeads bool) int {
+	usable := func(s string) bool { return allowPadHeads || !interconnect.IsPad(s) }
+	diagonal := len(m.Right) > 0 && dp.ModuleDiagonal(m.Name)
+	pairs := 0
+	for _, l := range m.Left {
+		if !usable(l) {
+			continue
+		}
+		if len(m.Right) == 0 {
+			pairs++
+		}
+		for _, r := range m.Right {
+			if usable(r) && (r != l || diagonal) {
+				pairs++
+			}
+		}
+	}
+	return pairs * len(m.Dests)
 }
 
 // ExactFeasible reports whether the exact branch and bound is expected to
@@ -370,27 +394,28 @@ func OptimizeStochasticCtx(ctx context.Context, dp *datapath.Datapath, opts Opti
 	return plan, plan.Validate(dp)
 }
 
-// genomeOf fills genome with the embedding indices matching embs (one per
-// module position) and reports whether every module resolved. Used to map
-// the exact probe's incumbent plan back into the genetic search's genome
-// space.
+// genomeOf fills genome with the candidate indices matching embs (one
+// per module position) and reports whether every module resolved. Used
+// to map the exact probe's incumbent plan back into the genetic
+// search's genome space: each embedding's names resolve to source ids
+// once, and the module's candidates are matched on ids.
 func (sp *searchSpace) genomeOf(embs map[string]Embedding, genome []int32) bool {
-	for i, m := range sp.mods {
-		e, ok := embs[m.name]
-		if !ok {
+	for i, name := range sp.mods {
+		e, ok := embs[name]
+		if !ok || e.Module != name {
 			return false
 		}
-		found := int32(-1)
-		for j, cand := range m.embs {
-			if cand == e {
-				found = int32(j)
-				break
-			}
-		}
-		if found < 0 {
+		l, okL := sp.srcID[e.HeadL]
+		r, okR := sp.srcID[e.HeadR]
+		t, okT := sp.srcID[e.Tail]
+		if !okL || !okR || !okT {
 			return false
 		}
-		genome[i] = found
+		j := slices.Index(sp.srcs[i], srcRef{l, r, t})
+		if j < 0 {
+			return false
+		}
+		genome[i] = int32(j)
 	}
 	return true
 }

@@ -2,7 +2,11 @@ package bist
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -290,5 +294,101 @@ func TestExactFeasible(t *testing.T) {
 	}
 	if bits := SearchSpaceBits(dp, true); bits <= AutoExactBits {
 		t.Errorf("SearchSpaceBits = %.1f, want > %d", bits, AutoExactBits)
+	}
+}
+
+// TestCandidateCountMatchesEnumeration holds SearchSpaceBits's
+// per-module count to the enumeration it replaces: on every module of
+// the paper designs (both binding modes), the first 300 sweep shapes
+// and the dfgen s, m, l and xl presets at seeds 1-6, with pad heads on
+// and off, candidateCount must equal len(Embeddings). Counting must
+// allocate nothing.
+func TestCandidateCountMatchesEnumeration(t *testing.T) {
+	designs := paperAndSweepDesigns(t, 300)
+	for _, preset := range []string{"s", "m", "l", "xl"} {
+		for seed := int64(1); seed <= 6; seed++ {
+			cfg, _ := benchdata.Preset(preset, seed)
+			designs = append(designs, namedDP{fmt.Sprintf("%s-%d", preset, seed), buildRandomDP(t, cfg)})
+		}
+	}
+	unequal := false // some module has fewer candidates than its port-list product
+	for _, d := range designs {
+		for _, pads := range []bool{true, false} {
+			bits := 0.0
+			for _, m := range d.dp.Modules {
+				want := len(Embeddings(d.dp, m.Name, pads))
+				if got := candidateCount(d.dp, m, pads); got != want {
+					t.Fatalf("%s pads=%v module %s: candidateCount %d, %d embeddings", d.name, pads, m.Name, got, want)
+				}
+				if want > 1 {
+					bits += math.Log2(float64(want))
+				}
+				unequal = unequal || want < len(m.Left)*max(len(m.Right), 1)*len(m.Dests)
+			}
+			if got := SearchSpaceBits(d.dp, pads); got != bits {
+				t.Fatalf("%s pads=%v: SearchSpaceBits %v, enumeration %v", d.name, pads, got, bits)
+			}
+		}
+	}
+	if !unequal {
+		t.Fatal("no module drops a candidate; the test would not exercise the pad and same-source rules")
+	}
+	dp := designs[len(designs)-1].dp
+	if avg := testing.AllocsPerRun(20, func() { SearchSpaceBits(dp, true) }); avg != 0 {
+		t.Fatalf("SearchSpaceBits allocates %.1f allocs/run, want 0", avg)
+	}
+}
+
+// TestGenomeOfInvertsEmbeddingsOf holds genomeOf, which maps the exact
+// probe's plan into the genetic search's genome space by source ids, to
+// embeddingsOf: on the paper designs (both binding modes) and dfgen m
+// and l seeds 1-3, with pad heads on and off, every random genome must
+// come back from its own embeddings, and an embedding naming another
+// module, an unknown register or a tail off the module's destinations
+// must not resolve.
+func TestGenomeOfInvertsEmbeddingsOf(t *testing.T) {
+	designs := paperAndSweepDesigns(t, 0)
+	for _, preset := range []string{"m", "l"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg, _ := benchdata.Preset(preset, seed)
+			designs = append(designs, namedDP{fmt.Sprintf("%s-%d", preset, seed), buildRandomDP(t, cfg)})
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	sc := NewScratch()
+	for _, d := range designs {
+		for _, pads := range []bool{true, false} {
+			opts := DefaultOptions(8)
+			opts.AllowPadHeads = pads
+			sp, err := prepareSpace(d.dp, opts, sc)
+			if err != nil {
+				continue
+			}
+			n := len(sp.mods)
+			genome, got := make([]int32, n), make([]int32, n)
+			for range 20 {
+				for i := range genome {
+					genome[i] = int32(rng.Intn(len(sp.refs[i])))
+				}
+				embs := sp.embeddingsOf(genome)
+				if !sp.genomeOf(embs, got) || !slices.Equal(got, genome) {
+					t.Fatalf("%s pads=%v: genome %v came back as %v", d.name, pads, genome, got)
+				}
+				name := sp.mods[rng.Intn(n)]
+				e := embs[name]
+				for _, bad := range []Embedding{
+					{Module: name + "x", HeadL: e.HeadL, HeadR: e.HeadR, Tail: e.Tail},
+					{Module: name, HeadL: "no-such-register", HeadR: e.HeadR, Tail: e.Tail},
+					{Module: name, HeadL: e.HeadL, HeadR: e.HeadR, Tail: e.HeadL},
+				} {
+					if !slices.Contains(d.dp.Module(name).Dests, bad.Tail) || bad.Module != name || bad.HeadL != e.HeadL {
+						embs[name] = bad
+						if sp.genomeOf(embs, got) {
+							t.Fatalf("%s pads=%v: foreign embedding %v resolved", d.name, pads, bad)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -25,13 +25,18 @@
 # BENCH_COUNT more rounds and is judged on all of them, so one unlucky
 # draw of rounds does not fail the comparison. A benchmark the base
 # lacks is reported as new. The head rounds become
-# benchmarks/latest.txt, which the allocation gate reads. BENCH_PATTERN
-# selects top-level benchmarks by name and BENCH_TIME sizes each run, as
-# in scripts/bench.sh.
+# benchmarks/latest.txt, which the allocation gate reads. With a base
+# ref, BENCH_PATTERN selects top-level benchmarks by name and BENCH_TIME
+# sizes each run, as in scripts/bench.sh.
 #
-# Without BENCH_BASE_REF, the script checks an existing
+# Without BENCH_BASE_REF, the script runs no benchmark, so BENCH_PATTERN,
+# BENCH_TIME and BENCH_COUNT do nothing: it checks the existing
 # benchmarks/latest.txt (from scripts/bench.sh) against baseline.txt on
-# allocs/op and B/op only.
+# allocs/op and B/op only. It first refuses ("stale: run
+# scripts/bench.sh") a latest.txt whose tree stamp
+# (scripts/bench-stamp.sh: the commit and a checksum of the uncommitted
+# Go changes) does not match the working tree, so an old file cannot
+# pass or fail for code it never measured.
 #
 # Benchmarks present in only one of latest.txt and baseline.txt are
 # reported per benchmark and recapped in explicit "ADDED"/"REMOVED"
@@ -50,6 +55,7 @@ MAX_ALLOC_PCT="${BENCH_MAX_ALLOC_REGRESSION_PCT:-5}"
 ALLOC_FLOOR="${BENCH_ALLOC_ABS_FLOOR:-8}"
 FAIL_ON_REMOVED="${BENCH_FAIL_ON_REMOVED:-0}"
 BASE_REF="${BENCH_BASE_REF:-}"
+TREE=$(scripts/bench-stamp.sh)
 PATTERN="${BENCH_PATTERN:-.}"
 TIME="${BENCH_TIME:-1s}"
 COUNT="${BENCH_COUNT:-5}"
@@ -245,7 +251,7 @@ if [ -n "$BASE_REF" ]; then
     BASE_RUNS="$tmp/base.txt"
     : > "$BASE_RUNS"
     mkdir -p benchmarks
-    : > "$LATEST"
+    echo "# tree: $TREE" > "$LATEST"
     echo "benchmarking $BASE_REF (base) against the working tree (head), $COUNT alternating rounds (pattern=$PATTERN benchtime=$TIME)..."
     rounds 1 "$COUNT" "$tmp/list"
     # A benchmark whose ns/op looks regressed may have drawn unlucky
@@ -262,6 +268,9 @@ if [ -n "$BASE_REF" ]; then
     echo ""
 elif [ ! -f "$LATEST" ]; then
     echo "no $LATEST - run scripts/bench.sh first" >&2
+    exit 1
+elif [ "$(grep -m 1 '^# tree: ' "$LATEST")" != "# tree: $TREE" ]; then
+    echo "stale: run scripts/bench.sh ($LATEST was not measured on this tree)" >&2
     exit 1
 fi
 

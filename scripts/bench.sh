@@ -16,9 +16,14 @@ COUNT="${BENCH_COUNT:-1}"
 mkdir -p benchmarks
 OUT=benchmarks/latest.txt
 
+# The first line stamps the tree the results were measured on, which
+# scripts/bench-compare.sh checks before it trusts them.
+STAMP=$(scripts/bench-stamp.sh)
 echo "running benchmarks (pattern=$PATTERN benchtime=$TIME count=$COUNT)..."
-go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$TIME" -count "$COUNT" \
-    ./... | tee "$OUT"
+{
+    echo "# tree: $STAMP"
+    go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$TIME" -count "$COUNT" ./...
+} | tee "$OUT"
 
 echo ""
 echo "wrote $OUT"
