@@ -147,9 +147,9 @@ func ParseSearch(s string) (Search, error) {
 // Weights are the non-negative coefficients of the WeightedSum
 // objective. The zero value is normalized to the balanced {1, 1, 1}.
 type Weights struct {
-	Area      int
-	TestTime  int
-	PeakPower int
+	Area      int `json:"area"`
+	TestTime  int `json:"test_time"`
+	PeakPower int `json:"peak_power"`
 }
 
 // CostVector is the multi-objective cost of one BIST plan: register
@@ -157,9 +157,9 @@ type Weights struct {
 // schedule) and peak per-session active power (sum of the scheduled
 // modules' power weights). All components are minimized.
 type CostVector struct {
-	Area      int
-	TestTime  int
-	PeakPower int
+	Area      int `json:"area"`
+	TestTime  int `json:"test_time"`
+	PeakPower int `json:"peak_power"`
 }
 
 // Dominates reports Pareto dominance for minimization: c at least as
@@ -174,11 +174,11 @@ func (c CostVector) String() string { return bist.CostVector(c).String() }
 // for reporting: its cost vector, the resulting total BIST area and
 // overhead, the register style mix and the test session schedule.
 type ParetoPoint struct {
-	Cost        CostVector
-	BISTArea    int
-	OverheadPct float64
-	StyleCounts map[string]int
-	Sessions    [][]string
+	Cost        CostVector     `json:"cost"`
+	BISTArea    int            `json:"bist_area"`
+	OverheadPct float64        `json:"overhead_pct"`
+	StyleCounts map[string]int `json:"style_counts"`
+	Sessions    [][]string     `json:"sessions"`
 }
 
 // Config controls a synthesis run. Use DefaultConfig and override fields.
@@ -270,21 +270,21 @@ func DefaultConfig() Config {
 
 // RegisterInfo describes one allocated register in a result.
 type RegisterInfo struct {
-	Name          string
-	Vars          []string
-	Style         string // "REG", "TPG", "SA", "TPG/SA", "CBILBO"
-	SharingDegree int
+	Name          string   `json:"name"`
+	Vars          []string `json:"vars"`
+	Style         string   `json:"style"` // "REG", "TPG", "SA", "TPG/SA", "CBILBO"
+	SharingDegree int      `json:"sharing_degree"`
 }
 
 // ModuleInfo describes one functional module in a result.
 type ModuleInfo struct {
-	Name      string
-	Class     string
-	Ops       []string
-	Embedding string // chosen BIST embedding, human readable
+	Name      string   `json:"name"`
+	Class     string   `json:"class"`
+	Ops       []string `json:"ops"`
+	Embedding string   `json:"embedding"` // chosen BIST embedding, human readable
 	// ForcedCBILBO reports whether every BIST embedding of this module
 	// requires a CBILBO register (Lemma 2 ground truth on the netlist).
-	ForcedCBILBO bool
+	ForcedCBILBO bool `json:"forced_cbilbo"`
 }
 
 // Result is a completed synthesis run.

@@ -248,19 +248,13 @@ func (c *Cache) store(key cache.Key, res *Result) {
 
 // serve hands a caller its private view of a master Result: exported
 // fields deep-copied, the frozen Stats of the populating run replayed
-// verbatim, and the JSON-excluded cache fields filled with this cache's
-// live counters.
+// verbatim, and the JSON-excluded CacheHit set.
 func (c *Cache) serve(master *Result, cfg Config, design string, hit bool) *Result {
 	if hit && cfg.Observer != nil {
 		cfg.Observer(Event{Design: design, Kind: CacheHit})
 	}
 	cp := master.clone()
-	st := c.Stats()
 	cp.Stats.CacheHit = hit
-	cp.Stats.CacheHits = st.Hits
-	cp.Stats.CacheMisses = st.Misses
-	cp.Stats.CacheEvictions = st.Evictions
-	cp.Stats.CacheBytes = st.Bytes
 	return cp
 }
 
@@ -456,7 +450,7 @@ type cacheEntryJSON struct {
 	Design     string                        `json:"design"`
 	Exact      bool                          `json:"exact"`
 	Embeddings map[string]cacheEmbeddingJSON `json:"embeddings"`
-	Stats      statsJSON                     `json:"stats"`
+	Stats      Stats                         `json:"stats"`
 }
 
 type cacheEmbeddingJSON struct {
@@ -473,7 +467,7 @@ func encodeCacheEntry(r *Result) ([]byte, error) {
 		Design:     r.Name,
 		Exact:      r.plan.Exact,
 		Embeddings: make(map[string]cacheEmbeddingJSON, len(r.plan.Embeddings)),
-		Stats:      statsToJSON(r.Stats),
+		Stats:      r.Stats,
 	}
 	for name, emb := range r.plan.Embeddings {
 		e.Embeddings[name] = cacheEmbeddingJSON{HeadL: emb.HeadL, HeadR: emb.HeadR, Tail: emb.Tail}
@@ -497,5 +491,5 @@ func decodeCacheEntry(payload []byte) (*artifacts, Stats, error) {
 	for name, emb := range e.Embeddings {
 		embs[name] = bist.Embedding{Module: name, HeadL: emb.HeadL, HeadR: emb.HeadR, Tail: emb.Tail}
 	}
-	return &artifacts{plan: &bist.Plan{Embeddings: embs, Exact: e.Exact}}, statsFromJSON(e.Stats), nil
+	return &artifacts{plan: &bist.Plan{Embeddings: embs, Exact: e.Exact}}, e.Stats, nil
 }

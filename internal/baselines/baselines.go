@@ -15,8 +15,6 @@
 package baselines
 
 import (
-	"sort"
-
 	"bistpath/internal/area"
 	"bistpath/internal/dfg"
 	"bistpath/internal/modassign"
@@ -198,16 +196,4 @@ func PaulinSyntestModules() map[string]string {
 		"m1": "ALU2", "cmp": "ALU2", "s1": "ALU2", "m5": "ALU2",
 		"m2": "ALU3", "m3": "ALU3", "a2": "ALU3",
 	}
-}
-
-// SortedStyleNames renders a style count map deterministically.
-func SortedStyleNames(counts map[area.Style]int) []string {
-	var out []string
-	for s, n := range counts {
-		for i := 0; i < n; i++ {
-			out = append(out, s.String())
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -111,10 +111,3 @@ func TestBaselinesOnAllBenchmarks(t *testing.T) {
 		}
 	}
 }
-
-func TestSortedStyleNames(t *testing.T) {
-	got := SortedStyleNames(map[area.Style]int{area.CBILBO: 1, area.TPG: 2})
-	if len(got) != 3 || got[0] != "CBILBO" || got[1] != "TPG" {
-		t.Errorf("SortedStyleNames = %v", got)
-	}
-}

@@ -56,7 +56,7 @@ func TestEx1MatchesPaperStructure(t *testing.T) {
 	if got := len(mb.Modules); got != 2 {
 		t.Errorf("ex1 has %d modules, want 2 (M1, M2)", got)
 	}
-	if mb.TemporalMultiplicity("M1") != 2 || mb.TemporalMultiplicity("M2") != 2 {
+	if len(mb.Module("M1").Ops) != 2 || len(mb.Module("M2").Ops) != 2 {
 		t.Error("ex1 temporal multiplicities should both be 2")
 	}
 }

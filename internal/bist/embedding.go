@@ -34,15 +34,6 @@ func (e Embedding) NeedsCBILBO() bool {
 	return e.Tail == e.HeadL || (e.HeadR != "" && e.Tail == e.HeadR)
 }
 
-// CBILBORegister returns the register that must be a CBILBO under this
-// embedding ("" if none).
-func (e Embedding) CBILBORegister() string {
-	if e.Tail == e.HeadL || e.Tail == e.HeadR {
-		return e.Tail
-	}
-	return ""
-}
-
 func (e Embedding) String() string {
 	if e.HeadR == "" {
 		return fmt.Sprintf("%s: L<=%s out=>%s", e.Module, e.HeadL, e.Tail)

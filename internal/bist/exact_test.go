@@ -629,10 +629,9 @@ func FuzzExactRelabelInvariant(f *testing.F) {
 			relabeled[i] = sets[k]
 		}
 		rb2 := regassign.FromSets(relabeled)
-		names := mb.ModuleNames()
-		rename := make(map[string]string, len(names))
-		for i, k := range order(len(names)) {
-			rename[names[k]] = fmt.Sprintf("U%d", i)
+		rename := make(map[string]string, len(mb.Modules))
+		for i, k := range order(len(mb.Modules)) {
+			rename[mb.Modules[k].Name] = fmt.Sprintf("U%d", i)
 		}
 		opToModule := make(map[string]string)
 		for _, op := range g.Ops() {

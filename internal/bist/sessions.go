@@ -132,6 +132,3 @@ func (p *Plan) checkSession(sess []string) error {
 	}
 	return nil
 }
-
-// NumSessions returns the number of test sessions.
-func (p *Plan) NumSessions() int { return len(p.Sessions) }

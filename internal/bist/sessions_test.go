@@ -28,8 +28,8 @@ func TestScheduleSessionsEmptyPlan(t *testing.T) {
 		t.Fatalf("empty plan scheduled into %d sessions, want 0", len(s))
 	}
 	p.Sessions = ScheduleSessions(p)
-	if p.NumSessions() != 0 {
-		t.Fatalf("NumSessions = %d, want 0", p.NumSessions())
+	if len(p.Sessions) != 0 {
+		t.Fatalf("%d sessions, want 0", len(p.Sessions))
 	}
 	if err := p.checkSession(nil); err != nil {
 		t.Fatalf("empty session rejected: %v", err)

@@ -1,6 +1,8 @@
 package bistgen
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -15,11 +17,7 @@ import (
 func TestLFSRPeriodIsMaximal(t *testing.T) {
 	// A primitive polynomial gives period 2^n - 1 for every nonzero seed.
 	for _, w := range []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12} {
-		l, err := NewLFSR(w, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := l.Period(), (1<<uint(w))-1; got != want {
+		if got, want := lfsrPeriod(w, primitiveTaps[w]), (1<<uint(w))-1; got != want {
 			t.Errorf("width %d: period %d, want %d", w, got, want)
 		}
 	}
@@ -33,13 +31,40 @@ func TestLFSRSeedHandling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.State() == 0 {
+	if l.state == 0 {
 		t.Error("LFSR locked at zero")
 	}
 	l2, _ := NewLFSR(8, 0x1FF) // seed masked to width
-	if l2.State() > 0xFF {
+	if l2.state > 0xFF {
 		t.Error("seed not masked")
 	}
+}
+
+// Every goroutine that elaborates a gate-level design calls
+// DistinctTaps, so its process-wide cache must be safe for concurrent
+// use. The cache is emptied first: the goroutines must fill it, not only
+// read what an earlier test left there. Run under -race.
+func TestDistinctTapsConcurrent(t *testing.T) {
+	widths := []int{8, 9, 10}
+	want := map[int][]uint64{}
+	for _, w := range widths {
+		want[w] = DistinctTaps(w, 5)
+	}
+	distinctTapsCache = map[int][]uint64{}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, w := range widths {
+				k := 2 + (g+w)%4
+				if got := DistinctTaps(w, k); !reflect.DeepEqual(got, want[w][:k]) {
+					t.Errorf("DistinctTaps(%d, %d) = %#x, want %#x", w, k, got, want[w][:k])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestLFSRNeverZero(t *testing.T) {
@@ -75,10 +100,6 @@ func TestMISRDistinguishesStreams(t *testing.T) {
 	}
 	if m1.Signature() == m2.Signature() {
 		t.Error("MISR aliased a single-bit error")
-	}
-	m1.Reset()
-	if m1.Signature() != 0 {
-		t.Error("Reset failed")
 	}
 }
 
@@ -214,10 +235,13 @@ func coverageFor(t testing.TB, b *benchdata.Benchmark, patterns int) *Report {
 func TestCoverageCurveMonotone(t *testing.T) {
 	b := benchdata.Ex1()
 	dp, plan := planFor(t, b)
-	budgets := []int{1, 4, 16, 250}
-	curve, err := CoverageCurve(dp, plan, budgets, 99)
-	if err != nil {
-		t.Fatal(err)
+	var curve []float64
+	for _, p := range []int{1, 4, 16, 250} {
+		rep, err := Coverage(dp, plan, p, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curve = append(curve, rep.Pct())
 	}
 	for i := 1; i < len(curve); i++ {
 		if curve[i] < curve[i-1]-2 { // small non-monotonic jitter from aliasing allowed

@@ -15,14 +15,6 @@ type ModuleCoverage struct {
 	Detected int
 }
 
-// Pct returns the coverage percentage.
-func (mc ModuleCoverage) Pct() float64 {
-	if mc.Faults == 0 {
-		return 100
-	}
-	return float64(mc.Detected) / float64(mc.Faults) * 100
-}
-
 // Report is the fault-coverage result of running a BIST plan.
 type Report struct {
 	Patterns  int
@@ -130,19 +122,4 @@ func hashName(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// CoverageCurve grades the plan at several pattern budgets, returning
-// the overall coverage percentage per budget — the data behind the
-// classic coverage-vs-test-length curve used to pick session lengths.
-func CoverageCurve(dp *datapath.Datapath, plan *bist.Plan, budgets []int, seed uint64) ([]float64, error) {
-	out := make([]float64, 0, len(budgets))
-	for _, p := range budgets {
-		rep, err := Coverage(dp, plan, p, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rep.Pct())
-	}
-	return out, nil
 }

@@ -6,7 +6,10 @@
 // internal/bist actually detect faults.
 package bistgen
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // primitiveTaps maps register width to a primitive-polynomial tap mask
 // (bit i set means stage i feeds the XOR). With a primitive polynomial an
@@ -46,36 +49,14 @@ func PrimitiveTaps(width int) (uint64, bool) {
 	return t, ok
 }
 
-var secondaryTapsCache = map[int]uint64{}
-var distinctTapsCache = map[int][]uint64{}
-
-// SecondaryTaps returns a second, different primitive tap mask for the
-// width, so that two pattern generators feeding one module can run
-// distinct maximal-length recurrences (equal-polynomial TPG pairs apply
-// only 2^w-1 of the 2^2w operand pairs — the classic correlation
-// weakness of same-polynomial BILBOs). The mask is found by exhaustive
-// period search and cached; widths above 16 fall back to the primary
-// mask (the search would be too slow) and report false.
-func SecondaryTaps(width int) (uint64, bool) {
-	if t, ok := secondaryTapsCache[width]; ok {
-		return t, true
-	}
-	primary, ok := primitiveTaps[width]
-	if !ok || width > 16 {
-		return primary, false
-	}
-	full := (1 << uint(width)) - 1
-	for cand := uint64(1 << uint(width-1)); cand <= uint64(full); cand++ {
-		if cand == primary || cand&(1<<uint(width-1)) == 0 {
-			continue
-		}
-		if lfsrPeriod(width, cand) == full {
-			secondaryTapsCache[width] = cand
-			return cand, true
-		}
-	}
-	return primary, false
-}
+// distinctTapsCache holds DistinctTaps' masks per width. It is shared by
+// every goroutine that elaborates a gate-level design, so distinctTapsMu
+// guards it; the lock is held across the search so concurrent callers
+// wait for one search instead of repeating it.
+var (
+	distinctTapsMu    sync.Mutex
+	distinctTapsCache = map[int][]uint64{}
+)
 
 // lfsrPeriod returns the cycle length of the recurrence from state 1.
 func lfsrPeriod(width int, taps uint64) int {
@@ -104,6 +85,8 @@ func DistinctTaps(width, k int) []uint64 {
 	if width > 16 || k <= 1 {
 		return []uint64{primary}
 	}
+	distinctTapsMu.Lock()
+	defer distinctTapsMu.Unlock()
 	cached := distinctTapsCache[width]
 	if len(cached) >= k {
 		return append([]uint64(nil), cached[:k]...)
@@ -133,11 +116,6 @@ func NewLFSRWithTaps(width int, taps, seed uint64) *LFSR {
 	return &LFSR{width: width, taps: taps, mask: mask, state: s}
 }
 
-// NewMISRWithTaps returns a MISR using an explicit tap mask.
-func NewMISRWithTaps(width int, taps uint64) *MISR {
-	return &MISR{width: width, taps: taps, mask: (uint64(1) << uint(width)) - 1}
-}
-
 // LFSR is a Fibonacci linear feedback shift register used as a test
 // pattern generator (the TPG mode of a BILBO register).
 type LFSR struct {
@@ -162,31 +140,11 @@ func NewLFSR(width int, seed uint64) (*LFSR, error) {
 	return &LFSR{width: width, taps: taps, mask: mask, state: s}, nil
 }
 
-// State returns the current pattern.
-func (l *LFSR) State() uint64 { return l.state }
-
 // Next advances one clock and returns the new pattern.
 func (l *LFSR) Next() uint64 {
 	fb := parity(l.state & l.taps)
 	l.state = ((l.state << 1) | fb) & l.mask
 	return l.state
-}
-
-// Period counts the cycle length from the current state (intended for
-// verifying primitivity at small widths in tests).
-func (l *LFSR) Period() int {
-	start := l.state
-	n := 0
-	for {
-		l.Next()
-		n++
-		if l.state == start {
-			return n
-		}
-		if n > 1<<uint(l.width) {
-			return -1 // defensive: not a cycle through the start state
-		}
-	}
 }
 
 // MISR is a multiple-input signature register (the SA mode of a BILBO
@@ -216,9 +174,6 @@ func (m *MISR) Shift(input uint64) {
 
 // Signature returns the accumulated signature.
 func (m *MISR) Signature() uint64 { return m.state }
-
-// Reset clears the signature.
-func (m *MISR) Reset() { m.state = 0 }
 
 func parity(x uint64) uint64 {
 	x ^= x >> 32

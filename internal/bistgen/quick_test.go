@@ -6,15 +6,14 @@ import (
 )
 
 // The LFSR next-state function is a bijection on nonzero states
-// (distinct states map to distinct successors), for both the primary and
-// the secondary polynomial.
+// (distinct states map to distinct successors), for both the primary
+// polynomial and the second one DistinctTaps hands out.
 func TestLFSRBijectiveQuick(t *testing.T) {
-	tapsP, _ := PrimitiveTaps(8)
-	tapsS, ok := SecondaryTaps(8)
-	if !ok {
-		t.Fatal("no secondary taps for width 8")
+	masks := DistinctTaps(8, 2)
+	if len(masks) != 2 {
+		t.Fatalf("DistinctTaps(8, 2) = %#x, want two masks", masks)
 	}
-	for _, taps := range []uint64{tapsP, tapsS} {
+	for _, taps := range masks {
 		next := func(s uint64) uint64 {
 			l := NewLFSRWithTaps(8, taps, s)
 			return l.Next()

@@ -115,13 +115,6 @@ type Matrix struct {
 	data  []uint64
 }
 
-// NewMatrix returns an n-row matrix with capacity for bitsPerRow bits
-// per row. A zero-row or zero-bit matrix is valid and allocation-free.
-func NewMatrix(n, bitsPerRow int) Matrix {
-	w := Words(bitsPerRow)
-	return Matrix{words: w, data: make([]uint64, n*w)}
-}
-
 // Grow reuses m's backing array for a new shape when it fits, zeroing
 // the active region; otherwise it allocates. Use it to recycle one
 // scratch matrix across DFGs of different sizes.
@@ -142,11 +135,3 @@ func (m *Matrix) Grow(n, bitsPerRow int) {
 
 // Row returns the i-th row as a Set sharing the backing array.
 func (m *Matrix) Row(i int) Set { return Set(m.data[i*m.words : (i+1)*m.words]) }
-
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int {
-	if m.words == 0 {
-		return 0
-	}
-	return len(m.data) / m.words
-}

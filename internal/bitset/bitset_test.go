@@ -73,9 +73,11 @@ func TestSetAlgebra(t *testing.T) {
 }
 
 func TestMatrix(t *testing.T) {
-	m := NewMatrix(4, 70)
-	if m.Rows() != 4 {
-		t.Fatalf("Rows = %d, want 4", m.Rows())
+	var m Matrix
+	rows := func() int { return len(m.data) / m.words }
+	m.Grow(4, 70)
+	if rows() != 4 {
+		t.Fatalf("rows = %d, want 4", rows())
 	}
 	m.Row(2).Set(69)
 	if !m.Row(2).Has(69) || m.Row(1).Any() || m.Row(3).Any() {
@@ -83,12 +85,12 @@ func TestMatrix(t *testing.T) {
 	}
 	// Shrinking reuse zeroes the active region.
 	m.Grow(2, 64)
-	if m.Rows() != 2 || m.Row(0).Any() || m.Row(1).Any() {
+	if rows() != 2 || m.Row(0).Any() || m.Row(1).Any() {
 		t.Fatal("Grow reuse did not zero")
 	}
 	// Growing past capacity reallocates.
 	m.Grow(100, 128)
-	if m.Rows() != 100 || m.Row(99).Any() {
+	if rows() != 100 || m.Row(99).Any() {
 		t.Fatal("Grow reallocation broken")
 	}
 	m.Row(99).Set(127)

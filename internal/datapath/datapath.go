@@ -310,28 +310,6 @@ func (dp *Datapath) ModuleDiagonal(name string) bool {
 	return found
 }
 
-// SelfAdjacent returns the registers that both feed an input port of some
-// module and latch that module's output (self-adjacency in the sense of
-// Avra's RALLOC), sorted.
-func (dp *Datapath) SelfAdjacent() []string {
-	set := make(map[string]bool)
-	for _, m := range dp.Modules {
-		feeds := make(map[string]bool)
-		for _, s := range m.Left {
-			feeds[s] = true
-		}
-		for _, s := range m.Right {
-			feeds[s] = true
-		}
-		for _, d := range m.Dests {
-			if feeds[d] {
-				set[d] = true
-			}
-		}
-	}
-	return sortedKeys(set)
-}
-
 // MuxStats counts multiplexers: a mux exists at every module port and
 // register input with at least two distinct sources.
 func (dp *Datapath) MuxStats() (count, extraInputs int) {

@@ -1,6 +1,8 @@
 package datapath
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,9 +155,12 @@ func TestSelfAdjacent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa := dp.SelfAdjacent()
-	if len(sa) != 1 || sa[0] != "R2" {
-		t.Errorf("SelfAdjacent = %v, want [R2]", sa)
+	// Build must wire R2 on both sides of M1: as an operand source (t1)
+	// and as the only destination (t1, t2).
+	m := dp.Modules[0]
+	feeds := append(append([]string(nil), m.Left...), m.Right...)
+	if !slices.Contains(feeds, "R2") || !reflect.DeepEqual(m.Dests, []string{"R2"}) {
+		t.Errorf("M1 sources %v, dests %v: want R2 to feed and latch it", feeds, m.Dests)
 	}
 }
 

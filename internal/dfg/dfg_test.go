@@ -356,20 +356,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestWriteDot(t *testing.T) {
-	g := buildDiamond(t)
-	var sb strings.Builder
-	if err := g.WriteDot(&sb); err != nil {
-		t.Fatal(err)
-	}
-	dot := sb.String()
-	for _, want := range []string{"digraph", "o1", "cluster_step1", "out:out"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("dot output missing %q", want)
-		}
-	}
-}
-
 func TestOpsAtStepAndString(t *testing.T) {
 	g := buildDiamond(t)
 	if ops := g.OpsAtStep(2); len(ops) != 1 || ops[0].Name != "o2" {

@@ -2,7 +2,6 @@ package dfg
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Lifetime is the register-occupancy interval of a variable. A variable is
@@ -26,9 +25,6 @@ type Lifetime struct {
 func (l Lifetime) Overlaps(m Lifetime) bool {
 	return l.Born < m.Dies && m.Born < l.Dies
 }
-
-// Length returns the number of steps the variable occupies a register.
-func (l Lifetime) Length() int { return l.Dies - l.Born }
 
 func (l Lifetime) String() string {
 	return fmt.Sprintf("%s:(%d,%d]", l.Var, l.Born, l.Dies)
@@ -179,14 +175,4 @@ func (g *Graph) MaxCliqueSize() (map[string]int, error) {
 		out[lt.Var] = int(mcs[i])
 	}
 	return out, nil
-}
-
-// SortedVarNames returns all variable names sorted lexicographically.
-func (g *Graph) SortedVarNames() []string {
-	names := make([]string, 0, len(g.vars))
-	for _, v := range g.vars {
-		names = append(names, v.Name)
-	}
-	sort.Strings(names)
-	return names
 }

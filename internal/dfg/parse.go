@@ -133,40 +133,3 @@ func (g *Graph) Text() string {
 	g.WriteText(&sb)
 	return sb.String()
 }
-
-// WriteDot emits a Graphviz rendering: operations as boxes grouped by
-// control step, variables as edges.
-func (g *Graph) WriteDot(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "digraph %q {\n  rankdir=TB;\n  node [shape=box];\n", g.Name)
-	for s := 1; s <= g.NumSteps(); s++ {
-		ops := g.OpsAtStep(s)
-		if len(ops) == 0 {
-			continue
-		}
-		fmt.Fprintf(bw, "  subgraph cluster_step%d {\n    label=\"step %d\";\n", s, s)
-		for _, o := range ops {
-			fmt.Fprintf(bw, "    %q [label=\"%s\\n%s\"];\n", o.Name, o.Name, o.Kind)
-		}
-		fmt.Fprintf(bw, "  }\n")
-	}
-	for _, v := range g.vars {
-		if v.IsInput {
-			fmt.Fprintf(bw, "  %q [shape=plaintext];\n", "in:"+v.Name)
-		}
-	}
-	for _, v := range g.vars {
-		src := "in:" + v.Name
-		if v.Def != "" {
-			src = v.Def
-		}
-		for _, u := range v.Uses {
-			fmt.Fprintf(bw, "  %q -> %q [label=%q];\n", src, u, v.Name)
-		}
-		if v.IsOutput {
-			fmt.Fprintf(bw, "  %q [shape=plaintext];\n  %q -> %q [label=%q];\n", "out:"+v.Name, src, "out:"+v.Name, v.Name)
-		}
-	}
-	fmt.Fprintln(bw, "}")
-	return bw.Flush()
-}

@@ -88,12 +88,6 @@ func (d *Design) ctl(name string) gates.Sig {
 	return s
 }
 
-// Datapath returns the bound data path this design implements.
-func (d *Design) Datapath() *datapath.Datapath { return d.dp }
-
-// Plan returns the BIST plan (nil if elaborated without one).
-func (d *Design) Plan() *bist.Plan { return d.plan }
-
 // Build elaborates the data path. A nil plan produces plain registers
 // (the pre-BIST design); with a plan, each register is built in the
 // style the plan assigns.
@@ -449,14 +443,4 @@ func (d *Design) MeasureArea() AreaReport {
 	r.TotalGates = d.Net.NumGates()
 	r.TotalSignals = d.Net.NumSignals()
 	return r
-}
-
-// SortedRegNames returns the register names in order.
-func (d *Design) SortedRegNames() []string {
-	var out []string
-	for name := range d.Regs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

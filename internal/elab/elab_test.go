@@ -238,7 +238,7 @@ func TestBILBONormalMode(t *testing.T) {
 // fraction of internal stuck-at faults.
 func TestGateCoverageEx1(t *testing.T) {
 	d := buildFor(t, benchdata.Ex1(), true)
-	for _, m := range d.Datapath().Modules {
+	for _, m := range d.dp.Modules {
 		faults, detected, err := d.GateCoverage(m.Name, 250, 0xF00D)
 		if err != nil {
 			t.Fatal(err)
@@ -335,7 +335,7 @@ func TestGateCoverageAllBenchmarks(t *testing.T) {
 	}
 	for _, b := range benchdata.All() {
 		d := buildFor(t, b, true)
-		for _, m := range d.Datapath().Modules {
+		for _, m := range d.dp.Modules {
 			faults, detected, err := d.GateCoverage(m.Name, 250, 0xF00D)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", b.Name, m.Name, err)
@@ -357,7 +357,7 @@ func TestPadHeadTestRun(t *testing.T) {
 	// Paulin has pad-fed module ports; its plan may use pad heads. Every
 	// module must still be testable at gate level.
 	d := buildFor(t, benchdata.Paulin(), true)
-	for _, m := range d.Datapath().Modules {
+	for _, m := range d.dp.Modules {
 		run, err := d.RunModuleTest(m.Name, 64, 5, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
@@ -392,7 +392,7 @@ func TestRunNormalVCD(t *testing.T) {
 		}
 	}
 	// One timestamp per control step plus the final sample and close.
-	if got := strings.Count(dump, "\n#"); got < len(d.Datapath().Steps) {
-		t.Errorf("only %d timestamps for %d steps", got, len(d.Datapath().Steps))
+	if got := strings.Count(dump, "\n#"); got < len(d.dp.Steps) {
+		t.Errorf("only %d timestamps for %d steps", got, len(d.dp.Steps))
 	}
 }

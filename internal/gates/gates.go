@@ -7,7 +7,6 @@ package gates
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Sig is a signal index within a netlist. Signal 0 is constant zero and
@@ -368,22 +367,4 @@ func (n *Netlist) Stats() map[string]int {
 		out[g.Kind.String()]++
 	}
 	return out
-}
-
-// StatsString renders Stats deterministically.
-func (n *Netlist) StatsString() string {
-	st := n.Stats()
-	keys := make([]string, 0, len(st))
-	for k := range st {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s := ""
-	for i, k := range keys {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s=%d", k, st[k])
-	}
-	return s
 }

@@ -283,7 +283,4 @@ func TestStats(t *testing.T) {
 	if st["dff"] != 4 || st["xor"] == 0 || st["and"] == 0 {
 		t.Errorf("stats = %v", st)
 	}
-	if n.StatsString() == "" {
-		t.Error("empty stats string")
-	}
 }

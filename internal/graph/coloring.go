@@ -68,15 +68,6 @@ func (g *Undirected) VerifyColoring(colors map[string]int) error {
 	return nil
 }
 
-// NumColors returns the number of distinct colors used.
-func NumColors(colors map[string]int) int {
-	seen := make(map[int]bool, len(colors))
-	for _, c := range colors {
-		seen[c] = true
-	}
-	return len(seen)
-}
-
 // ColorClasses groups vertices by color; classes are sorted internally and
 // ordered by color index.
 func ColorClasses(colors map[string]int) [][]string {

@@ -48,15 +48,6 @@ func (g *Undirected) HasEdge(u, v string) bool { return g.adj[u][v] }
 // NumVertices returns the vertex count.
 func (g *Undirected) NumVertices() int { return len(g.adj) }
 
-// NumEdges returns the edge count.
-func (g *Undirected) NumEdges() int {
-	n := 0
-	for _, nb := range g.adj {
-		n += len(nb)
-	}
-	return n / 2
-}
-
 // Vertices returns the vertices in insertion order.
 func (g *Undirected) Vertices() []string { return append([]string(nil), g.order...) }
 
@@ -76,9 +67,6 @@ func (g *Undirected) Neighbors(v string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Degree returns the number of neighbors of v.
-func (g *Undirected) Degree(v string) int { return len(g.adj[v]) }
 
 // Clone returns a deep copy.
 func (g *Undirected) Clone() *Undirected {

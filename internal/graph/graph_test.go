@@ -26,6 +26,15 @@ func k4() *Undirected {
 	return g
 }
 
+// numEdges counts g's edges through its neighbor lists.
+func numEdges(g *Undirected) int {
+	n := 0
+	for _, v := range g.Vertices() {
+		n += len(g.Neighbors(v))
+	}
+	return n / 2
+}
+
 // c4 returns the 4-cycle a-b-c-d-a (not chordal).
 func c4() *Undirected {
 	g := NewUndirected()
@@ -38,8 +47,8 @@ func c4() *Undirected {
 
 func TestBasicOps(t *testing.T) {
 	g := path()
-	if g.NumVertices() != 4 || g.NumEdges() != 3 {
-		t.Fatalf("got %d vertices %d edges", g.NumVertices(), g.NumEdges())
+	if g.NumVertices() != 4 || numEdges(g) != 3 {
+		t.Fatalf("got %d vertices %d edges", g.NumVertices(), numEdges(g))
 	}
 	if !g.HasEdge("a", "b") || !g.HasEdge("b", "a") {
 		t.Error("edge a-b missing or asymmetric")
@@ -52,14 +61,14 @@ func TestBasicOps(t *testing.T) {
 		t.Error("self loop stored")
 	}
 	g.AddEdge("a", "b") // duplicate ignored
-	if g.NumEdges() != 3 {
+	if numEdges(g) != 3 {
 		t.Error("duplicate edge changed count")
 	}
 	if got := g.Neighbors("b"); !reflect.DeepEqual(got, []string{"a", "c"}) {
 		t.Errorf("Neighbors(b) = %v", got)
 	}
-	if g.Degree("b") != 2 || g.Degree("a") != 1 {
-		t.Error("bad degrees")
+	if got := g.Neighbors("a"); !reflect.DeepEqual(got, []string{"b"}) {
+		t.Errorf("Neighbors(a) = %v", got)
 	}
 }
 
@@ -69,7 +78,7 @@ func TestRemoveVertex(t *testing.T) {
 	if g.HasVertex("b") || g.HasEdge("a", "b") || g.HasEdge("c", "b") {
 		t.Error("b not fully removed")
 	}
-	if g.NumVertices() != 3 || g.NumEdges() != 1 {
+	if g.NumVertices() != 3 || numEdges(g) != 1 {
 		t.Errorf("after removal: %v", g)
 	}
 }
@@ -131,11 +140,10 @@ func TestPVES(t *testing.T) {
 	if _, err := c4().PVES(nil); err == nil {
 		t.Error("PVES succeeded on C4")
 	}
-	if c4().IsChordal() {
-		t.Error("C4 reported chordal")
-	}
-	if !k4().IsChordal() || !path().IsChordal() {
-		t.Error("chordal graphs rejected")
+	for _, g := range []*Undirected{k4(), path()} {
+		if _, err := g.PVES(nil); err != nil {
+			t.Errorf("chordal graph %v rejected: %v", g, err)
+		}
 	}
 }
 
@@ -180,8 +188,8 @@ func TestGreedyColor(t *testing.T) {
 	if err := g.VerifyColoring(colors); err != nil {
 		t.Error(err)
 	}
-	if NumColors(colors) != 2 {
-		t.Errorf("path colored with %d colors", NumColors(colors))
+	if len(ColorClasses(colors)) != 2 {
+		t.Errorf("path colored with %d colors", len(ColorClasses(colors)))
 	}
 }
 
@@ -207,15 +215,15 @@ func TestOptimalChordalColor(t *testing.T) {
 	if err := g.VerifyColoring(colors); err != nil {
 		t.Error(err)
 	}
-	if NumColors(colors) != 4 {
-		t.Errorf("K4 colored with %d colors, want 4", NumColors(colors))
+	if len(ColorClasses(colors)) != 4 {
+		t.Errorf("K4 colored with %d colors, want 4", len(ColorClasses(colors)))
 	}
 	p, err := path().OptimalChordalColor()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if NumColors(p) != 2 {
-		t.Errorf("path colored with %d colors, want 2", NumColors(p))
+	if len(ColorClasses(p)) != 2 {
+		t.Errorf("path colored with %d colors, want 2", len(ColorClasses(p)))
 	}
 }
 
@@ -268,12 +276,9 @@ func TestRandomIntervalGraphProperties(t *testing.T) {
 				}
 			}
 		}
-		if !g.IsChordal() {
-			t.Fatalf("trial %d: interval graph not chordal", trial)
-		}
 		scheme, err := g.PVES(nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("trial %d: interval graph not chordal: %v", trial, err)
 		}
 		if err := g.VerifyPVES(scheme); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -298,8 +303,8 @@ func TestRandomIntervalGraphProperties(t *testing.T) {
 				maxDens = d
 			}
 		}
-		if NumColors(colors) != maxDens {
-			t.Errorf("trial %d: %d colors, density %d", trial, NumColors(colors), maxDens)
+		if len(ColorClasses(colors)) != maxDens {
+			t.Errorf("trial %d: %d colors, density %d", trial, len(ColorClasses(colors)), maxDens)
 		}
 	}
 }

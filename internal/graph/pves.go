@@ -49,12 +49,6 @@ func (g *Undirected) PVES(priority func(v string) int) ([]string, error) {
 	return scheme, nil
 }
 
-// IsChordal reports whether the graph admits a perfect elimination scheme.
-func (g *Undirected) IsChordal() bool {
-	_, err := g.PVES(nil)
-	return err == nil
-}
-
 // VerifyPVES checks that the ordering is a valid perfect vertex
 // elimination scheme for g.
 func (g *Undirected) VerifyPVES(scheme []string) error {

@@ -59,25 +59,6 @@ func (b *Binding) ModuleOf(op string) *Module { return b.byOp[op] }
 // Module returns the named module, or nil.
 func (b *Binding) Module(name string) *Module { return b.byName[name] }
 
-// ModuleNames returns all module names in allocation order.
-func (b *Binding) ModuleNames() []string {
-	out := make([]string, len(b.Modules))
-	for i, m := range b.Modules {
-		out[i] = m.Name
-	}
-	return out
-}
-
-// TemporalMultiplicity returns TM(M), the number of DFG operations bound
-// to the module (Definition 2).
-func (b *Binding) TemporalMultiplicity(module string) int {
-	m := b.byName[module]
-	if m == nil {
-		return 0
-	}
-	return len(m.Ops)
-}
-
 // InputVarSet returns I_M: all operand variables over the module's
 // instances (Definition 3), sorted.
 func (b *Binding) InputVarSet(g *dfg.Graph, module string) []string {

@@ -97,7 +97,7 @@ func TestFromMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.TemporalMultiplicity("M1") != 2 || b.TemporalMultiplicity("M2") != 1 {
+	if len(b.Module("M1").Ops) != 2 || len(b.Module("M2").Ops) != 1 {
 		t.Errorf("TM wrong: %v", b)
 	}
 	if b.Module("M1").Class.Name != "+" {
@@ -153,7 +153,7 @@ func TestPaperDefinitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tm := b.TemporalMultiplicity("M1"); tm != 2 {
+	if tm := len(b.Module("M1").Ops); tm != 2 {
 		t.Errorf("TM(M1) = %d, want 2", tm)
 	}
 	if got := b.InputVarSet(g, "M1"); !reflect.DeepEqual(got, []string{"a", "b", "c", "d"}) {

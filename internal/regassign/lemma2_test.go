@@ -1,6 +1,7 @@
 package regassign
 
 import (
+	"reflect"
 	"testing"
 
 	"bistpath/internal/benchdata"
@@ -81,7 +82,9 @@ func TestForcedPartialAssignmentConservative(t *testing.T) {
 	}
 }
 
-func TestForcedRegisterSet(t *testing.T) {
+// ForcedCBILBOs reports both cases of Lemma 2 on one assignment, each
+// with its registers: a case (ii) pair and a case (i) single register.
+func TestForcedBothCases(t *testing.T) {
 	g := dfg.New("fr")
 	g.AddInput("p", "q", "r", "s")
 	g.AddOp("a1", dfg.Add, 1, "u", "p", "q")
@@ -100,14 +103,12 @@ func TestForcedRegisterSet(t *testing.T) {
 	// via u), R1 = {q,s,v}.
 	regs := [][]string{{"p", "r", "u", "w"}, {"q", "s", "v"}}
 	forced := ForcedCBILBOs(g, mb, regs)
-	if len(forced) != 2 {
-		t.Fatalf("forced = %v, want 2 situations", forced)
+	want := []Forced{
+		{Module: "M1", Regs: []int{0, 1}, CaseII: true},
+		{Module: "M2", Regs: []int{0}},
 	}
-	set := ForcedRegisterSet(g, mb, regs)
-	// Register 0 resolves both the case(i) and (as a pair member) the
-	// case(ii): minimal cover = {0}.
-	if len(set) != 1 || set[0] != 0 {
-		t.Errorf("ForcedRegisterSet = %v, want [0]", set)
+	if !reflect.DeepEqual(forced, want) {
+		t.Errorf("forced = %v, want %v", forced, want)
 	}
 }
 

@@ -246,8 +246,8 @@ func TestConflictGraphMatchesLifetimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	min, _ := b.Graph.MinRegisters()
-	if graph.NumColors(colors) != min {
-		t.Errorf("chromatic %d != max density %d", graph.NumColors(colors), min)
+	if len(graph.ColorClasses(colors)) != min {
+		t.Errorf("chromatic %d != max density %d", len(graph.ColorClasses(colors)), min)
 	}
 }
 
@@ -358,7 +358,11 @@ func TestTraceNarrativeEx1(t *testing.T) {
 	if !trace[0].NewRegister {
 		t.Error("first variable must open a register")
 	}
-	text := FormatTrace(trace)
+	notes := make([]string, len(trace))
+	for i, d := range trace {
+		notes[i] = d.Note
+	}
+	text := strings.Join(notes, "\n")
 	for _, v := range b.Graph.AllocVars() {
 		if !strings.Contains(text, v+" (SD=") {
 			t.Errorf("trace missing variable %s:\n%s", v, text)

@@ -106,57 +106,3 @@ func (s *Sharing) SDRegWith(vars []string, v string) int {
 func (s *Sharing) DeltaSD(vars []string, v string) int {
 	return s.SDRegWith(vars, v) - s.SDReg(vars)
 }
-
-// InputModules returns the modules whose input variable set contains v,
-// sorted.
-func (s *Sharing) InputModules(v string) []string {
-	var out []string
-	for _, m := range s.Modules {
-		if s.In[m][v] {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// OutputModules returns the modules whose output variable set contains v,
-// sorted.
-func (s *Sharing) OutputModules(v string) []string {
-	var out []string
-	for _, m := range s.Modules {
-		if s.Out[m][v] {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// RegsTouchingInput returns the registers (by index into regs) holding at
-// least one input variable of the module.
-func (s *Sharing) RegsTouchingInput(regs [][]string, module string) []int {
-	var out []int
-	for i, r := range regs {
-		for _, v := range r {
-			if s.In[module][v] {
-				out = append(out, i)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// RegsTouchingOutput returns the registers (by index) holding at least
-// one output variable of the module.
-func (s *Sharing) RegsTouchingOutput(regs [][]string, module string) []int {
-	var out []int
-	for i, r := range regs {
-		for _, v := range r {
-			if s.Out[module][v] {
-				out = append(out, i)
-				break
-			}
-		}
-	}
-	return out
-}

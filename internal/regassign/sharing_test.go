@@ -68,33 +68,25 @@ func TestSDRegUnionSemantics(t *testing.T) {
 	}
 }
 
+// NewSharing's variable sets on ex1 (Definition 3): M1 = {add1, add2}
+// reads a, b, c, d and writes d, f; M2 = {mul1, mul2} reads e, f, g and
+// writes c, h.
 func TestInputOutputModules(t *testing.T) {
 	sh, _ := ex1Sharing(t)
-	if got := sh.InputModules("d"); !reflect.DeepEqual(got, []string{"M1"}) {
-		t.Errorf("InputModules(d) = %v", got)
+	set := func(vs ...string) map[string]bool {
+		m := make(map[string]bool, len(vs))
+		for _, v := range vs {
+			m[v] = true
+		}
+		return m
 	}
-	if got := sh.OutputModules("d"); !reflect.DeepEqual(got, []string{"M1"}) {
-		t.Errorf("OutputModules(d) = %v", got)
+	wantIn := map[string]map[string]bool{"M1": set("a", "b", "c", "d"), "M2": set("e", "f", "g")}
+	wantOut := map[string]map[string]bool{"M1": set("d", "f"), "M2": set("c", "h")}
+	if !reflect.DeepEqual(sh.In, wantIn) {
+		t.Errorf("I_M = %v, want %v", sh.In, wantIn)
 	}
-	if got := sh.OutputModules("a"); got != nil {
-		t.Errorf("OutputModules(a) = %v, want none", got)
-	}
-	if got := sh.InputModules("g"); !reflect.DeepEqual(got, []string{"M2"}) {
-		t.Errorf("InputModules(g) = %v", got)
-	}
-}
-
-func TestRegsTouching(t *testing.T) {
-	sh, _ := ex1Sharing(t)
-	regs := [][]string{{"a"}, {"g"}, {"h"}}
-	if got := sh.RegsTouchingInput(regs, "M1"); !reflect.DeepEqual(got, []int{0}) {
-		t.Errorf("RegsTouchingInput(M1) = %v", got)
-	}
-	if got := sh.RegsTouchingInput(regs, "M2"); !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("RegsTouchingInput(M2) = %v", got)
-	}
-	if got := sh.RegsTouchingOutput(regs, "M2"); !reflect.DeepEqual(got, []int{2}) {
-		t.Errorf("RegsTouchingOutput(M2) = %v", got)
+	if !reflect.DeepEqual(sh.Out, wantOut) {
+		t.Errorf("O_M = %v, want %v", sh.Out, wantOut)
 	}
 }
 

@@ -37,15 +37,6 @@ func BindTraced(g *dfg.Graph, mb *modassign.Binding, opts Options) (*Binding, []
 	return b, trace, err
 }
 
-// FormatTrace renders a trace as numbered lines.
-func FormatTrace(trace []Decision) string {
-	var sb strings.Builder
-	for _, d := range trace {
-		fmt.Fprintf(&sb, "%2d. %s\n", d.Index, d.Note)
-	}
-	return sb.String()
-}
-
 // describe builds the Note text for a decision. chosenVars is the
 // content of the chosen register before v joins it (nil for a fresh
 // register).

@@ -1,5 +1,5 @@
-// Package report renders fixed-width tables and paper-vs-measured
-// comparison records for the experiment harness.
+// Package report renders the fixed-width text tables and the schedule
+// Gantt charts of the experiment harness and the CLI.
 package report
 
 import (
@@ -81,54 +81,6 @@ func (t *Table) String() string {
 	line(sep)
 	for _, r := range t.Rows {
 		line(r)
-	}
-	return sb.String()
-}
-
-// Comparison records one paper-reported value against the measured one.
-type Comparison struct {
-	Experiment string
-	Metric     string
-	Paper      string
-	Measured   string
-	ShapeHolds bool
-	Note       string
-}
-
-// ComparisonTable renders a set of comparisons.
-func ComparisonTable(title string, comps []Comparison) string {
-	t := NewTable(title, "experiment", "metric", "paper", "measured", "shape", "note")
-	for _, c := range comps {
-		shape := "OK"
-		if !c.ShapeHolds {
-			shape = "DIFFERS"
-		}
-		t.AddRow(c.Experiment, c.Metric, c.Paper, c.Measured, shape, c.Note)
-	}
-	return t.String()
-}
-
-// Markdown renders the table as a GitHub-flavored markdown table.
-func (t *Table) Markdown() string {
-	var sb strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&sb, "**%s**\n\n", t.Title)
-	}
-	row := func(cells []string) {
-		sb.WriteString("|")
-		for _, c := range cells {
-			sb.WriteString(" " + c + " |")
-		}
-		sb.WriteString("\n")
-	}
-	row(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	row(sep)
-	for _, r := range t.Rows {
-		row(r)
 	}
 	return sb.String()
 }

@@ -47,27 +47,6 @@ func TestAddRowPadsAndTruncates(t *testing.T) {
 	}
 }
 
-func TestComparisonTable(t *testing.T) {
-	s := ComparisonTable("Tbl", []Comparison{
-		{Experiment: "T1/ex1", Metric: "%area", Paper: "18.14", Measured: "18.80", ShapeHolds: true},
-		{Experiment: "T1/ex2", Metric: "#reg", Paper: "5", Measured: "6", ShapeHolds: false, Note: "reconstruction"},
-	})
-	if !strings.Contains(s, "OK") || !strings.Contains(s, "DIFFERS") || !strings.Contains(s, "reconstruction") {
-		t.Errorf("comparison table incomplete:\n%s", s)
-	}
-}
-
-func TestMarkdown(t *testing.T) {
-	tab := NewTable("T", "a", "b")
-	tab.AddRow("1", "2")
-	md := tab.Markdown()
-	for _, want := range []string{"**T**", "| a | b |", "| --- | --- |", "| 1 | 2 |"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
-	}
-}
-
 func TestGantt(t *testing.T) {
 	b := benchdata.Ex1()
 	mb, err := b.Modules()

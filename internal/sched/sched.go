@@ -115,23 +115,6 @@ func ALAP(g *dfg.Graph, latency int) (map[string]int, error) {
 	return steps, nil
 }
 
-// Mobility returns ALAP-ASAP slack per op for the given latency.
-func Mobility(g *dfg.Graph, latency int) (map[string]int, error) {
-	asap, err := ASAP(g)
-	if err != nil {
-		return nil, err
-	}
-	alap, err := ALAP(g, latency)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[string]int, len(asap))
-	for op, a := range asap {
-		m[op] = alap[op] - a
-	}
-	return m, nil
-}
-
 // Limits bounds the number of concurrent operations per kind during list
 // scheduling. A missing kind means unlimited.
 type Limits map[dfg.Kind]int

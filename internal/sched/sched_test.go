@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 
 	"bistpath/internal/dfg"
@@ -71,17 +72,35 @@ func TestALAP(t *testing.T) {
 	}
 }
 
+// ListSchedule issues the least mobile ready op first: with one adder
+// the head of a three-add chain (ALAP-ASAP slack 4 against the bound it
+// schedules with) goes before a lone add (slack 6), although the lone
+// add sorts first by name.
 func TestMobility(t *testing.T) {
-	g := wide(t)
-	m, err := Mobility(g, 4)
+	g := dfg.New("chain")
+	if err := g.AddInput("a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range [][4]string{
+		{"a1", "x1", "a", "b"},
+		{"z1", "y1", "a", "b"},
+		{"z2", "y2", "y1", "a"},
+		{"z3", "y3", "y2", "b"},
+	} {
+		if err := g.AddOp(op[0], dfg.Add, 0, op[1], op[2], op[3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.MarkOutput("x1", "y3"); err != nil {
+		t.Fatal(err)
+	}
+	steps, err := ListSchedule(g, Limits{dfg.Add: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m["o"] != 1 {
-		t.Errorf("mobility(o) = %d, want 1", m["o"])
-	}
-	if m["t1"] != 1 {
-		t.Errorf("mobility(t1) = %d, want 1", m["t1"])
+	want := map[string]int{"z1": 1, "z2": 2, "z3": 3, "a1": 4}
+	if !reflect.DeepEqual(steps, want) {
+		t.Errorf("ListSchedule = %v, want %v", steps, want)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestBindingOracleGradesNonMinimalBinding(t *testing.T) {
 	if len(dp.Regs) != min+1 {
 		t.Fatalf("test setup: dp has %d registers, want %d", len(dp.Regs), min+1)
 	}
-	opts := DefaultOptions(8)
+	opts := testOptions()
 	plan, err := bist.OptimizeCtx(context.Background(), dp, bist.Options{
 		Model:            opts.Model,
 		AllowPadHeads:    opts.AllowPadTPG,

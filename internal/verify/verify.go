@@ -89,19 +89,6 @@ type Options struct {
 	SkipOracles bool
 }
 
-// DefaultOptions returns the standard verification configuration for a
-// data path of the given width, mirroring bistpath.DefaultConfig.
-func DefaultOptions(width int) Options {
-	return Options{
-		Model:        area.Default(width),
-		AllowPadTPG:  true,
-		Vectors:      100,
-		Seed:         1,
-		EmbeddingCap: 4 << 20,
-		BindingLimit: 20000,
-	}
-}
-
 func (o Options) withDefaults(width int) Options {
 	if o.Model.Width == 0 {
 		o.Model = area.Default(width)

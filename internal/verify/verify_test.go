@@ -56,6 +56,12 @@ func mustPipeline(t *testing.T, g *dfg.Graph, mb *modassign.Binding, traditional
 	return dp, plan
 }
 
+// testOptions is the configuration bistpath.DefaultConfig gives a
+// width-8 verification: pad heads on, seed 1, the rest withDefaults'.
+func testOptions() Options {
+	return Options{AllowPadTPG: true, Seed: 1}.withDefaults(8)
+}
+
 // exactSearch is the re-run oracle's search for a plan from the exact
 // branch and bound under o.
 func exactSearch(o Options) func(context.Context, *datapath.Datapath) (*bist.Plan, error) {
@@ -85,7 +91,7 @@ func TestRunCleanOnPaperBenchmarks(t *testing.T) {
 		for _, trad := range []bool{false, true} {
 			mb := benchBinding(t, b)
 			dp, plan := mustPipeline(t, b.Graph, mb, trad)
-			opts := DefaultOptions(8)
+			opts := testOptions()
 			opts.Search = exactSearch(opts)
 			rep, err := Run(context.Background(), b.Graph, mb, dp, plan, opts)
 			if err != nil {
@@ -119,7 +125,7 @@ func TestBindingOracleBracketsHeuristicOnBenchmarks(t *testing.T) {
 	for _, b := range benchdata.All() {
 		mb := benchBinding(t, b)
 		dp, plan := mustPipeline(t, b.Graph, mb, false)
-		res, err := BindingOracle(context.Background(), b.Graph, mb, dp, DefaultOptions(8))
+		res, err := BindingOracle(context.Background(), b.Graph, mb, dp, testOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -156,7 +162,7 @@ func TestVerifyRandomSweep(t *testing.T) {
 			}
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		opts := DefaultOptions(8)
+		opts := testOptions()
 		opts.Vectors = 40
 		opts.Seed = seed
 		if seed%5 != 0 {
@@ -190,7 +196,7 @@ func TestInvariantsModeAgnosticOnEx1(t *testing.T) {
 	mb := benchBinding(t, b)
 	for _, trad := range []bool{false, true} {
 		dp, plan := mustPipeline(t, b.Graph, mb, trad)
-		opts := DefaultOptions(8)
+		opts := testOptions()
 		if vs := Invariants(b.Graph, mb, dp, plan, opts.Model, opts.AllowPadTPG); len(vs) != 0 {
 			t.Errorf("traditional=%v: %v", trad, vs)
 		}
@@ -207,7 +213,7 @@ func TestRunHonorsCancellation(t *testing.T) {
 	dp, plan := mustPipeline(t, b.Graph, mb, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, b.Graph, mb, dp, plan, DefaultOptions(8)); err == nil {
+	if _, err := Run(ctx, b.Graph, mb, dp, plan, testOptions()); err == nil {
 		t.Fatal("cancelled Run returned nil error")
 	}
 }
@@ -221,7 +227,7 @@ func TestRerunMatchCatchesDivergentPlan(t *testing.T) {
 	b := benchdata.ByName("paulin")
 	mb := benchBinding(t, b)
 	dp, plan := mustPipeline(t, b.Graph, mb, false)
-	opts := DefaultOptions(8)
+	opts := testOptions()
 	search := exactSearch(opts)
 
 	vs, err := RerunMatch(context.Background(), dp, search, plan)

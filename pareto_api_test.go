@@ -8,6 +8,26 @@ import (
 	"testing"
 )
 
+// Dominates is Pareto dominance for minimization: no worse anywhere and
+// strictly better somewhere, so equal vectors and trade-offs do not
+// dominate each other.
+func TestCostVectorDominates(t *testing.T) {
+	for _, tc := range []struct {
+		a, b CostVector
+		want bool
+	}{
+		{CostVector{10, 2, 3}, CostVector{10, 2, 4}, true},
+		{CostVector{9, 2, 3}, CostVector{10, 3, 4}, true},
+		{CostVector{10, 2, 4}, CostVector{10, 2, 3}, false},
+		{CostVector{10, 2, 3}, CostVector{10, 2, 3}, false},
+		{CostVector{9, 3, 3}, CostVector{10, 2, 3}, false},
+	} {
+		if got := tc.a.Dominates(tc.b); got != tc.want {
+			t.Errorf("%v.Dominates(%v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+}
+
 // synthPareto synthesizes one benchmark under the ParetoFront objective.
 func synthPareto(t *testing.T, name string, cfg Config) *Result {
 	t.Helper()

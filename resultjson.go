@@ -1,9 +1,6 @@
 package bistpath
 
-import (
-	"encoding/json"
-	"time"
-)
+import "encoding/json"
 
 // ResultSchemaVersion is the version tag embedded in Result.JSON()
 // output ("schema"). It is bumped whenever a field is removed or changes
@@ -11,17 +8,20 @@ import (
 const ResultSchemaVersion = 1
 
 // The machine-readable result schema. Every field is stable and
-// documented here; Result.JSON never leaks unexported state. All fields
-// except "stats" are deterministic (same design, same config → same
-// bytes); "stats" carries the timing-dependent measurements and the
-// search counters described on Stats.
+// documented here and on the public types the document holds —
+// RegisterInfo, ModuleInfo, Weights, CostVector, ParetoPoint and Stats —
+// whose json tags are the wire names, in the order they are written.
+// Result.JSON never leaks unexported state. All fields except "stats"
+// are deterministic (same design, same config → same bytes); "stats"
+// carries the timing-dependent measurements and the search counters
+// described on Stats.
 type resultJSON struct {
 	Schema         int            `json:"schema"`
 	Name           string         `json:"name"`
 	Mode           string         `json:"mode"`  // "testable" | "traditional"
 	Width          int            `json:"width"` // datapath bit width
-	Registers      []registerJSON `json:"registers"`
-	Modules        []moduleJSON   `json:"modules"`
+	Registers      []RegisterInfo `json:"registers"`
+	Modules        []ModuleInfo   `json:"modules"`
 	MuxCount       int            `json:"mux_count"`
 	MuxExtraInputs int            `json:"mux_extra_inputs"`
 	BaseArea       int            `json:"base_area"` // gate equivalents before BIST
@@ -35,122 +35,11 @@ type resultJSON struct {
 	// ParetoFront objectives (omitted entirely under MinArea, keeping
 	// its documents byte-identical across releases; additive fields are
 	// not a schema version bump).
-	Objective string            `json:"objective,omitempty"` // "weighted" | "pareto"
-	Weights   *weightsJSON      `json:"weights,omitempty"`   // WeightedSum only
-	Cost      *costVectorJSON   `json:"cost,omitempty"`
-	Pareto    []paretoPointJSON `json:"pareto,omitempty"` // ParetoFront only
-	Stats     statsJSON         `json:"stats"`
-}
-
-type costVectorJSON struct {
-	Area      int `json:"area"`
-	TestTime  int `json:"test_time"`
-	PeakPower int `json:"peak_power"`
-}
-
-type weightsJSON struct {
-	Area      int `json:"area"`
-	TestTime  int `json:"test_time"`
-	PeakPower int `json:"peak_power"`
-}
-
-type paretoPointJSON struct {
-	Cost        costVectorJSON `json:"cost"`
-	BISTArea    int            `json:"bist_area"`
-	OverheadPct float64        `json:"overhead_pct"`
-	StyleCounts map[string]int `json:"style_counts"`
-	Sessions    [][]string     `json:"sessions"`
-}
-
-type registerJSON struct {
-	Name          string   `json:"name"`
-	Vars          []string `json:"vars"`
-	Style         string   `json:"style"` // "REG", "TPG", "SA", "TPG/SA", "CBILBO"
-	SharingDegree int      `json:"sharing_degree"`
-}
-
-type moduleJSON struct {
-	Name         string   `json:"name"`
-	Class        string   `json:"class"`
-	Ops          []string `json:"ops"`
-	Embedding    string   `json:"embedding"`
-	ForcedCBILBO bool     `json:"forced_cbilbo"`
-}
-
-// statsJSON mirrors Stats. The *_ns fields are wall times in nanoseconds
-// and vary run to run; the counters are deterministic for sequential
-// runs (see Stats).
-type statsJSON struct {
-	TotalNS              int64 `json:"total_ns"`
-	ValidateNS           int64 `json:"validate_ns"`
-	RegisterBindNS       int64 `json:"register_bind_ns"`
-	InterconnectNS       int64 `json:"interconnect_ns"`
-	DatapathNS           int64 `json:"datapath_ns"`
-	BISTSearchNS         int64 `json:"bist_search_ns"`
-	SearchNodes          int64 `json:"search_nodes"`
-	BoundPrunes          int64 `json:"bound_prunes"`
-	IncumbentUpdates     int64 `json:"incumbent_updates"`
-	EmbeddingsEnumerated int64 `json:"embeddings_enumerated"`
-	SearchWorkers        int   `json:"search_workers"`
-	// Stochastic-search fields, present only when Config.Search departs
-	// from the default SearchExact (additive, so exact-run documents stay
-	// byte-identical across releases).
-	SearchStrategy string             `json:"search_strategy,omitempty"` // "exact" | "stochastic"
-	Generations    int64              `json:"generations,omitempty"`
-	Evaluations    int64              `json:"evaluations,omitempty"`
-	BestCurve      []SearchCurvePoint `json:"best_curve,omitempty"`
-	Lemma2Checks   int64              `json:"lemma2_checks"`
-	CaseOverrides  int64              `json:"case_overrides"`
-}
-
-// statsToJSON converts Stats to its wire form. The cache-view fields
-// (CacheHit and friends) have no wire counterparts: Result.JSON() from a
-// cache hit must stay byte-identical to the populating cold run, so they
-// exist only on the Go struct.
-func statsToJSON(s Stats) statsJSON {
-	return statsJSON{
-		TotalNS:              int64(s.Total),
-		ValidateNS:           int64(s.Validate),
-		RegisterBindNS:       int64(s.RegisterBind),
-		InterconnectNS:       int64(s.Interconnect),
-		DatapathNS:           int64(s.Datapath),
-		BISTSearchNS:         int64(s.BISTSearch),
-		SearchNodes:          s.SearchNodes,
-		BoundPrunes:          s.BoundPrunes,
-		IncumbentUpdates:     s.IncumbentUpdates,
-		EmbeddingsEnumerated: s.EmbeddingsEnumerated,
-		SearchWorkers:        s.SearchWorkers,
-		SearchStrategy:       s.SearchStrategy,
-		Generations:          s.Generations,
-		Evaluations:          s.Evaluations,
-		BestCurve:            s.BestCurve,
-		Lemma2Checks:         s.Lemma2Checks,
-		CaseOverrides:        s.CaseOverrides,
-	}
-}
-
-// statsFromJSON is the inverse of statsToJSON, used when a disk cache
-// entry replays the populating run's frozen stats.
-func statsFromJSON(j statsJSON) Stats {
-	return Stats{
-		Total:                time.Duration(j.TotalNS),
-		Validate:             time.Duration(j.ValidateNS),
-		RegisterBind:         time.Duration(j.RegisterBindNS),
-		Interconnect:         time.Duration(j.InterconnectNS),
-		Datapath:             time.Duration(j.DatapathNS),
-		BISTSearch:           time.Duration(j.BISTSearchNS),
-		SearchNodes:          j.SearchNodes,
-		BoundPrunes:          j.BoundPrunes,
-		IncumbentUpdates:     j.IncumbentUpdates,
-		EmbeddingsEnumerated: j.EmbeddingsEnumerated,
-		SearchWorkers:        j.SearchWorkers,
-		SearchStrategy:       j.SearchStrategy,
-		Generations:          j.Generations,
-		Evaluations:          j.Evaluations,
-		BestCurve:            j.BestCurve,
-		Lemma2Checks:         j.Lemma2Checks,
-		CaseOverrides:        j.CaseOverrides,
-	}
+	Objective string        `json:"objective,omitempty"` // "weighted" | "pareto"
+	Weights   *Weights      `json:"weights,omitempty"`   // WeightedSum only
+	Cost      *CostVector   `json:"cost,omitempty"`
+	Pareto    []ParetoPoint `json:"pareto,omitempty"` // ParetoFront only
+	Stats     Stats         `json:"stats"`
 }
 
 // JSON renders the result as an indented, machine-readable JSON document
@@ -164,8 +53,8 @@ func (r *Result) JSON() ([]byte, error) {
 		Name:           r.Name,
 		Mode:           r.Mode.String(),
 		Width:          r.Width,
-		Registers:      make([]registerJSON, 0, len(r.Registers)),
-		Modules:        make([]moduleJSON, 0, len(r.Modules)),
+		Registers:      r.Registers,
+		Modules:        r.Modules,
 		MuxCount:       r.MuxCount,
 		MuxExtraInputs: r.MuxExtraInputs,
 		BaseArea:       r.BaseArea,
@@ -173,7 +62,14 @@ func (r *Result) JSON() ([]byte, error) {
 		OverheadPct:    r.OverheadPct,
 		StyleCounts:    r.StyleCounts,
 		Sessions:       r.Sessions,
-		Stats:          statsToJSON(r.Stats),
+		Stats:          r.Stats,
+	}
+	// Empty collections are written as [] and {}, never null.
+	if doc.Registers == nil {
+		doc.Registers = []RegisterInfo{}
+	}
+	if doc.Modules == nil {
+		doc.Modules = []ModuleInfo{}
 	}
 	if doc.Sessions == nil {
 		doc.Sessions = [][]string{}
@@ -183,25 +79,11 @@ func (r *Result) JSON() ([]byte, error) {
 	}
 	if r.Cost != nil {
 		doc.Objective = r.cfg.Objective.String()
-		doc.Cost = &costVectorJSON{Area: r.Cost.Area, TestTime: r.Cost.TestTime, PeakPower: r.Cost.PeakPower}
+		doc.Cost = r.Cost
+		doc.Pareto = r.Pareto
 		if r.cfg.Objective == WeightedSum {
-			doc.Weights = &weightsJSON{Area: r.cfg.Weights.Area, TestTime: r.cfg.Weights.TestTime, PeakPower: r.cfg.Weights.PeakPower}
+			doc.Weights = &r.cfg.Weights
 		}
-		for _, pt := range r.Pareto {
-			doc.Pareto = append(doc.Pareto, paretoPointJSON{
-				Cost:        costVectorJSON(pt.Cost),
-				BISTArea:    pt.BISTArea,
-				OverheadPct: pt.OverheadPct,
-				StyleCounts: pt.StyleCounts,
-				Sessions:    pt.Sessions,
-			})
-		}
-	}
-	for _, reg := range r.Registers {
-		doc.Registers = append(doc.Registers, registerJSON(reg))
-	}
-	for _, m := range r.Modules {
-		doc.Modules = append(doc.Modules, moduleJSON(m))
 	}
 	return json.MarshalIndent(doc, "", "  ")
 }

@@ -615,6 +615,38 @@ func TestSessionIsolatedFromCallerDFG(t *testing.T) {
 	}
 }
 
+// Design names the design under edit, and Text renders the edited graph
+// in a form that parses back with the edit applied.
+func TestSessionDesignAndText(t *testing.T) {
+	s := New(DefaultConfig())
+	defer s.Close()
+	d, mods, err := Benchmark("ex1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := s.NewSession(d, mods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if got := ss.Design(); got != "ex1" {
+		t.Errorf("Design() = %q, want ex1", got)
+	}
+	if err := ss.SetStep("mul2", 5); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseDFG(ss.Text())
+	if err != nil {
+		t.Fatalf("session text does not parse: %v\n%s", err, ss.Text())
+	}
+	if got := parsed.g.Op("mul2").Step; got != 5 {
+		t.Errorf("parsed mul2 at step %d, want 5 (the edit)", got)
+	}
+	if parsed.Name() != "ex1" || parsed.Text() != ss.Text() {
+		t.Errorf("text does not round-trip:\n%s\nvs\n%s", parsed.Text(), ss.Text())
+	}
+}
+
 // applyRandomEdit drives one random mutator on the session and mirrors
 // it on a plain graph + module map, so the mirror can be synthesized
 // from scratch as the ground truth. Returns false if the chosen edit

@@ -52,55 +52,53 @@ func (p Phase) String() string {
 // replay of the algorithms' work. A phase reused from an earlier
 // run (ReusedPhases) did no work in this run, so its counters read
 // zero; a cache hit instead replays the populating run's Stats whole.
+//
+// The json tags are the "stats" object of Result.JSON() and of the
+// result cache's disk entries: the durations are written as integer
+// nanoseconds (*_ns). The views tagged "-" stay on the Go struct only,
+// because Result.JSON() from a cache hit or an incremental run must stay
+// byte-identical to the cold run's (stats normalized), which per-run
+// cache or reuse accounting could never be.
 type Stats struct {
 	// Wall times. Total covers the whole run including result assembly,
 	// so the per-phase values sum to slightly less than Total.
-	Total        time.Duration
-	Validate     time.Duration
-	RegisterBind time.Duration
-	Interconnect time.Duration
-	Datapath     time.Duration
-	BISTSearch   time.Duration
+	Total        time.Duration `json:"total_ns"`
+	Validate     time.Duration `json:"validate_ns"`
+	RegisterBind time.Duration `json:"register_bind_ns"`
+	Interconnect time.Duration `json:"interconnect_ns"`
+	Datapath     time.Duration `json:"datapath_ns"`
+	BISTSearch   time.Duration `json:"bist_search_ns"`
 
 	// BIST branch-and-bound effort.
-	SearchNodes          int64 // search nodes expanded
-	BoundPrunes          int64 // subtrees cut by the incumbent bound
-	IncumbentUpdates     int64 // incumbent improvements taken
-	EmbeddingsEnumerated int64 // candidate embeddings across all modules
-	SearchWorkers        int   // 1 when this run searched, 0 when it reused the plan
+	SearchNodes          int64 `json:"search_nodes"`          // search nodes expanded
+	BoundPrunes          int64 `json:"bound_prunes"`          // subtrees cut by the incumbent bound
+	IncumbentUpdates     int64 `json:"incumbent_updates"`     // incumbent improvements taken
+	EmbeddingsEnumerated int64 `json:"embeddings_enumerated"` // candidate embeddings across all modules
+	SearchWorkers        int   `json:"search_workers"`        // 1 when this run searched, 0 when it reused the plan
 
 	// Stochastic-search effort (Config.Search only; all zero/empty under
-	// the default SearchExact, so existing Results are unchanged).
+	// the default SearchExact, so existing Results are unchanged, and
+	// omitted from the JSON then, so exact-run documents stay
+	// byte-identical across releases).
 	// SearchStrategy records what the configured strategy resolved to —
 	// "exact" or "stochastic" — and stays empty for a SearchExact config.
-	SearchStrategy string
-	Generations    int64              // genetic-search generations executed
-	Evaluations    int64              // candidate cost evaluations (GA + annealing)
-	BestCurve      []SearchCurvePoint // best-so-far cost after each incumbent improvement
+	SearchStrategy string             `json:"search_strategy,omitempty"`
+	Generations    int64              `json:"generations,omitempty"` // genetic-search generations executed
+	Evaluations    int64              `json:"evaluations,omitempty"` // candidate cost evaluations (GA + annealing)
+	BestCurve      []SearchCurvePoint `json:"best_curve,omitempty"`  // best-so-far cost after each incumbent improvement
 
 	// Register binder effort (zero in traditional mode).
-	Lemma2Checks  int64 // trial Lemma-2 evaluations during coloring
-	CaseOverrides int64 // Case 1/2 diversions that changed the choice
+	Lemma2Checks  int64 `json:"lemma2_checks"`  // trial Lemma-2 evaluations during coloring
+	CaseOverrides int64 `json:"case_overrides"` // Case 1/2 diversions that changed the choice
 
-	// Result-cache interaction, filled only when Config.Cache was set.
-	// These are the one part of Stats deliberately excluded from
-	// Result.JSON(): a cache hit replays the populating run's Stats so
-	// its JSON stays byte-identical to the cold run, which a live
-	// hit-count could never be. The per-run cache view therefore lives
-	// on the Go struct only.
-	CacheHit       bool  // this Result was served from Config.Cache
-	CacheHits      int64 // cache hits observed by Config.Cache so far
-	CacheMisses    int64 // cache misses (full syntheses) so far
-	CacheEvictions int64 // in-memory entries evicted so far
-	CacheBytes     int64 // in-memory bytes held after this run
+	// CacheHit reports that Config.Cache served this Result. The cache's
+	// own counters (hits, misses, evictions, bytes) are on Cache.Stats().
+	CacheHit bool `json:"-"`
 
 	// Incremental re-synthesis view, filled only on Session.Resynthesize
-	// results. Excluded from Result.JSON() for the same reason as the
-	// cache view: an incremental run's JSON is byte-identical (stats
-	// normalized) to the cold run's, which live reuse accounting could
-	// never be.
-	ReusedPhases       []string // phases reused from the previous run, pipeline order
-	IncrementalSpeedup float64  // previous cold Total / this run's Total (0 until phases reuse)
+	// results.
+	ReusedPhases       []string `json:"-"` // phases reused from the previous run, pipeline order
+	IncrementalSpeedup float64  `json:"-"` // previous cold Total / this run's Total (0 until phases reuse)
 }
 
 // SearchCurvePoint is one incumbent improvement of the stochastic
@@ -131,13 +129,8 @@ func (s Stats) String() string {
 	}
 	fmt.Fprintf(&sb, "    binder: %d Lemma-2 checks, %d case overrides\n",
 		s.Lemma2Checks, s.CaseOverrides)
-	if s.CacheHit || s.CacheHits+s.CacheMisses > 0 {
-		served := "synthesized"
-		if s.CacheHit {
-			served = "served from cache"
-		}
-		fmt.Fprintf(&sb, "    cache: %s; %d hits, %d misses, %d evictions, %d bytes\n",
-			served, s.CacheHits, s.CacheMisses, s.CacheEvictions, s.CacheBytes)
+	if s.CacheHit {
+		sb.WriteString("    cache: served from cache\n")
 	}
 	if len(s.ReusedPhases) > 0 {
 		fmt.Fprintf(&sb, "    incremental: reused %s", strings.Join(s.ReusedPhases, ", "))

@@ -3,6 +3,7 @@ package bistpath
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -94,6 +95,9 @@ func TestSynthesizerUsesHandleConfig(t *testing.T) {
 	cfg.Mode = TraditionalHLS
 	s := New(cfg)
 	defer s.Close()
+	if got := s.Config(); !reflect.DeepEqual(got, cfg) {
+		t.Errorf("Config() = %+v, want the handle's %+v", got, cfg)
+	}
 	d, mods, err := Benchmark("ex1")
 	if err != nil {
 		t.Fatal(err)

@@ -26,6 +26,9 @@ func TestResultVerifyCleanOnBenchmarks(t *testing.T) {
 		if !rep.OK() {
 			t.Errorf("%s:\n%s", name, rep.Summary())
 		}
+		if err := rep.Err(); err != nil {
+			t.Errorf("%s: Err() = %v on a clean report", name, err)
+		}
 		if rep.Vectors < 100 {
 			t.Errorf("%s: only %d vectors simulated", name, rep.Vectors)
 		}
