@@ -541,7 +541,9 @@ func sameStructure(a, b *datapath.Datapath) bool {
 // is timed into Result.Stats and reported to cfg.Observer, reused or
 // not; non-context failures come back as *SynthesisError attributed to
 // the phase that produced them. A nil sc simply allocates fresh state
-// (the Results are identical either way).
+// (the Results are identical either way). mb comes from
+// DFG.moduleBinding on g's schedule, which has already rejected an
+// unscheduled op.
 //
 // prior, when non-nil, offers the plan of an earlier run. Every phase up
 // to the data path runs; the BIST search then splices the prior plan on
@@ -587,11 +589,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		}
 		if err := g.Validate(); err != nil {
 			return err
-		}
-		for _, o := range g.Ops() {
-			if o.Step == 0 {
-				return fmt.Errorf("%w: op %q", ErrUnscheduled, o.Name)
-			}
 		}
 		return mb.Validate(g)
 	}); err != nil {

@@ -33,11 +33,9 @@ const cacheEntrySchema = 1
 type CacheOptions struct {
 	// MaxBytes bounds the in-memory layer's accounted footprint in
 	// bytes (0 = 256 MiB). When the budget is exceeded, least recently
-	// used entries are evicted.
+	// used entries are evicted; only an entry that alone exceeds it is
+	// not kept.
 	MaxBytes int64
-	// Shards is the in-memory LRU shard count (0 = 16). More shards
-	// reduce lock contention for highly concurrent batches.
-	Shards int
 	// Dir, when non-empty, adds a persistent on-disk layer rooted at
 	// this directory. Disk entries are versioned and checksummed; a
 	// corrupt or foreign entry is treated as a miss, never an error,
@@ -111,7 +109,7 @@ type Cache struct {
 // directory that cannot be created fails with an error wrapping
 // ErrCacheDir.
 func NewCache(opts CacheOptions) (*Cache, error) {
-	c := &Cache{mem: cache.NewMemory(opts.MaxBytes, opts.Shards)}
+	c := &Cache{mem: cache.NewMemory(opts.MaxBytes)}
 	if opts.Dir != "" {
 		d, err := cache.NewDisk(opts.Dir)
 		if err != nil {

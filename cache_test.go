@@ -274,7 +274,7 @@ func TestCacheEvictionUnderTightBudget(t *testing.T) {
 	f1 := resultFootprint(synthCached(t, probe, "ex1", DefaultConfig()))
 	f2 := resultFootprint(synthCached(t, probe, "ex2", DefaultConfig()))
 
-	c := newTestCache(t, CacheOptions{MaxBytes: f1 + f2 - 1, Shards: 1})
+	c := newTestCache(t, CacheOptions{MaxBytes: f1 + f2 - 1})
 	synthCached(t, c, "ex1", DefaultConfig())
 	synthCached(t, c, "ex2", DefaultConfig())
 	st := c.Stats()
@@ -286,6 +286,25 @@ func TestCacheEvictionUnderTightBudget(t *testing.T) {
 	}
 	if r := synthCached(t, c, "ex1", DefaultConfig()); r.Stats.CacheHit {
 		t.Fatal("evicted entry served as a hit")
+	}
+}
+
+// The budget is one pool: an entry is refused only when it alone
+// exceeds MaxBytes, so a Result well inside the budget is kept and the
+// repeat request is a memory hit.
+func TestCacheKeepsEntryThatFitsBudget(t *testing.T) {
+	probe := newTestCache(t, CacheOptions{})
+	size := resultFootprint(synthCached(t, probe, "paulin", DefaultConfig()))
+
+	c := newTestCache(t, CacheOptions{MaxBytes: 2 * size})
+	synthCached(t, c, "paulin", DefaultConfig())
+	if r := synthCached(t, c, "paulin", DefaultConfig()); !r.Stats.CacheHit {
+		st := c.Stats()
+		t.Fatalf("a %d-byte entry under a %d-byte budget was not kept: %d misses, %d bytes",
+			size, 2*size, st.Misses, st.Bytes)
+	}
+	if st := c.Stats(); st.MemoryHits != 1 || st.Misses != 1 || st.Bytes != size {
+		t.Fatalf("stats = %+v; want 1 memory hit, 1 miss, %d bytes", st, size)
 	}
 }
 

@@ -180,10 +180,3 @@ func RandomWithModules(cfg RandomConfig) (*dfg.Graph, *modassign.Binding, error)
 	}
 	return g, mb, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -827,13 +827,13 @@ func (p *Plan) Validate(dp *datapath.Datapath) error {
 		if m == nil {
 			return fmt.Errorf("bist: embedding for unknown module %s", name)
 		}
-		if !containsStr(m.Left, e.HeadL) {
+		if !slices.Contains(m.Left, e.HeadL) {
 			return fmt.Errorf("bist: %s head %s not on left port", name, e.HeadL)
 		}
-		if e.HeadR != "" && !containsStr(m.Right, e.HeadR) {
+		if e.HeadR != "" && !slices.Contains(m.Right, e.HeadR) {
 			return fmt.Errorf("bist: %s head %s not on right port", name, e.HeadR)
 		}
-		if !containsStr(m.Dests, e.Tail) {
+		if !slices.Contains(m.Dests, e.Tail) {
 			return fmt.Errorf("bist: %s tail %s not a destination", name, e.Tail)
 		}
 		if e.HeadR != "" && e.HeadL == e.HeadR && !dp.ModuleDiagonal(name) {
@@ -872,13 +872,4 @@ func (p *Plan) Validate(dp *datapath.Datapath) error {
 		}
 	}
 	return nil
-}
-
-func containsStr(list []string, x string) bool {
-	for _, s := range list {
-		if s == x {
-			return true
-		}
-	}
-	return false
 }

@@ -450,17 +450,17 @@ func (st *stochState) improve(g []int32, cost int) (bool, error) {
 		// Strict improvement.
 	case cost > st.bestCost:
 		return false, nil
-	default: // cost tie
-		if int32Equal(g, st.best) {
+	default: // cost tie: fewer sessions (when minimized), then the lexicographically smaller genome, wins
+		if slices.Equal(g, st.best) {
 			return false, nil
 		}
 		if st.opts.MinimizeSessions {
 			s, _ := st.a.schedule(st.sp, g, nil)
 			bs := st.sessionsOfBest()
-			if s > bs || (s == bs && !int32Less(g, st.best)) {
+			if s > bs || (s == bs && slices.Compare(g, st.best) >= 0) {
 				return false, nil
 			}
-		} else if !int32Less(g, st.best) {
+		} else if slices.Compare(g, st.best) >= 0 {
 			return false, nil
 		}
 	}
@@ -484,27 +484,4 @@ func (st *stochState) sessionsOfBest() int {
 		st.bestSessions, _ = st.a.schedule(st.sp, st.best, nil)
 	}
 	return st.bestSessions
-}
-
-func int32Equal(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// int32Less is the lexicographic order on genomes, the final tie-break of
-// the incumbent order.
-func int32Less(a, b []int32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }

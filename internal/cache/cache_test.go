@@ -20,7 +20,7 @@ func key(b byte) Key {
 }
 
 func TestMemoryGetPut(t *testing.T) {
-	m := NewMemory(0, 0)
+	m := NewMemory(0)
 	if _, ok := m.Get(key(1)); ok {
 		t.Fatal("hit on empty store")
 	}
@@ -42,8 +42,7 @@ func TestMemoryGetPut(t *testing.T) {
 }
 
 func TestMemoryEvictionOrder(t *testing.T) {
-	// One shard so the LRU order is globally observable.
-	m := NewMemory(300, 1)
+	m := NewMemory(300)
 	m.Put(key(1), 1, 100)
 	m.Put(key(2), 2, 100)
 	m.Put(key(3), 3, 100)
@@ -71,7 +70,7 @@ func TestMemoryEvictionOrder(t *testing.T) {
 }
 
 func TestMemoryOversizeEntryRejected(t *testing.T) {
-	m := NewMemory(100, 1)
+	m := NewMemory(100)
 	evicted, delta := m.Put(key(1), "huge", 101)
 	if evicted != 0 || delta != 0 {
 		t.Fatalf("oversize Put = (%d, %d); want (0, 0)", evicted, delta)
@@ -81,21 +80,10 @@ func TestMemoryOversizeEntryRejected(t *testing.T) {
 	}
 }
 
-func TestMemoryShardRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, defaultShards}, {1, 1}, {3, 4}, {16, 16}, {300, 256},
-	} {
-		m := NewMemory(0, tc.in)
-		if got := len(m.shards); got != tc.want {
-			t.Errorf("NewMemory(shards=%d): %d shards, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestMemoryConcurrent(t *testing.T) {
-	// A storm of mixed gets/puts across all shards; run under -race this
-	// proves the sharded locking. Byte accounting must balance after.
-	m := NewMemory(1<<20, 8)
+	// A storm of mixed gets/puts; run under -race this proves the
+	// locking. Byte accounting must balance after.
+	m := NewMemory(1 << 20)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

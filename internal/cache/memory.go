@@ -1,9 +1,9 @@
 // Package cache provides the storage machinery behind the public
-// synthesis result cache: a sharded in-memory LRU with byte-size
-// accounting, a versioned corruption-tolerant on-disk store, and a
-// context-aware singleflight group that coalesces concurrent identical
-// computations. Keys are content hashes computed by the caller; values
-// are opaque to this package.
+// synthesis result cache: an in-memory LRU with byte-size accounting
+// under one budget, a versioned corruption-tolerant on-disk store, and
+// a context-aware singleflight group that coalesces concurrent
+// identical computations. Keys are content hashes computed by the
+// caller; values are opaque to this package.
 package cache
 
 import (
@@ -21,24 +21,18 @@ func (k Key) Hex() string { return hex.EncodeToString(k[:]) }
 
 // MemoryStats is a point-in-time snapshot of a Memory store.
 type MemoryStats struct {
-	Entries   int   // live entries across all shards
-	Bytes     int64 // accounted bytes across all shards
+	Entries   int   // live entries
+	Bytes     int64 // accounted bytes
 	MaxBytes  int64 // configured budget
 	Evictions int64 // entries evicted to satisfy the budget
 }
 
-// Memory is a sharded LRU keyed by Key with per-entry byte-size
-// accounting. Each shard holds an independent budget of
-// MaxBytes/len(shards), so eviction decisions never take a global lock.
-// All methods are safe for concurrent use.
+// Memory is an LRU keyed by Key with per-entry byte-size accounting
+// against a single MaxBytes budget. All methods are safe for
+// concurrent use.
 type Memory struct {
-	shards   []shard
-	maxBytes int64
-}
-
-type shard struct {
 	mu        sync.Mutex
-	budget    int64
+	maxBytes  int64
 	bytes     int64
 	evictions int64
 	entries   map[Key]*list.Element
@@ -54,100 +48,68 @@ type memEntry struct {
 // DefaultMaxBytes is the Memory budget when the caller passes 0.
 const DefaultMaxBytes = 256 << 20
 
-// defaultShards is the shard count when the caller passes 0. It is a
-// power of two so shard selection is a mask of the key's first byte.
-const defaultShards = 16
-
 // NewMemory returns a store that holds at most maxBytes of accounted
-// entry sizes (0 selects DefaultMaxBytes) across the given number of
-// shards (0 selects a default; the count is rounded up to a power of
-// two, capped at 256 so one key byte selects the shard).
-func NewMemory(maxBytes int64, shards int) *Memory {
+// entry sizes (0 selects DefaultMaxBytes).
+func NewMemory(maxBytes int64) *Memory {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	if shards <= 0 {
-		shards = defaultShards
-	}
-	n := 1
-	for n < shards && n < 256 {
-		n <<= 1
-	}
-	m := &Memory{shards: make([]shard, n), maxBytes: maxBytes}
-	for i := range m.shards {
-		m.shards[i] = shard{
-			budget:  maxBytes / int64(n),
-			entries: make(map[Key]*list.Element),
-			lru:     list.New(),
-		}
-	}
-	return m
+	return &Memory{maxBytes: maxBytes, entries: make(map[Key]*list.Element), lru: list.New()}
 }
-
-func (m *Memory) shard(k Key) *shard { return &m.shards[int(k[0])&(len(m.shards)-1)] }
 
 // Get returns the value stored under k and marks it most recently used.
 func (m *Memory) Get(k Key) (any, bool) {
-	s := m.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[k]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.entries[k]
 	if !ok {
 		return nil, false
 	}
-	s.lru.MoveToFront(el)
+	m.lru.MoveToFront(el)
 	return el.Value.(*memEntry).value, true
 }
 
 // Put stores value under k with the given accounted size, evicting
-// least-recently-used entries from the shard until the shard budget is
-// respected. A value larger than the whole shard budget is not stored
-// at all (storing it would immediately evict everything else for a
-// single entry that itself cannot stay). It returns how many entries
-// were evicted and the net change in accounted bytes, so callers can
-// maintain process-wide gauges without re-locking every shard.
+// least-recently-used entries until the budget is respected. A value
+// larger than the whole budget is not stored at all (storing it would
+// immediately evict everything else for a single entry that itself
+// cannot stay). It returns how many entries were evicted and the net
+// change in accounted bytes, so callers can maintain process-wide
+// gauges without taking a snapshot.
 func (m *Memory) Put(k Key, value any, size int64) (evicted int, bytesDelta int64) {
-	s := m.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if size > s.budget {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if size > m.maxBytes {
 		return 0, 0
 	}
-	before := s.bytes
-	if el, ok := s.entries[k]; ok {
+	before := m.bytes
+	if el, ok := m.entries[k]; ok {
 		e := el.Value.(*memEntry)
-		s.bytes += size - e.size
+		m.bytes += size - e.size
 		e.value, e.size = value, size
-		s.lru.MoveToFront(el)
+		m.lru.MoveToFront(el)
 	} else {
-		s.entries[k] = s.lru.PushFront(&memEntry{key: k, value: value, size: size})
-		s.bytes += size
+		m.entries[k] = m.lru.PushFront(&memEntry{key: k, value: value, size: size})
+		m.bytes += size
 	}
-	for s.bytes > s.budget {
-		back := s.lru.Back()
+	for m.bytes > m.maxBytes {
+		back := m.lru.Back()
 		if back == nil {
 			break
 		}
 		e := back.Value.(*memEntry)
-		s.lru.Remove(back)
-		delete(s.entries, e.key)
-		s.bytes -= e.size
-		s.evictions++
+		m.lru.Remove(back)
+		delete(m.entries, e.key)
+		m.bytes -= e.size
+		m.evictions++
 		evicted++
 	}
-	return evicted, s.bytes - before
+	return evicted, m.bytes - before
 }
 
 // Stats snapshots the store's occupancy and eviction counters.
 func (m *Memory) Stats() MemoryStats {
-	st := MemoryStats{MaxBytes: m.maxBytes}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		st.Entries += len(s.entries)
-		st.Bytes += s.bytes
-		st.Evictions += s.evictions
-		s.mu.Unlock()
-	}
-	return st
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return MemoryStats{Entries: len(m.entries), Bytes: m.bytes, MaxBytes: m.maxBytes, Evictions: m.evictions}
 }

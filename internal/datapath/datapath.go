@@ -8,6 +8,7 @@ package datapath
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -257,13 +258,13 @@ func (dp *Datapath) Validate() error {
 			if m == nil {
 				return fmt.Errorf("datapath %s: op %s on unknown module %s", dp.Name, mo.Op, mo.Module)
 			}
-			if !contains(m.Left, mo.LeftSrc) {
+			if !slices.Contains(m.Left, mo.LeftSrc) {
 				return fmt.Errorf("datapath %s: op %s left source %s not wired to %s.L", dp.Name, mo.Op, mo.LeftSrc, m.Name)
 			}
-			if mo.RightSrc != "" && !contains(m.Right, mo.RightSrc) {
+			if mo.RightSrc != "" && !slices.Contains(m.Right, mo.RightSrc) {
 				return fmt.Errorf("datapath %s: op %s right source %s not wired to %s.R", dp.Name, mo.Op, mo.RightSrc, m.Name)
 			}
-			if !contains(m.Dests, mo.DestReg) {
+			if !slices.Contains(m.Dests, mo.DestReg) {
 				return fmt.Errorf("datapath %s: op %s dest %s not wired from %s", dp.Name, mo.Op, mo.DestReg, m.Name)
 			}
 			if prev, clash := written[mo.DestReg]; clash {
@@ -327,15 +328,6 @@ func (dp *Datapath) MuxStats() (count, extraInputs int) {
 		tally(len(r.Sources))
 	}
 	return count, extraInputs
-}
-
-func contains(list []string, x string) bool {
-	for _, s := range list {
-		if s == x {
-			return true
-		}
-	}
-	return false
 }
 
 func sortedKeys(set map[string]bool) []string {

@@ -333,22 +333,26 @@ func TestGateCoverageAllBenchmarks(t *testing.T) {
 		}
 		return false
 	}
+	// Each (design, module) grade is independent and only reads the
+	// design, so the cases run in parallel.
 	for _, b := range benchdata.All() {
 		d := buildFor(t, b, true)
 		for _, m := range d.dp.Modules {
-			faults, detected, err := d.GateCoverage(m.Name, 250, 0xF00D)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", b.Name, m.Name, err)
-			}
-			pct := float64(detected) / float64(faults) * 100
-			threshold := 92.0
-			if hasDiv(m.Kinds) {
-				threshold = 65.0
-			}
-			if pct < threshold {
-				t.Errorf("%s/%s (%v): gate coverage %.1f%% below %.0f%%",
-					b.Name, m.Name, m.Kinds, pct, threshold)
-			}
+			t.Run(b.Name+"/"+m.Name, func(t *testing.T) {
+				t.Parallel()
+				faults, detected, err := d.GateCoverage(m.Name, 250, 0xF00D)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pct := float64(detected) / float64(faults) * 100
+				threshold := 92.0
+				if hasDiv(m.Kinds) {
+					threshold = 65.0
+				}
+				if pct < threshold {
+					t.Errorf("%v: gate coverage %.1f%% below %.0f%%", m.Kinds, pct, threshold)
+				}
+			})
 		}
 	}
 }

@@ -74,13 +74,14 @@ func (d *Design) RunNormal(inputs map[string]uint64) (map[string]uint64, error) 
 	if err != nil {
 		return nil, err
 	}
-	return d.runNormalOn(sim, inputs)
+	return d.runNormal(sim, inputs, nil)
 }
 
-func (d *Design) runNormalOn(sim *gates.Sim, inputs map[string]uint64) (map[string]uint64, error) {
-	if d.HasController {
-		return d.runSelfTimed(sim, inputs)
-	}
+// runNormal drives the pads and clocks one cycle per control step,
+// applying each step's control word unless the on-chip controller
+// sequences the design. sample, when non-nil, runs on the settled
+// values before every clock edge and once after the last.
+func (d *Design) runNormal(sim *gates.Sim, inputs map[string]uint64, sample func()) (map[string]uint64, error) {
 	for pad, bus := range d.Pads {
 		name := strings.TrimPrefix(pad, interconnect.PadSource)
 		v, ok := inputs[name]
@@ -93,10 +94,19 @@ func (d *Design) runNormalOn(sim *gates.Sim, inputs map[string]uint64) (map[stri
 	if err != nil {
 		return nil, err
 	}
-	words := d.NormalControl()
+	var words []ControlWord
+	if !d.HasController {
+		words = d.NormalControl()
+	}
 	outs := make(map[string]uint64)
-	for s, w := range words {
-		d.applyWord(sim, w)
+	for s := range d.dp.Steps {
+		if !d.HasController {
+			d.applyWord(sim, words[s])
+		}
+		if sample != nil {
+			sim.Eval()
+			sample()
+		}
 		sim.Step()
 		for _, o := range d.dp.Outputs {
 			if lts[o].Born == s {
@@ -108,32 +118,9 @@ func (d *Design) runNormalOn(sim *gates.Sim, inputs map[string]uint64) (map[stri
 			}
 		}
 	}
-	return outs, nil
-}
-
-// runSelfTimed executes a controller-equipped design: only the pads are
-// driven; the on-chip controller sequences everything else.
-func (d *Design) runSelfTimed(sim *gates.Sim, inputs map[string]uint64) (map[string]uint64, error) {
-	for pad, bus := range d.Pads {
-		name := strings.TrimPrefix(pad, interconnect.PadSource)
-		v, ok := inputs[name]
-		if !ok {
-			return nil, fmt.Errorf("elab: missing input %q", name)
-		}
-		sim.SetBus(bus, v)
-	}
-	lts, err := d.dp.Graph().Lifetimes()
-	if err != nil {
-		return nil, err
-	}
-	outs := make(map[string]uint64)
-	for s := 0; s < len(d.dp.Steps); s++ {
-		sim.Step()
-		for _, o := range d.dp.Outputs {
-			if lts[o].Born == s {
-				outs[o] = sim.ReadBus(d.Net.Named("out:" + o))
-			}
-		}
+	if sample != nil {
+		sim.Eval()
+		sample()
 	}
 	return outs, nil
 }
@@ -358,35 +345,10 @@ func (d *Design) RunNormalVCD(inputs map[string]uint64, w io.Writer) (map[string
 	if err != nil {
 		return nil, err
 	}
-	for pad, bus := range d.Pads {
-		name := strings.TrimPrefix(pad, interconnect.PadSource)
-		v, ok := inputs[name]
-		if !ok {
-			return nil, fmt.Errorf("elab: missing input %q", name)
-		}
-		sim.SetBus(bus, v)
-	}
-	lts, err := d.dp.Graph().Lifetimes()
+	outs, err := d.runNormal(sim, inputs, dump.Sample)
 	if err != nil {
 		return nil, err
 	}
-	words := d.NormalControl()
-	outs := make(map[string]uint64)
-	for s := 0; s < len(words); s++ {
-		if !d.HasController {
-			d.applyWord(sim, words[s])
-		}
-		sim.Eval()
-		dump.Sample()
-		sim.Step()
-		for _, o := range d.dp.Outputs {
-			if lts[o].Born == s {
-				outs[o] = sim.ReadBus(d.Net.Named("out:" + o))
-			}
-		}
-	}
-	sim.Eval()
-	dump.Sample()
 	if err := dump.Close(); err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"bistpath"
 )
@@ -38,10 +37,8 @@ type job struct {
 	design    string
 	clientKey string // quota accounting key; "" for direct manager use
 	root      string // lineage root job id; "" unless derived via PATCH
-	created   time.Time
 	hub       *hub
 	cancel    context.CancelFunc
-	done      chan struct{}
 
 	// The resolved submission, retained so PATCH can seed an incremental
 	// session from it; ref is the session lineage this job belongs to
@@ -116,9 +113,13 @@ func (j *job) resultBytes() ([]byte, bool) {
 // manager owns every job record and multiplexes submissions onto the
 // server's shared pool and cache. One goroutine per job carries it
 // queued → running → terminal; drain stops admissions and then waits
-// for (or cancels) the in-flight goroutines via wg.
+// for (or cancels) the in-flight goroutines via wg. Every job context
+// is a child of ctx, so cancelAll cancels them all at once; running
+// syntheses abort at the next phase boundary and conclude as canceled.
 type manager struct {
-	srv *Server
+	srv       *Server
+	ctx       context.Context
+	cancelAll context.CancelFunc
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -129,17 +130,45 @@ type manager struct {
 }
 
 func newManager(s *Server) *manager {
-	return &manager{srv: s, jobs: make(map[string]*job), clients: make(map[string]int)}
+	ctx, cancel := context.WithCancel(context.Background())
+	return &manager{srv: s, ctx: ctx, cancelAll: cancel,
+		jobs: make(map[string]*job), clients: make(map[string]int)}
 }
 
-// admitLocked performs the shared admission step under m.mu: refuse
-// while draining, enforce the per-client quota, then register the job
-// and account it to its client. The caller publishes the queued event
-// and starts the job goroutine after unlocking.
-func (m *manager) admitLocked(j *job, client string) error {
+// synthFunc runs one admitted job's synthesis once it holds a pool
+// slot: a cold run for POST, a session re-synthesis for PATCH.
+type synthFunc func(ctx context.Context) (*bistpath.Result, error)
+
+// start admits j and launches the goroutine that carries it to a
+// terminal state with synth. It returns the job's view as admitted,
+// taken before that goroutine can move it on.
+func (m *manager) start(j *job, synth synthFunc) (jobJSON, error) {
+	ctx, cancel := context.WithCancel(m.ctx)
+	j.hub = newHub()
+	j.cancel = cancel
+	j.status = StatusQueued
+	m.mu.Lock()
+	err := m.admitLocked(j)
+	m.mu.Unlock()
+	if err != nil {
+		cancel()
+		return jobJSON{}, err
+	}
+	expJobsSubmitted.Add(1)
+	j.hub.publishLifecycle(string(StatusQueued), j.id, j.design, false)
+	admitted := j.view(false)
+	go m.run(ctx, j, synth)
+	return admitted, nil
+}
+
+// admitLocked performs admission under m.mu: refuse while draining,
+// enforce the per-client quota, then register the job and account it
+// to its client.
+func (m *manager) admitLocked(j *job) error {
 	if m.draining {
 		return &apiError{status: http.StatusServiceUnavailable, msg: "server is draining"}
 	}
+	client := j.clientKey
 	if max := m.srv.opts.MaxJobsPerClient; max > 0 && client != "" && m.clients[client] >= max {
 		expJobsQuotaRejected.Add(1)
 		return &apiError{
@@ -157,6 +186,37 @@ func (m *manager) admitLocked(j *job, client string) error {
 	}
 	m.wg.Add(1)
 	return nil
+}
+
+// run is the per-job goroutine: wait for a pool slot, publish running,
+// call the test hook, synthesize, then conclude with exactly one
+// terminal transition. A panic in the hook or the synthesis fails only
+// this job: it is recovered here and announced on the stream as the
+// library's panic-recovered event before the failed terminal event.
+func (m *manager) run(ctx context.Context, j *job, synth synthFunc) {
+	defer m.wg.Done()
+	if err := m.srv.pool.Acquire(ctx); err != nil {
+		m.finish(j, nil, err)
+		return
+	}
+	res, err := func() (res *bistpath.Result, err error) {
+		defer m.srv.pool.Release()
+		defer func() {
+			if p := recover(); p != nil {
+				res, err = nil, fmt.Errorf("bistpathd: job %q panicked: %v", j.design, p)
+				j.hub.observe(bistpath.Event{Design: j.design, Kind: bistpath.PanicRecovered})
+			}
+		}()
+		j.setStatus(StatusRunning)
+		j.hub.publishLifecycle(string(StatusRunning), j.id, j.design, false)
+		if hook := m.srv.testHook; hook != nil {
+			if err := hook(ctx, j.design); err != nil {
+				return nil, err
+			}
+		}
+		return synth(ctx)
+	}()
+	m.finish(j, res, err)
 }
 
 // releaseClient returns one quota slot when a job goes terminal.
@@ -257,69 +317,22 @@ func validationError(msg string) error {
 		phase: bistpath.PhaseValidate.String()}
 }
 
-// submit admits one job: synchronous validation, registration, queued
-// event, then a goroutine that carries it to a terminal state. It
-// returns the job's view as admitted, taken before that goroutine can
-// move it on. During a drain, submissions are refused with 503.
+// submit admits one POST job: synchronous validation, then start. It
+// runs on the server's handle, which attaches the shared cache and
+// recovers a panic inside the synthesis; the hub is the observer.
+// During a drain, submissions are refused with 503.
 func (m *manager) submit(req submitRequest, client string) (jobJSON, error) {
 	d, mods, cfg, err := req.resolve()
 	if err != nil {
 		return jobJSON{}, err
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		design:    d.Name(),
-		clientKey: client,
-		created:   time.Now(),
-		hub:       newHub(),
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		status:    StatusQueued,
-		d:         d,
-		mods:      mods,
-		cfg:       cfg,
-	}
-
-	m.mu.Lock()
-	if err := m.admitLocked(j, client); err != nil {
-		m.mu.Unlock()
-		cancel()
-		return jobJSON{}, err
-	}
-	m.mu.Unlock()
-
-	expJobsSubmitted.Add(1)
-	j.hub.publishLifecycle(string(StatusQueued), j.id, j.design, false)
-	admitted := j.view(false)
-	go m.run(ctx, j, d, mods, cfg)
-	return admitted, nil
-}
-
-// run is the per-job goroutine: wait for a pool slot, synthesize on the
-// server's handle (which attaches the shared cache) with the hub as
-// observer, then conclude with exactly one terminal transition.
-func (m *manager) run(ctx context.Context, j *job, d *bistpath.DFG, mods map[string]string, cfg bistpath.Config) {
-	defer m.wg.Done()
-	if err := m.srv.pool.Acquire(ctx); err != nil {
-		m.finish(j, bistpath.BatchResult{Name: j.design, Err: err})
-		return
-	}
-	cfg.Observer = j.hub.observe
-	var br bistpath.BatchResult
-	func() {
-		defer m.srv.pool.Release()
-		j.setStatus(StatusRunning)
-		j.hub.publishLifecycle(string(StatusRunning), j.id, j.design, false)
-		if hook := m.srv.testHook; hook != nil {
-			if err := hook(ctx, j.design); err != nil {
-				br = bistpath.BatchResult{Name: j.design, Err: err}
-				return
-			}
-		}
-		br = m.srv.synth.RunJob(ctx, bistpath.Job{Name: j.design, DFG: d, Modules: mods, Config: cfg})
-	}()
-	m.finish(j, br)
+	j := &job{design: d.Name(), clientKey: client, d: d, mods: mods, cfg: cfg}
+	return m.start(j, func(ctx context.Context) (*bistpath.Result, error) {
+		cfg := j.cfg
+		cfg.Observer = j.hub.observe
+		br := m.srv.synth.RunJob(ctx, bistpath.Job{Name: j.design, DFG: d, Modules: mods, Config: cfg})
+		return br.Result, br.Err
+	})
 }
 
 func (j *job) setStatus(s Status) {
@@ -330,34 +343,33 @@ func (j *job) setStatus(s Status) {
 
 // finish records the outcome and publishes the single terminal event.
 // The per-job cancel func is always released here.
-func (m *manager) finish(j *job, br bistpath.BatchResult) {
+func (m *manager) finish(j *job, res *bistpath.Result, err error) {
 	defer j.cancel()
 	j.mu.Lock()
 	switch {
-	case br.Err == nil:
-		doc, err := br.Result.JSON()
+	case err == nil:
+		doc, err := res.JSON()
 		if err != nil {
 			j.status = StatusFailed
 			j.errMsg = fmt.Sprintf("encoding result: %v", err)
 		} else {
 			j.status = StatusDone
 			j.result = doc
-			j.cacheHit = br.Result.Stats.CacheHit
+			j.cacheHit = res.Stats.CacheHit
 		}
-	case errors.Is(br.Err, context.Canceled) || errors.Is(br.Err, context.DeadlineExceeded):
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.status = StatusCanceled
-		j.errMsg = br.Err.Error()
+		j.errMsg = err.Error()
 	default:
 		j.status = StatusFailed
-		j.errMsg = br.Err.Error()
+		j.errMsg = err.Error()
 		var se *bistpath.SynthesisError
-		if errors.As(br.Err, &se) {
+		if errors.As(err, &se) {
 			j.errPhase = se.Phase.String()
 		}
 	}
 	status, cacheHit, errMsg, errPhase := j.status, j.cacheHit, j.errMsg, j.errPhase
 	j.mu.Unlock()
-	close(j.done)
 	m.releaseClient(j.clientKey)
 
 	switch status {
@@ -452,17 +464,3 @@ func (m *manager) startDrain() {
 
 // wait blocks until every admitted job has reached a terminal state.
 func (m *manager) wait() { m.wg.Wait() }
-
-// cancelAll cancels every job context; running syntheses abort at the
-// next phase boundary and conclude as canceled.
-func (m *manager) cancelAll() {
-	m.mu.Lock()
-	jobs := make([]*job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
-	for _, j := range jobs {
-		j.cancel()
-	}
-}

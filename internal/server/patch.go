@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bistpath"
 )
@@ -107,42 +106,38 @@ func (e patchEdit) apply(ss *bistpath.Session) error {
 
 // resynthesize applies one edit batch and re-synthesizes, holding the
 // lineage lock so concurrent PATCHes serialize into a deterministic
-// edit order. On any failure the session is dropped; the next call
-// rebuilds it from the base design plus the applied-edit log (which
-// only ever contains edits whose batch fully succeeded).
-func (ref *sessionRef) resynthesize(ctx context.Context, synth *bistpath.Synthesizer, h *hub, edits []patchEdit) (*bistpath.Result, error) {
+// edit order. On any failure, error or panic, the session is dropped;
+// the next call rebuilds it from the base design plus the applied-edit
+// log (which only ever contains edits whose batch fully succeeded).
+func (ref *sessionRef) resynthesize(ctx context.Context, synth *bistpath.Synthesizer, h *hub, edits []patchEdit) (res *bistpath.Result, err error) {
 	ref.mu.Lock()
 	defer ref.mu.Unlock()
+	defer func() {
+		if res == nil && ref.ss != nil {
+			ref.ss.Close()
+			ref.ss = nil
+		}
+	}()
 	if ref.ss == nil {
 		cfg := ref.cfg
 		cfg.Observer = ref.relay.observe
-		ss, err := synth.NewSessionConfig(ref.d, ref.mods, cfg)
-		if err != nil {
+		if ref.ss, err = synth.NewSessionConfig(ref.d, ref.mods, cfg); err != nil {
 			return nil, err
 		}
 		for _, e := range ref.applied {
-			if err := e.apply(ss); err != nil {
-				ss.Close()
+			if err := e.apply(ref.ss); err != nil {
 				return nil, fmt.Errorf("replaying session edits: %w", err)
 			}
 		}
-		ref.ss = ss
-	}
-	drop := func() {
-		ref.ss.Close()
-		ref.ss = nil
 	}
 	for _, e := range edits {
 		if err := e.apply(ref.ss); err != nil {
-			drop()
 			return nil, err
 		}
 	}
 	ref.relay.v.Store(h)
 	defer ref.relay.v.Store(nil)
-	res, err := ref.ss.Resynthesize(ctx)
-	if err != nil {
-		drop()
+	if res, err = ref.ss.Resynthesize(ctx); err != nil {
 		return nil, err
 	}
 	ref.applied = append(ref.applied, edits...)
@@ -197,14 +192,7 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, submitResponse{
-		jobJSON: view,
-		Links: map[string]string{
-			"self":   "/v1/jobs/" + view.ID,
-			"events": "/v1/jobs/" + view.ID + "/events",
-			"result": "/v1/jobs/" + view.ID + "/result",
-		},
-	})
+	writeAccepted(w, view)
 }
 
 // resubmit admits a job derived from parent by an edit batch. The
@@ -219,66 +207,20 @@ func (m *manager) resubmit(parent *job, edits []patchEdit, client string) (jobJS
 		return jobJSON{}, &apiError{status: http.StatusConflict,
 			msg: fmt.Sprintf("job is %s; PATCH needs a completed job", st)}
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		design:    parent.design,
-		clientKey: client,
-		created:   time.Now(),
-		hub:       newHub(),
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		status:    StatusQueued,
-	}
-
-	m.mu.Lock()
-	if err := m.admitLocked(j, client); err != nil {
-		m.mu.Unlock()
-		cancel()
-		return jobJSON{}, err
-	}
 	// The session lineage root: reuse the parent's, or start one on it.
+	m.mu.Lock()
 	if parent.ref == nil {
-		parent.ref = &sessionRef{
-			relay: &observerRelay{},
-			d:     parent.d,
-			mods:  parent.mods,
-			cfg:   parent.cfg,
-		}
+		parent.ref = &sessionRef{relay: &observerRelay{}, d: parent.d, mods: parent.mods, cfg: parent.cfg}
 	}
-	j.ref = parent.ref
-	j.root = parent.rootID()
+	ref := parent.ref
 	m.mu.Unlock()
 
-	expJobsSubmitted.Add(1)
-	expJobsPatched.Add(1)
-	j.hub.publishLifecycle(string(StatusQueued), j.id, j.design, false)
-	admitted := j.view(false)
-	go m.runPatch(ctx, j, edits)
-	return admitted, nil
-}
-
-// runPatch is the derived job's goroutine: pool slot, then the session
-// re-synthesis, then the single terminal transition.
-func (m *manager) runPatch(ctx context.Context, j *job, edits []patchEdit) {
-	defer m.wg.Done()
-	if err := m.srv.pool.Acquire(ctx); err != nil {
-		m.finish(j, bistpath.BatchResult{Name: j.design, Err: err})
-		return
+	j := &job{design: parent.design, clientKey: client, root: parent.rootID(), ref: ref}
+	view, err := m.start(j, func(ctx context.Context) (*bistpath.Result, error) {
+		return ref.resynthesize(ctx, m.srv.synth, j.hub, edits)
+	})
+	if err == nil {
+		expJobsPatched.Add(1)
 	}
-	var br bistpath.BatchResult
-	func() {
-		defer m.srv.pool.Release()
-		j.setStatus(StatusRunning)
-		j.hub.publishLifecycle(string(StatusRunning), j.id, j.design, false)
-		if hook := m.srv.testHook; hook != nil {
-			if err := hook(ctx, j.design); err != nil {
-				br = bistpath.BatchResult{Name: j.design, Err: err}
-				return
-			}
-		}
-		br = bistpath.BatchResult{Name: j.design}
-		br.Result, br.Err = j.ref.resynthesize(ctx, m.srv.synth, j.hub, edits)
-	}()
-	m.finish(j, br)
+	return view, err
 }

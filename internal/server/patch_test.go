@@ -9,7 +9,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"bistpath"
 )
 
 // ex1Text is the Table II running example in the textual DFG format,
@@ -218,6 +221,55 @@ func TestPatchValidation(t *testing.T) {
 	}
 	close(release)
 	waitJob(t, ts, held.ID)
+}
+
+// TestPatchJobPanicContained: a panic inside a PATCH job fails only
+// that job. Its stream carries exactly one panic-recovered event and
+// one terminal event, the next PATCH on the same lineage succeeds, and
+// the server keeps serving.
+func TestPatchJobPanicContained(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 2})
+	var armed atomic.Bool
+	srv.testHook = func(ctx context.Context, design string) error {
+		if armed.CompareAndSwap(true, false) {
+			panic("injected PATCH panic")
+		}
+		return nil
+	}
+
+	base := submitDFG(t, ts, ex1Text(4))
+	armed.Store(true)
+	edit := `{"edits":[{"kind":"set_step","op":"mul2","step":5}]}`
+	resp, body := patchJob(t, ts, base, edit)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("PATCH: status %d, body %s", resp.StatusCode, body)
+	}
+	var sub submitResponse
+	if err := json.Unmarshal(body, &sub); err != nil {
+		t.Fatal(err)
+	}
+	if v := waitJob(t, ts, sub.ID); v.Status != StatusFailed || !strings.Contains(v.Error, "panicked") {
+		t.Fatalf("panicking PATCH job concluded %s (%q), want failed with the panic", v.Status, v.Error)
+	}
+	evs := readSSE(t, ts.URL+"/v1/jobs/"+sub.ID+"/events")
+	panics := 0
+	for _, ev := range evs {
+		if ev.name == bistpath.PanicRecovered.String() {
+			panics++
+		}
+	}
+	if panics != 1 || countTerminals(evs) != 1 || evs[len(evs)-1].name != string(StatusFailed) {
+		t.Errorf("panicking PATCH stream = %v, want one panic-recovered then one failed terminal event", evs)
+	}
+
+	coldEdited := submitDFG(t, ts, ex1Text(5))
+	ok := patchDone(t, ts, base, base, edit)
+	if got, want := stripStats(t, resultDoc(t, ts, ok)), stripStats(t, resultDoc(t, ts, coldEdited)); !bytes.Equal(got, want) {
+		t.Errorf("PATCH after the panic diverges from cold synthesis")
+	}
+	if resp, _ := getJSON(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the panic: %d", resp.StatusCode)
+	}
 }
 
 // TestClientQuotaStorm hammers a quota-limited server with concurrent

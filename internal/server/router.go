@@ -47,6 +47,15 @@ type submitResponse struct {
 	Links map[string]string `json:"links"`
 }
 
+// writeAccepted answers a POST or PATCH that admitted a job.
+func writeAccepted(w http.ResponseWriter, view jobJSON) {
+	self := "/v1/jobs/" + view.ID
+	writeJSON(w, http.StatusAccepted, submitResponse{
+		jobJSON: view,
+		Links:   map[string]string{"self": self, "events": self + "/events", "result": self + "/result"},
+	})
+}
+
 // readBody drains the (already limit-wrapped) request body, converting
 // the limiter's error into the 413 apiError.
 func readBody(r *http.Request) ([]byte, error) {
@@ -82,14 +91,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, submitResponse{
-		jobJSON: view,
-		Links: map[string]string{
-			"self":   "/v1/jobs/" + view.ID,
-			"events": "/v1/jobs/" + view.ID + "/events",
-			"result": "/v1/jobs/" + view.ID + "/result",
-		},
-	})
+	writeAccepted(w, view)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
