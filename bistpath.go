@@ -17,7 +17,6 @@ package bistpath
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -31,6 +30,7 @@ import (
 	"bistpath/internal/modassign"
 	"bistpath/internal/regassign"
 	"bistpath/internal/report"
+	"bistpath/internal/verify"
 )
 
 // Mode selects the register binding policy.
@@ -360,20 +360,11 @@ func (r *Result) Simulate(inputs map[string]uint64) (map[string]uint64, error) {
 }
 
 // SelfCheck simulates the data path on `trials` random input vectors and
-// verifies every primary output against direct DFG evaluation.
+// verifies every primary output against direct DFG evaluation (the
+// random-vector check of Verify, verify.Functional).
 func (r *Result) SelfCheck(trials int, seed int64) error {
-	rng := rand.New(rand.NewSource(seed))
-	g := r.dp.Graph()
-	for i := 0; i < trials; i++ {
-		in := make(map[string]uint64)
-		for _, name := range g.Inputs() {
-			in[name] = uint64(rng.Int63())
-		}
-		if err := r.dp.CheckAgainstDFG(in); err != nil {
-			return fmt.Errorf("trial %d: %w", i, err)
-		}
-	}
-	return nil
+	_, err := verify.Functional(r.dp, trials, seed)
+	return err
 }
 
 // StyleSummary renders the BIST resource mix in the Table II style, e.g.

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -108,6 +109,94 @@ func loadDesign(bench, dfgFile string) (*bistpath.DFG, map[string]string, error)
 	}
 }
 
+// loadDesigns resolves the -bench/-dfg flags of synth and verify into
+// the designs to run: one benchmark or DFG file, a comma-separated list
+// of benchmarks, or "all" for every built-in design.
+func loadDesigns(bench, dfgFile string) ([]bistpath.Job, error) {
+	var names []string
+	switch {
+	case bench == "all":
+		names = bistpath.BenchmarkNames()
+	case strings.Contains(bench, ","):
+		for _, n := range strings.Split(bench, ",") {
+			if n = strings.TrimSpace(n); n != "" {
+				names = append(names, n)
+			}
+		}
+	}
+	if len(names) == 0 {
+		names = []string{bench}
+	}
+	var jobs []bistpath.Job
+	for _, name := range names {
+		d, mods, err := loadDesign(name, dfgFile)
+		if err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, bistpath.Job{Name: name, DFG: d, Modules: mods})
+	}
+	return jobs, nil
+}
+
+// designFlags are the -bench, -dfg and -width flags of the commands that
+// run one design under the default configuration.
+type designFlags struct {
+	bench, dfg *string
+	width      *int
+}
+
+func addDesignFlags(fs *flag.FlagSet) designFlags {
+	return designFlags{
+		bench: fs.String("bench", "", "built-in benchmark name"),
+		dfg:   fs.String("dfg", "", "DFG file"),
+		width: fs.Int("width", 8, "datapath bit width"),
+	}
+}
+
+// synthesize loads the flagged design and synthesizes it under
+// DefaultConfig at the flagged width.
+func (f designFlags) synthesize() (*bistpath.Result, error) {
+	d, mods, err := loadDesign(*f.bench, *f.dfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg := bistpath.DefaultConfig()
+	cfg.Width = *f.width
+	return d.SynthesizeCtx(context.Background(), mods, cfg)
+}
+
+// parseInputs parses the -inputs argument: comma-separated name=value
+// assignments.
+func parseInputs(arg string) (map[string]uint64, error) {
+	in := make(map[string]uint64)
+	if arg == "" {
+		return in, nil
+	}
+	for _, kv := range strings.Split(arg, ",") {
+		name, val, ok := strings.Cut(kv, "=")
+		if !ok {
+			return nil, fmt.Errorf("bad input assignment %q", kv)
+		}
+		v, err := strconv.ParseUint(val, 0, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad value in %q: %v", kv, err)
+		}
+		in[name] = v
+	}
+	return in, nil
+}
+
+// parseMode parses the -mode argument of synth and verify.
+func parseMode(arg string) (bistpath.Mode, error) {
+	switch arg {
+	case "testable":
+		return bistpath.Testable, nil
+	case "traditional":
+		return bistpath.TraditionalHLS, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q", arg)
+}
+
 func cmdSynth(args []string) error {
 	fs := flag.NewFlagSet("synth", flag.ExitOnError)
 	bench := fs.String("bench", "", "built-in benchmark name, comma-separated list, or \"all\"")
@@ -133,13 +222,11 @@ func cmdSynth(args []string) error {
 
 	cfg := bistpath.DefaultConfig()
 	cfg.Width = *width
-	switch *mode {
-	case "testable":
-	case "traditional":
-		cfg.Mode = bistpath.TraditionalHLS
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+	m, err := parseMode(*mode)
+	if err != nil {
+		return err
 	}
+	cfg.Mode = m
 	cfg.Trace = *traceFlag
 	obj, err := bistpath.ParseObjective(*objectiveFlag)
 	if err != nil {
@@ -165,10 +252,8 @@ func cmdSynth(args []string) error {
 	cfg.TimeBudget = *budgetFlag
 	cfg.MaxGenerations = *generationsFlag
 
-	var cc *bistpath.Cache
 	if *cacheFlag || *cacheDir != "" {
-		var err error
-		cc, err = bistpath.NewCache(bistpath.CacheOptions{Dir: *cacheDir})
+		cc, err := bistpath.NewCache(bistpath.CacheOptions{Dir: *cacheDir})
 		if err != nil {
 			return err
 		}
@@ -176,94 +261,75 @@ func cmdSynth(args []string) error {
 		defer func() { fmt.Fprintln(os.Stderr, cc.Stats()) }()
 	}
 
-	// A benchmark list (or "all") fans the designs out over the batch
-	// worker pool; output order is the list order regardless of -j.
-	if names := benchList(*bench); len(names) > 1 {
-		if *dfgFile != "" {
-			return fmt.Errorf("use either -bench or -dfg, not both")
+	batch, err := loadDesigns(*bench, *dfgFile)
+	if err != nil {
+		return err
+	}
+	for i := range batch {
+		batch[i].Config = cfg
+	}
+	// The designs fan out over the batch worker pool; output order is
+	// the list order regardless of -j.
+	results, _ := bistpath.SynthesizeAll(context.Background(), batch, bistpath.BatchOptions{Workers: *jobs})
+	var docs []json.RawMessage
+	for i, br := range results {
+		if br.Err != nil {
+			if len(results) == 1 {
+				return br.Err
+			}
+			return fmt.Errorf("%s: %w", br.Name, br.Err)
 		}
-		var batch []bistpath.Job
-		for _, name := range names {
-			d, mods, err := bistpath.Benchmark(name)
-			if err != nil {
-				return err
-			}
-			batch = append(batch, bistpath.Job{Name: name, DFG: d, Modules: mods, Config: cfg})
-		}
-		var docs []json.RawMessage
-		results, _ := bistpath.SynthesizeAll(context.Background(), batch, bistpath.BatchOptions{Workers: *jobs})
-		for i, br := range results {
-			if br.Err != nil {
-				return fmt.Errorf("%s: %w", br.Name, br.Err)
-			}
-			if *jsonFlag {
-				doc, err := br.Result.JSON()
-				if err != nil {
-					return err
-				}
-				docs = append(docs, doc)
-				continue
-			}
-			if i > 0 {
-				fmt.Println()
-			}
-			printResult(br.Result)
-			if *statsFlag {
-				fmt.Print(br.Result.Stats)
-			}
-		}
+		res := br.Result
 		if *jsonFlag {
-			out, err := json.MarshalIndent(docs, "", "  ")
+			doc, err := res.JSON()
 			if err != nil {
 				return err
 			}
-			fmt.Println(string(out))
+			docs = append(docs, doc)
+			continue
 		}
+		if i > 0 {
+			fmt.Println()
+		}
+		fmt.Print(res.ReportText())
+		if *statsFlag {
+			fmt.Print(res.Stats)
+		}
+		if *traceFlag {
+			fmt.Println("  binding decisions:")
+			for i, note := range res.BindingTrace {
+				fmt.Printf("    %2d. %s\n", i+1, note)
+			}
+		}
+		if *gantt {
+			chart, err := res.OccupancyChart()
+			if err != nil {
+				return err
+			}
+			fmt.Println()
+			fmt.Print(chart)
+		}
+		if *netlist {
+			fmt.Println()
+			fmt.Print(res.NetlistText())
+		}
+		if *dot {
+			fmt.Println()
+			fmt.Print(res.DatapathDot())
+		}
+	}
+	if !*jsonFlag {
 		return nil
 	}
-
-	d, mods, err := loadDesign(*bench, *dfgFile)
+	if len(docs) == 1 {
+		fmt.Println(string(docs[0]))
+		return nil
+	}
+	out, err := json.MarshalIndent(docs, "", "  ")
 	if err != nil {
 		return err
 	}
-	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
-	if err != nil {
-		return err
-	}
-	if *jsonFlag {
-		doc, err := res.JSON()
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(doc))
-		return nil
-	}
-	printResult(res)
-	if *statsFlag {
-		fmt.Print(res.Stats)
-	}
-	if *traceFlag {
-		fmt.Println("  binding decisions:")
-		for i, note := range res.BindingTrace {
-			fmt.Printf("    %2d. %s\n", i+1, note)
-		}
-	}
-	if *gantt {
-		chart, err := res.OccupancyChart()
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(chart)
-	}
-	if *netlist {
-		fmt.Println()
-		fmt.Print(res.NetlistText())
-	}
-	if *dot {
-		fmt.Println()
-		fmt.Print(res.DatapathDot())
-	}
+	fmt.Println(string(out))
 	return nil
 }
 
@@ -285,79 +351,35 @@ func parseWeights(arg string) (bistpath.Weights, error) {
 	return bistpath.Weights{Area: vals[0], TestTime: vals[1], PeakPower: vals[2]}, nil
 }
 
-// benchList expands the -bench argument into a list of benchmark names:
-// "all" selects every built-in design, commas separate explicit names.
-func benchList(arg string) []string {
-	if arg == "all" {
-		return bistpath.BenchmarkNames()
-	}
-	if !strings.Contains(arg, ",") {
-		return nil
-	}
-	var names []string
-	for _, n := range strings.Split(arg, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			names = append(names, n)
-		}
-	}
-	return names
-}
-
-func printResult(res *bistpath.Result) {
-	fmt.Print(res.ReportText())
-}
-
 func cmdSim(args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
-	bench := fs.String("bench", "", "built-in benchmark name")
-	dfgFile := fs.String("dfg", "", "DFG file")
-	width := fs.Int("width", 8, "datapath bit width")
+	design := addDesignFlags(fs)
 	inputs := fs.String("inputs", "", "comma-separated name=value input assignments")
 	vcdPath := fs.String("vcd", "", "write a gate-level VCD waveform of the run to this file")
 	fs.Parse(args)
 
-	d, mods, err := loadDesign(*bench, *dfgFile)
+	res, err := design.synthesize()
 	if err != nil {
 		return err
 	}
-	cfg := bistpath.DefaultConfig()
-	cfg.Width = *width
-	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
+	in, err := parseInputs(*inputs)
 	if err != nil {
 		return err
-	}
-	in := make(map[string]uint64)
-	if *inputs != "" {
-		for _, kv := range strings.Split(*inputs, ",") {
-			parts := strings.SplitN(kv, "=", 2)
-			if len(parts) != 2 {
-				return fmt.Errorf("bad input assignment %q", kv)
-			}
-			v, err := strconv.ParseUint(parts[1], 0, 64)
-			if err != nil {
-				return fmt.Errorf("bad value in %q: %v", kv, err)
-			}
-			in[parts[0]] = v
-		}
 	}
 	var out map[string]uint64
 	if *vcdPath != "" {
-		f, err := os.Create(*vcdPath)
-		if err != nil {
+		// The waveform is written only once the run has succeeded, so a
+		// failed run leaves no file behind.
+		var buf bytes.Buffer
+		if out, err = res.DumpVCD(in, &buf); err != nil {
 			return err
 		}
-		defer f.Close()
-		out, err = res.DumpVCD(in, f)
-		if err != nil {
+		if err := os.WriteFile(*vcdPath, buf.Bytes(), 0o666); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *vcdPath)
-	} else {
-		var err error
-		out, err = res.Simulate(in)
-		if err != nil {
-			return err
-		}
+	} else if out, err = res.Simulate(in); err != nil {
+		return err
 	}
 	var names []string
 	for n := range out {
@@ -372,19 +394,11 @@ func cmdSim(args []string) error {
 
 func cmdCover(args []string) error {
 	fs := flag.NewFlagSet("cover", flag.ExitOnError)
-	bench := fs.String("bench", "", "built-in benchmark name")
-	dfgFile := fs.String("dfg", "", "DFG file")
-	width := fs.Int("width", 8, "datapath bit width")
+	design := addDesignFlags(fs)
 	patterns := fs.Int("patterns", 255, "pseudo-random patterns per session")
 	fs.Parse(args)
 
-	d, mods, err := loadDesign(*bench, *dfgFile)
-	if err != nil {
-		return err
-	}
-	cfg := bistpath.DefaultConfig()
-	cfg.Width = *width
-	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
+	res, err := design.synthesize()
 	if err != nil {
 		return err
 	}
@@ -402,22 +416,14 @@ func cmdCover(args []string) error {
 
 func cmdEmit(args []string) error {
 	fs := flag.NewFlagSet("emit", flag.ExitOnError)
-	bench := fs.String("bench", "", "built-in benchmark name")
-	dfgFile := fs.String("dfg", "", "DFG file")
-	width := fs.Int("width", 8, "datapath bit width")
+	design := addDesignFlags(fs)
 	format := fs.String("format", "rtl", "rtl (behavioral), gates (structural, with BIST registers) or tb (self-checking testbench; needs -inputs)")
 	module := fs.String("module", "", "Verilog module name (gates format)")
 	controller := fs.Bool("controller", false, "gates format: generate the on-chip microcode controller (self-timed netlist)")
 	inputs := fs.String("inputs", "", "tb format: comma-separated name=value input assignments")
 	fs.Parse(args)
 
-	d, mods, err := loadDesign(*bench, *dfgFile)
-	if err != nil {
-		return err
-	}
-	cfg := bistpath.DefaultConfig()
-	cfg.Width = *width
-	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
+	res, err := design.synthesize()
 	if err != nil {
 		return err
 	}
@@ -425,19 +431,9 @@ func cmdEmit(args []string) error {
 	case "rtl":
 		fmt.Print(res.VerilogRTL())
 	case "tb":
-		in := make(map[string]uint64)
-		if *inputs != "" {
-			for _, kv := range strings.Split(*inputs, ",") {
-				parts := strings.SplitN(kv, "=", 2)
-				if len(parts) != 2 {
-					return fmt.Errorf("bad input assignment %q", kv)
-				}
-				v, err := strconv.ParseUint(parts[1], 0, 64)
-				if err != nil {
-					return err
-				}
-				in[parts[0]] = v
-			}
+		in, err := parseInputs(*inputs)
+		if err != nil {
+			return err
 		}
 		tb, err := res.VerilogTestbench(in)
 		if err != nil {
@@ -469,19 +465,11 @@ func cmdEmit(args []string) error {
 
 func cmdGatesim(args []string) error {
 	fs := flag.NewFlagSet("gatesim", flag.ExitOnError)
-	bench := fs.String("bench", "", "built-in benchmark name")
-	dfgFile := fs.String("dfg", "", "DFG file")
-	width := fs.Int("width", 8, "datapath bit width")
+	design := addDesignFlags(fs)
 	patterns := fs.Int("patterns", 250, "pseudo-random patterns per module test")
 	fs.Parse(args)
 
-	d, mods, err := loadDesign(*bench, *dfgFile)
-	if err != nil {
-		return err
-	}
-	cfg := bistpath.DefaultConfig()
-	cfg.Width = *width
-	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
+	res, err := design.synthesize()
 	if err != nil {
 		return err
 	}
@@ -572,38 +560,16 @@ func cmdVerify(args []string) error {
 
 	cfg := bistpath.DefaultConfig()
 	cfg.Width = *width
-	switch *mode {
-	case "testable":
-	case "traditional":
-		cfg.Mode = bistpath.TraditionalHLS
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+	m, err := parseMode(*mode)
+	if err != nil {
+		return err
 	}
+	cfg.Mode = m
 
 	opts := bistpath.VerifyOptions{Vectors: *vectors, Seed: *seed, SkipOracles: *fast}
 
 	var reports []*bistpath.VerifyReport
 	failed := 0
-	verifyOne := func(label string, d *bistpath.DFG, mods map[string]string, vo bistpath.VerifyOptions) error {
-		res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
-		if err != nil {
-			return err
-		}
-		rep, err := res.Verify(context.Background(), vo)
-		if err != nil {
-			return err
-		}
-		reports = append(reports, rep)
-		if !rep.OK() {
-			failed++
-		}
-		if !*jsonFlag {
-			fmt.Print(rep.Summary())
-		}
-		_ = label
-		return nil
-	}
-
 	if *sweep > 0 {
 		if *bench != "" || *dfgFile != "" {
 			return fmt.Errorf("-sweep generates its own designs; drop -bench/-dfg")
@@ -655,26 +621,30 @@ func cmdVerify(args []string) error {
 			fmt.Printf("sweep: %d designs verified, %d skipped (no embedding), %d failed\n",
 				len(reports), skipped, failed)
 		}
-	} else if names := benchList(*bench); len(names) > 1 {
-		if *dfgFile != "" {
-			return fmt.Errorf("use either -bench or -dfg, not both")
-		}
-		for _, name := range names {
-			d, mods, err := bistpath.Benchmark(name)
-			if err != nil {
-				return err
-			}
-			if err := verifyOne(name, d, mods, opts); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-		}
 	} else {
-		d, mods, err := loadDesign(*bench, *dfgFile)
+		designs, err := loadDesigns(*bench, *dfgFile)
 		if err != nil {
 			return err
 		}
-		if err := verifyOne(*bench, d, mods, opts); err != nil {
-			return err
+		for _, j := range designs {
+			var rep *bistpath.VerifyReport
+			res, err := j.DFG.SynthesizeCtx(context.Background(), j.Modules, cfg)
+			if err == nil {
+				rep, err = res.Verify(context.Background(), opts)
+			}
+			if err != nil {
+				if len(designs) == 1 {
+					return err
+				}
+				return fmt.Errorf("%s: %w", j.Name, err)
+			}
+			reports = append(reports, rep)
+			if !rep.OK() {
+				failed++
+			}
+			if !*jsonFlag {
+				fmt.Print(rep.Summary())
+			}
 		}
 	}
 

@@ -67,55 +67,22 @@ func applyStuck(v uint64, bit int, stuck1 bool) uint64 {
 }
 
 // EvalFaulty computes a module operation with an optional fault injected
-// (nil fault = fault-free). The module executes the given kind on a, b
-// with width-bit arithmetic.
+// (nil fault = fault-free): the module executes the given kind on a, b
+// with width-bit arithmetic (dfg.Kind.Apply). The fault's bit must lie
+// below width, as EnumerateFaults guarantees.
 func EvalFaulty(kind dfg.Kind, a, b uint64, width int, f *Fault) uint64 {
-	mask := ^uint64(0)
-	if width < 64 {
-		mask = (uint64(1) << uint(width)) - 1
+	if f == nil {
+		return kind.Apply(a, b, width)
 	}
-	a &= mask
-	b &= mask
-	if f != nil {
-		switch f.Site {
-		case PortL:
-			a = applyStuck(a, f.Bit, f.Stuck1)
-		case PortR:
-			b = applyStuck(b, f.Bit, f.Stuck1)
-		}
+	switch f.Site {
+	case PortL:
+		a = applyStuck(a, f.Bit, f.Stuck1)
+	case PortR:
+		b = applyStuck(b, f.Bit, f.Stuck1)
 	}
-	var r uint64
-	switch kind {
-	case dfg.Add:
-		r = a + b
-	case dfg.Sub:
-		r = a - b
-	case dfg.Mul:
-		r = a * b
-	case dfg.Div:
-		if b == 0 {
-			r = mask
-		} else {
-			r = a / b
-		}
-	case dfg.And:
-		r = a & b
-	case dfg.Or:
-		r = a | b
-	case dfg.Xor:
-		r = a ^ b
-	case dfg.Lt:
-		if a < b {
-			r = 1
-		}
-	case dfg.Gt:
-		if a > b {
-			r = 1
-		}
-	}
-	r &= mask
-	if f != nil && f.Site == PortOut {
-		r = applyStuck(r, f.Bit, f.Stuck1) & mask
+	r := kind.Apply(a, b, width)
+	if f.Site == PortOut {
+		r = applyStuck(r, f.Bit, f.Stuck1)
 	}
 	return r
 }

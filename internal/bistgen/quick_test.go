@@ -3,6 +3,8 @@ package bistgen
 import (
 	"testing"
 	"testing/quick"
+
+	"bistpath/internal/dfg"
 )
 
 // The LFSR next-state function is a bijection on nonzero states
@@ -54,23 +56,26 @@ func TestMISRLinearityQuick(t *testing.T) {
 
 // EvalFaulty with no fault equals plain evaluation, and injecting then
 // "detecting" is consistent: a fault on an input bit changes the result
-// iff flipping that bit changes the function value.
+// iff flipping that bit changes the function value. Every kind is
+// checked.
 func TestEvalFaultyConsistencyQuick(t *testing.T) {
-	prop := func(a, b uint8, bit uint8, stuck1 bool) bool {
-		x, y := uint64(a), uint64(b)
-		bi := int(bit % 8)
-		f := Fault{Site: PortL, Bit: bi, Stuck1: stuck1}
-		faulty := EvalFaulty("+", x, y, 8, &f)
-		forced := x
-		if stuck1 {
-			forced |= 1 << uint(bi)
-		} else {
-			forced &^= 1 << uint(bi)
+	for _, k := range []dfg.Kind{dfg.Add, dfg.Sub, dfg.Mul, dfg.Div, dfg.And, dfg.Or, dfg.Xor, dfg.Lt, dfg.Gt} {
+		prop := func(a, b uint8, bit uint8, stuck1 bool) bool {
+			x, y := uint64(a), uint64(b)
+			bi := int(bit % 8)
+			f := Fault{Site: PortL, Bit: bi, Stuck1: stuck1}
+			faulty := EvalFaulty(k, x, y, 8, &f)
+			forced := x
+			if stuck1 {
+				forced |= 1 << uint(bi)
+			} else {
+				forced &^= 1 << uint(bi)
+			}
+			want := EvalFaulty(k, forced, y, 8, nil)
+			return faulty == want
 		}
-		want := EvalFaulty("+", forced, y, 8, nil)
-		return faulty == want
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
+		if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Errorf("%s: %v", k, err)
+		}
 	}
 }

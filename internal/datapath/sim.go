@@ -47,7 +47,7 @@ func (dp *Datapath) Simulate(inputs map[string]uint64) (map[string]uint64, error
 		}
 		var writes []write
 		for _, mo := range st.Ops {
-			val := applyMicro(mo, read(mo.LeftSrc), read(mo.RightSrc), mask)
+			val := mo.Kind.Apply(read(mo.LeftSrc), read(mo.RightSrc), dp.Width)
 			writes = append(writes, write{mo.DestReg, val})
 		}
 		for _, ld := range st.Loads {
@@ -81,39 +81,6 @@ func (dp *Datapath) registerHolding(varName string) string {
 		}
 	}
 	return ""
-}
-
-func applyMicro(mo MicroOp, a, b, mask uint64) uint64 {
-	var r uint64
-	switch mo.Kind {
-	case "+":
-		r = a + b
-	case "-":
-		r = a - b
-	case "*":
-		r = a * b
-	case "/":
-		if b == 0 {
-			r = mask
-		} else {
-			r = a / b
-		}
-	case "&":
-		r = a & b
-	case "|":
-		r = a | b
-	case "^":
-		r = a ^ b
-	case "<":
-		if a < b {
-			r = 1
-		}
-	case ">":
-		if a > b {
-			r = 1
-		}
-	}
-	return r & mask
 }
 
 // CheckAgainstDFG simulates the data path on the given inputs and

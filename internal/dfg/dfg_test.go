@@ -309,21 +309,35 @@ func TestEvalAllKinds(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	vals, err := g.Eval(map[string]uint64{"a": 12, "b": 5}, 8)
-	if err != nil {
-		t.Fatal(err)
+	const ones = ^uint64(0)
+	cases := []struct {
+		width int
+		a, b  uint64
+		want  []uint64 // one per kind, in kinds order
+	}{
+		{8, 12, 5, []uint64{17, 7, 60, 2, 4, 13, 9, 0, 1}},
+		// Division by zero: all ones.
+		{8, 12, 0, []uint64{12, 12, 0, 0xff, 0, 12, 12, 0, 1}},
+		// Operands above the width are reduced: 13 is 1 and 6 is 0 at
+		// width 1, so the division is by zero too.
+		{1, 13, 6, []uint64{1, 1, 0, 1, 0, 1, 1, 0, 1}},
+		{64, ones, 2, []uint64{1, ones - 2, ones - 1, ones >> 1, 2, ones, ones - 2, 0, 1}},
+		{64, 12, 0, []uint64{12, 12, 0, ones, 0, 12, 12, 0, 1}},
 	}
-	want := []uint64{17, 7, 60, 2, 4, 13, 9, 0, 1}
-	for i, w := range want {
-		name := "r" + string(rune('0'+i))
-		if vals[name] != w {
-			t.Errorf("%s(%s) = %d, want %d", kinds[i], name, vals[name], w)
+	for _, c := range cases {
+		vals, err := g.Eval(map[string]uint64{"a": c.a, "b": c.b}, c.width)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Division by zero: all ones.
-	vals, _ = g.Eval(map[string]uint64{"a": 12, "b": 0}, 8)
-	if vals["r3"] != 0xff {
-		t.Errorf("div by zero = %d, want 255", vals["r3"])
+		for i, w := range c.want {
+			name := "r" + string(rune('0'+i))
+			if vals[name] != w {
+				t.Errorf("width %d: %d %s %d = %d, want %d", c.width, c.a, kinds[i], c.b, vals[name], w)
+			}
+			if got := kinds[i].Apply(c.a, c.b, c.width); got != w {
+				t.Errorf("width %d: Apply(%d %s %d) = %d, want %d", c.width, c.a, kinds[i], c.b, got, w)
+			}
+		}
 	}
 }
 

@@ -3,12 +3,9 @@ package dfg
 import "fmt"
 
 // Eval evaluates the DFG on concrete input values with width-bit modular
-// arithmetic and returns the value of every variable. It serves as the
-// functional oracle against which the bound data path (see
+// arithmetic (Kind.Apply) and returns the value of every variable. It
+// serves as the functional oracle against which the bound data path (see
 // internal/datapath) is simulated.
-//
-// Comparison kinds (<, >) produce 0 or 1. Division by zero yields all-ones
-// (a common hardware convention) so that random-input testing never traps.
 func (g *Graph) Eval(inputs map[string]uint64, width int) (map[string]uint64, error) {
 	if width <= 0 || width > 64 {
 		return nil, fmt.Errorf("dfg %s: width %d out of range [1,64]", g.Name, width)
@@ -46,7 +43,7 @@ func (g *Graph) Eval(inputs map[string]uint64, width int) (map[string]uint64, er
 			if !ready {
 				continue
 			}
-			vals[o.Result] = applyKind(o.Kind, o.Args, vals, mask)
+			vals[o.Result] = o.Kind.Apply(vals[o.Args[0]], vals[o.Args[1]], width)
 			done[o.Name] = true
 			progressed = true
 			n++
@@ -58,12 +55,19 @@ func (g *Graph) Eval(inputs map[string]uint64, width int) (map[string]uint64, er
 	return vals, nil
 }
 
-func applyKind(k Kind, args []string, vals map[string]uint64, mask uint64) uint64 {
-	a := vals[args[0]]
-	b := uint64(0)
-	if len(args) == 2 {
-		b = vals[args[1]]
+// Apply computes a op b in width-bit modular arithmetic (width in
+// [1,64]); it is the one statement of the operator semantics that DFG
+// evaluation, data path simulation and module fault simulation share.
+// Operands are reduced to width bits first. Comparison kinds (<, >)
+// produce 0 or 1. Division by zero yields all-ones (a common hardware
+// convention) so that random-input testing never traps.
+func (k Kind) Apply(a, b uint64, width int) uint64 {
+	mask := ^uint64(0)
+	if width < 64 {
+		mask = (uint64(1) << uint(width)) - 1
 	}
+	a &= mask
+	b &= mask
 	var r uint64
 	switch k {
 	case Add:

@@ -82,13 +82,13 @@ func (d *Design) RunNormal(inputs map[string]uint64) (map[string]uint64, error) 
 // sequences the design. sample, when non-nil, runs on the settled
 // values before every clock edge and once after the last.
 func (d *Design) runNormal(sim *gates.Sim, inputs map[string]uint64, sample func()) (map[string]uint64, error) {
-	for pad, bus := range d.Pads {
+	for _, pad := range d.dp.InPads {
 		name := strings.TrimPrefix(pad, interconnect.PadSource)
 		v, ok := inputs[name]
 		if !ok {
 			return nil, fmt.Errorf("elab: missing input %q", name)
 		}
-		sim.SetBus(bus, v)
+		sim.SetBus(d.Pads[pad], v)
 	}
 	lts, err := d.dp.Graph().Lifetimes()
 	if err != nil {

@@ -138,10 +138,7 @@ func (s *Synthesizer) NewSessionConfig(d *DFG, opToModule map[string]string, cfg
 	if d == nil || d.g == nil {
 		return nil, ErrNoDFG
 	}
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.baseCtx.Err() != nil {
 		return nil, ErrSynthesizerClosed
 	}
 	// Normalize once so every run of the session sees the Config the

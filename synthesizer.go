@@ -51,18 +51,15 @@ func newSynthScratch() *synthScratch {
 type Synthesizer struct {
 	cfg Config
 
-	// baseCtx is the handle's lifetime. Close cancels every in-flight
-	// run's context first and baseCtx last, so observing baseCtx done
-	// implies the runs have already been told to stop.
+	// baseCtx is the handle's lifetime: Close cancels it, and every
+	// run's context is tied to it, so one cancel reaches every run in
+	// flight. mu orders that cancel against the wg.Add of a starting run.
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	mu       sync.Mutex
-	closed   bool
-	free     []*synthScratch
-	inflight map[int64]context.CancelFunc
-	nextID   int64
-	wg       sync.WaitGroup
+	mu   sync.Mutex
+	free []*synthScratch
+	wg   sync.WaitGroup
 }
 
 // New creates a Synthesizer. cfg is the handle's default configuration:
@@ -71,12 +68,7 @@ type Synthesizer struct {
 // runs and release the handle.
 func New(cfg Config) *Synthesizer {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Synthesizer{
-		cfg:      cfg,
-		baseCtx:  ctx,
-		cancel:   cancel,
-		inflight: make(map[int64]context.CancelFunc),
-	}
+	return &Synthesizer{cfg: cfg, baseCtx: ctx, cancel: cancel}
 }
 
 // Config returns the handle's default configuration.
@@ -84,24 +76,11 @@ func (s *Synthesizer) Config() Config { return s.cfg }
 
 // Close cancels every run in flight, waits for them to unwind, and
 // marks the handle closed: subsequent runs fail with
-// ErrSynthesizerClosed. Close is idempotent; second and later calls
-// return nil immediately.
+// ErrSynthesizerClosed. Close is idempotent and always returns nil.
 func (s *Synthesizer) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	cancels := make([]context.CancelFunc, 0, len(s.inflight))
-	for _, c := range s.inflight {
-		cancels = append(cancels, c)
-	}
-	s.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
 	s.cancel()
+	s.mu.Unlock()
 	s.wg.Wait()
 	return nil
 }
@@ -255,50 +234,37 @@ func (s *Synthesizer) synthesizeDFG(ctx context.Context, d *DFG, opToModule map[
 }
 
 // run executes one pipeline invocation under the handle's lifetime: it
-// registers the run's cancel so Close can abort it at its next context
-// poll and wait for it to unwind, loans the run a scratch, and maps an
-// abort by Close to ErrSynthesizerClosed. Session.Resynthesize uses it
-// to call synthesizePipeline with its prior while still honoring Close.
+// ties the run's context to the handle's, so Close aborts the run at its
+// next context poll and waits for it to unwind, loans the run a scratch,
+// and maps an abort by Close to ErrSynthesizerClosed.
+// Session.Resynthesize uses it to call synthesizePipeline with its prior
+// while still honoring Close.
 func (s *Synthesizer) run(ctx context.Context, do func(context.Context, *synthScratch) (*Result, error)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	caller := ctx
-	ctx, cancel := context.WithCancel(ctx)
-
 	s.mu.Lock()
-	if s.closed {
+	if s.baseCtx.Err() != nil {
 		s.mu.Unlock()
-		cancel()
 		return nil, ErrSynthesizerClosed
 	}
 	s.wg.Add(1)
-	id := s.nextID
-	s.nextID++
-	s.inflight[id] = cancel
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.inflight, id)
-		s.mu.Unlock()
-		cancel()
-		s.wg.Done()
-	}()
+	defer s.wg.Done()
+
+	caller := ctx
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(s.baseCtx, cancel)()
 
 	sc := s.getScratch()
 	res, err := do(ctx, sc)
 	s.putScratch(sc)
-	if err != nil && isContextError(err) && caller.Err() == nil {
-		// The run was aborted by Close, not by the caller: report the
-		// closure rather than a bare context error. closed is set before
-		// Close cancels anything, so this read cannot race ahead of the
-		// cancellation that aborted us.
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return nil, ErrSynthesizerClosed
-		}
+	if caller.Err() == nil && s.baseCtx.Err() != nil {
+		// Close fired during the run. The run's own cancel comes on
+		// another goroutine, so the pipeline may have finished first;
+		// either way the run reports the closure.
+		return nil, ErrSynthesizerClosed
 	}
 	return res, err
 }
