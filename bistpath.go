@@ -97,52 +97,26 @@ func ParseObjective(s string) (Objective, error) {
 	return MinArea, fmt.Errorf("%w: unknown objective %q (want area, weighted or pareto)", ErrBadObjective, s)
 }
 
-// Search selects the BIST search strategy for the MinArea objective.
+// Search once selected the BIST search strategy of a MinArea run.
+//
+// Deprecated: nothing reads it; every MinArea run is the exact branch
+// and bound. perfbench/layers.go:131–132 still names it.
 type Search int
 
-// BIST search strategies.
+// The retired strategies, kept as names only.
 const (
-	// SearchExact always runs the exhaustive branch and bound — the
-	// default, and the paper's algorithm. Past the node budget it
-	// degrades to the greedy heuristic (Result.PlanExact reports which);
-	// it never consults the stochastic fields of Config.
-	SearchExact Search = iota
-	// SearchAuto picks per design: exact when the embedding search space
-	// fits under the exact-feasibility threshold (2^bist.AutoExactBits
-	// combinations), stochastic otherwise. All five paper benchmarks
-	// resolve to exact.
-	SearchAuto
-	// SearchStochastic always runs the seeded stochastic search: a
-	// node-budgeted exact probe, then a genetic search over embedding
-	// assignments with a simulated-annealing polish. Deterministic for a
-	// fixed (DFG, Config, Seed), as long as Config.TimeBudget does not
-	// truncate the run. MinArea only.
+	// SearchAuto runs the exact search, as an unset Config.Search does.
+	//
+	// Deprecated: nothing reads it. perfbench/library.go:253 still sets
+	// it.
+	SearchAuto Search = 1 + iota
+	// SearchStochastic runs the exact search, as an unset Config.Search
+	// does.
+	//
+	// Deprecated: nothing reads it. perfbench/layers.go:131 still names
+	// it.
 	SearchStochastic
 )
-
-func (s Search) String() string {
-	switch s {
-	case SearchAuto:
-		return "auto"
-	case SearchStochastic:
-		return "stochastic"
-	}
-	return "exact"
-}
-
-// ParseSearch converts the textual strategy names used by the
-// command-line tools ("exact", "auto", "stochastic") back to a Search.
-func ParseSearch(s string) (Search, error) {
-	switch s {
-	case "exact", "":
-		return SearchExact, nil
-	case "auto":
-		return SearchAuto, nil
-	case "stochastic":
-		return SearchStochastic, nil
-	}
-	return SearchExact, fmt.Errorf("%w: unknown search %q (want exact, auto or stochastic)", ErrBadSearch, s)
-}
 
 // Weights are the non-negative coefficients of the WeightedSum
 // objective. The zero value is normalized to the balanced {1, 1, 1}.
@@ -223,24 +197,22 @@ type Config struct {
 	// area model — see the README's power model notes). Ignored by
 	// MinArea.
 	Power map[string]int
-	// Search selects the BIST search strategy under the MinArea
-	// objective: SearchExact (the default — byte-identical behavior to
-	// releases without stochastic search), SearchAuto or
-	// SearchStochastic. The multi-objective objectives always enumerate
-	// exhaustively; combining them with SearchStochastic is rejected in
-	// the validate phase.
+	// Search is read by nothing: every MinArea run is the exact branch
+	// and bound, so a config that sets it gets the unset config's Result
+	// and cache key.
+	//
+	// Deprecated: it has no effect. perfbench/library.go:253 still sets
+	// it.
 	Search Search
-	// Seed seeds the stochastic search's random source (0 = seed 1).
-	// Identical (DFG, Config, Seed) yields an identical Result. Ignored
-	// by SearchExact.
+	// Seed is read by nothing: the search is deterministic without one.
+	//
+	// Deprecated: it has no effect. perfbench/library.go:254 still sets
+	// it.
 	Seed int64
-	// TimeBudget caps the stochastic search's wall time (0 = none).
-	// Where a wall-clock budget truncates the run is timing-dependent,
-	// so budget-limited stochastic runs are not reproducible across
-	// machines and bypass Config.Cache. Ignored by SearchExact.
-	TimeBudget time.Duration
-	// MaxGenerations caps the stochastic search's genetic generations
-	// (0 = the search's default). Ignored by SearchExact.
+	// MaxGenerations is read by nothing: there is no genetic search.
+	//
+	// Deprecated: it has no effect. perfbench/layers.go:134 still reads
+	// it.
 	MaxGenerations int
 	// Observer, when non-nil, receives structured phase and progress
 	// events while the run executes (see Observer's documentation for
@@ -334,10 +306,9 @@ type Result struct {
 func (r *Result) NumBISTRegisters() int { return r.plan.NumBISTRegisters() }
 
 // PlanExact reports whether the BIST plan is provably area-optimal: the
-// exact branch and bound (or the stochastic search's exact probe)
-// completed its enumeration. Stochastic plans past the probe, and exact
-// runs that fell back to the greedy heuristic beyond the node budget,
-// report false.
+// exact branch and bound completed its enumeration. A search that ran
+// out of node budget returns its best plan so far, never worse than the
+// greedy seed, and reports false.
 func (r *Result) PlanExact() bool { return r.plan.Exact }
 
 // NumRegisters returns the total register count.
@@ -416,26 +387,6 @@ func validateObjective(cfg Config) error {
 	return nil
 }
 
-// validateSearch rejects malformed search configuration: an unknown
-// Config.Search value, a stochastic search paired with a multi-objective
-// objective (the Pareto enumeration is inherently exhaustive), or
-// negative budgets.
-func validateSearch(cfg Config) error {
-	if cfg.Search < SearchExact || cfg.Search > SearchStochastic {
-		return fmt.Errorf("%w: unknown search value %d", ErrBadSearch, int(cfg.Search))
-	}
-	if cfg.Search == SearchStochastic && cfg.Objective != MinArea {
-		return fmt.Errorf("%w: stochastic search supports the area objective only (objective %s)", ErrBadSearch, cfg.Objective)
-	}
-	if cfg.TimeBudget < 0 {
-		return fmt.Errorf("%w: negative time budget %v", ErrBadSearch, cfg.TimeBudget)
-	}
-	if cfg.MaxGenerations < 0 {
-		return fmt.Errorf("%w: negative generation cap %d", ErrBadSearch, cfg.MaxGenerations)
-	}
-	return nil
-}
-
 // attachPareto publishes a ParetoFront run's plan set on the Result:
 // the reporting summaries in Pareto and the full plans for
 // VerifyPareto.
@@ -476,13 +427,10 @@ func (cfg Config) normalized() Config {
 // reusablePlan reports whether a run's plan is a deterministic pure
 // function of its data-path structure and Config, so a later run over
 // the same inputs may take it instead of searching (a result-cache
-// entry, a session splice). Pareto runs are excluded — an entry holds a
-// single plan, not a plan set — and so are budget-truncated stochastic
-// runs: where the wall clock cuts the search off is not reproducible,
-// so memoizing one arbitrary outcome would be a lie.
+// entry, a session splice). Pareto runs are excluded: an entry holds a
+// single plan, not a plan set.
 func reusablePlan(cfg Config) bool {
-	return cfg.Objective != ParetoFront &&
-		(cfg.Search == SearchExact || cfg.TimeBudget == 0)
+	return cfg.Objective != ParetoFront
 }
 
 // artifacts are what a later pipeline run over the same design may
@@ -492,9 +440,8 @@ func reusablePlan(cfg Config) bool {
 // nil for a disk entry, whose cache key vouches for the structure — and
 // the plan passes bist.Plan.Revalidate against the rebuilt data path.
 type artifacts struct {
-	plan           *bist.Plan
-	dp             *datapath.Datapath
-	searchStrategy string
+	plan *bist.Plan
+	dp   *datapath.Datapath
 }
 
 // sameStructure reports whether two data paths agree on everything the
@@ -575,9 +522,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		if err := validateObjective(cfg); err != nil {
 			return err
 		}
-		if err := validateSearch(cfg); err != nil {
-			return err
-		}
 		if err := g.Validate(); err != nil {
 			return err
 		}
@@ -654,7 +598,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 			p := bist.PlanFromEmbeddings(area.Default(cfg.Width), prior.plan.Embeddings, prior.plan.Exact)
 			if p.Revalidate(dp, cfg.AllowPadTPG) == nil {
 				plan = p
-				st.SearchStrategy = prior.searchStrategy
 				st.ReusedPhases = append(st.ReusedPhases, PhaseBISTSearch.String())
 				return nil
 			}
@@ -676,29 +619,7 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 			}
 		}
 		if cfg.Objective == MinArea {
-			strategy := cfg.Search
-			if strategy == SearchAuto {
-				if bist.ExactFeasible(dp, cfg.AllowPadTPG) {
-					strategy = SearchExact
-				} else {
-					strategy = SearchStochastic
-				}
-			}
 			var err error
-			if strategy == SearchStochastic {
-				bopts.Seed = cfg.Seed
-				bopts.TimeBudget = cfg.TimeBudget
-				bopts.MaxGenerations = cfg.MaxGenerations
-				st.SearchStrategy = "stochastic"
-				plan, err = bist.OptimizeStochasticCtx(ctx, dp, bopts)
-				return err
-			}
-			if cfg.Search != SearchExact {
-				// Auto resolved to exact: record the resolution. A plain
-				// SearchExact config leaves the field empty so existing
-				// Results stay byte-identical.
-				st.SearchStrategy = "exact"
-			}
 			plan, err = bist.OptimizeCtx(ctx, dp, bopts)
 			return err
 		}
@@ -723,11 +644,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	st.BoundPrunes = bm.BoundPrunes
 	st.IncumbentUpdates = bm.Incumbents
 	st.EmbeddingsEnumerated = bm.Embeddings
-	st.Generations = bm.Generations
-	st.Evaluations = bm.Evaluations
-	for _, cp := range bm.Curve {
-		st.BestCurve = append(st.BestCurve, SearchCurvePoint{Generation: cp.Generation, Cost: cp.Cost})
-	}
 
 	res, err := assemble(g, mb, rb, dp, plan, sh, cfg)
 	if err != nil {

@@ -400,16 +400,6 @@ func cacheKey(g *dfg.Graph, mb *modassign.Binding, cfg Config) cache.Key {
 			io.WriteString(h, "\n")
 		}
 	}
-	// The search strategy joins the key the same way: only when it
-	// departs from the default SearchExact, keeping every exact-config
-	// key bit-identical to earlier releases. Seed and the budgets are
-	// semantic for a stochastic run — different seeds legitimately cache
-	// different plans. (TimeBudget-truncated runs fail reusablePlan and
-	// never reach the cache.)
-	if cfg.Search != SearchExact {
-		fmt.Fprintf(h, "search %s\nseed %d\ngenerations %d\nbudget %d\n",
-			cfg.Search, cfg.Seed, cfg.MaxGenerations, int64(cfg.TimeBudget))
-	}
 	io.WriteString(h, "modules\n")
 	mods := append([]*modassign.Module(nil), mb.Modules...)
 	sort.Slice(mods, func(i, j int) bool { return mods[i].Name < mods[j].Name })

@@ -96,9 +96,9 @@ func TestCacheHitJSONByteIdentical(t *testing.T) {
 	}
 }
 
-// Semantic Config fields must change the key (miss); Workers and
-// Observer must not (hit) — the determinism contract guarantees they
-// cannot change the Result.
+// Semantic Config fields must change the key (miss); Workers, Observer
+// and the retired Search must not (hit) — the determinism contract
+// guarantees they cannot change the Result.
 func TestCacheKeySensitivity(t *testing.T) {
 	c := newTestCache(t, CacheOptions{})
 	base := DefaultConfig()
@@ -118,7 +118,12 @@ func TestCacheKeySensitivity(t *testing.T) {
 	if res := synthCached(t, c, "ex1", observed); !res.Stats.CacheHit {
 		t.Error("changing Observer must not change the cache key")
 	}
-	if st := c.Stats(); st.Misses != 1 || st.MemoryHits != 2 {
+	search := base
+	search.Search, search.Seed = SearchStochastic, 3
+	if res := synthCached(t, c, "ex1", search); !res.Stats.CacheHit {
+		t.Error("changing the retired Search must not change the cache key")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.MemoryHits != 3 {
 		t.Fatalf("after non-semantic runs: %+v", st)
 	}
 
@@ -133,7 +138,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 		{"avoid CBILBO", func(_ *DFG, c *Config) { c.AvoidCBILBO = false }},
 		{"sharing", func(_ *DFG, c *Config) { c.Sharing = false }},
 		{"step edit", func(d *DFG, _ *Config) { d.g.Op("mul2").Step = 5 }},
-		{"search", func(_ *DFG, c *Config) { c.Search, c.Seed = SearchStochastic, 3 }},
 	}
 	for _, tc := range semantic {
 		d, mods, err := Benchmark("ex1")

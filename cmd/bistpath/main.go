@@ -77,7 +77,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   bistpath synth -bench <name>[,<name>...]|all | -dfg <file> [-mode testable|traditional] [-width N] [-j N]
                  [-objective area|weighted|pareto] [-weights A,T,P]
-                 [-search exact|auto|stochastic] [-seed N] [-budget DUR] [-generations N]
                  [-cache] [-cache-dir DIR] [-stats] [-json] [-netlist] [-dot]
   bistpath sim   -bench <name> | -dfg <file> -inputs a=1,b=2,...
   bistpath cover -bench <name> | -dfg <file> [-patterns N] [-width N]
@@ -214,10 +213,6 @@ func cmdSynth(args []string) error {
 	cacheDir := fs.String("cache-dir", "", "also persist cached results under this directory (implies -cache)")
 	objectiveFlag := fs.String("objective", "", "optimization objective: area (default), weighted, or pareto")
 	weightsFlag := fs.String("weights", "", "weighted objective coefficients as area,time,power (e.g. 1,50,2)")
-	searchFlag := fs.String("search", "", "BIST search strategy: exact (default), auto, or stochastic")
-	seedFlag := fs.Int64("seed", 0, "stochastic search seed (0 means 1; exact search ignores it)")
-	budgetFlag := fs.Duration("budget", 0, "stochastic search wall-clock budget, e.g. 2s (truncated runs bypass the cache)")
-	generationsFlag := fs.Int("generations", 0, "stochastic search generation cap (0 = default)")
 	fs.Parse(args)
 
 	cfg := bistpath.DefaultConfig()
@@ -243,14 +238,6 @@ func cmdSynth(args []string) error {
 		}
 		cfg.Weights = w
 	}
-	search, err := bistpath.ParseSearch(*searchFlag)
-	if err != nil {
-		return err
-	}
-	cfg.Search = search
-	cfg.Seed = *seedFlag
-	cfg.TimeBudget = *budgetFlag
-	cfg.MaxGenerations = *generationsFlag
 
 	if *cacheFlag || *cacheDir != "" {
 		cc, err := bistpath.NewCache(bistpath.CacheOptions{Dir: *cacheDir})

@@ -5,10 +5,13 @@
 // The -preset flag selects one of four calibrated design sizes used by
 // the scaling benchmark suite (scripts/bench-scaling.sh):
 //
-//	s   ~12 ops  — well inside the exact search's comfort zone
-//	m   ~37 ops  — past the Auto threshold; stochastic territory
-//	l   ~93 ops  — the exact branch and bound exhausts its node budget
-//	xl  ~290 ops — hundreds of operations, stochastic only
+//	s   ~12 ops  — the exact search proves it in a few hundred nodes
+//	m   ~37 ops  — proved in at most ~13,000 nodes
+//	l   ~93 ops  — proved in 4,000–30,000 nodes, a few milliseconds
+//	xl  ~290 ops — 235,000–580,000 nodes; seed 3 exhausts the 2M budget
+//
+// The node counts are those of seeds 1–6, pinned in
+// benchmarks/BENCH_scaling.json.
 //
 // A preset fixes the shape (steps, ops per step, inputs, kinds); -seed
 // still varies the instance. Explicit -steps/-ops/-inputs/-kinds flags

@@ -47,12 +47,6 @@ var (
 	// entries. ParseObjective wraps it for unknown objective names.
 	ErrBadObjective = errors.New("bistpath: invalid objective configuration")
 
-	// ErrBadSearch is returned by synthesis (in the validate phase) for a
-	// malformed search configuration: an unknown Config.Search value, a
-	// stochastic search combined with a multi-objective objective, or
-	// negative budgets. ParseSearch wraps it for unknown strategy names.
-	ErrBadSearch = errors.New("bistpath: invalid search configuration")
-
 	// ErrNoPareto is returned by Result.VerifyPareto on a Result that
 	// does not carry a Pareto front (any objective other than
 	// ParetoFront, or a cache-served copy).

@@ -107,10 +107,13 @@ func Random(cfg RandomConfig) (*dfg.Graph, error) {
 // an unknown name. The shapes are shared by cmd/dfgen's -preset flag and
 // scripts/scalingbench so both tools name the same instances:
 //
-//	s   ~12 ops  — well inside the exact search's comfort zone
-//	m   ~37 ops  — past the Auto exact-feasibility threshold
-//	l   ~93 ops  — the exact branch and bound exhausts its node budget
-//	xl  ~290 ops — hundreds of operations, stochastic only
+//	s   ~12 ops  — the exact search proves it in a few hundred nodes
+//	m   ~37 ops  — proved in at most ~13,000 nodes
+//	l   ~93 ops  — proved in 4,000–30,000 nodes, a few milliseconds
+//	xl  ~290 ops — 235,000–580,000 nodes; seed 3 exhausts the 2M budget
+//
+// The node counts are those of seeds 1–6, pinned in
+// benchmarks/BENCH_scaling.json.
 //
 // XL draws only non-commutative kinds: the interconnect binder caps the
 // free instances of a commutative module, and hundreds of commutative

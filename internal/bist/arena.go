@@ -150,9 +150,8 @@ func (a *searchArena) prepareBound(sp *searchSpace) {
 //
 // A Scratch serves one Optimize call at a time, and one arena suffices
 // within a call: the exact search runs its greedy seed on the arena's
-// zeroed counters with its own path lifted off them, the stochastic
-// search's exact probe finishes before the genetic search starts, and
-// the Pareto walk before its empty-front fallback. Use one Scratch per
+// zeroed counters with its own path lifted off them, and the Pareto walk
+// finishes before its empty-front fallback. Use one Scratch per
 // synthesis worker.
 type Scratch struct {
 	arena searchArena

@@ -25,18 +25,3 @@ func BenchmarkPrepareSpace_xl(b *testing.B) {
 		}
 	}
 }
-
-// bitsSink keeps the benchmarked SearchSpaceBits call from being
-// optimized away.
-var bitsSink float64
-
-// SearchSpaceBits on dfgen l-1, the check Search=Auto runs once per
-// synthesis to choose between the exact and the stochastic search.
-func BenchmarkSearchSpaceBits_l(b *testing.B) {
-	cfg, _ := benchdata.Preset("l", 1)
-	dp := buildRandomDP(b, cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bitsSink = SearchSpaceBits(dp, true)
-	}
-}

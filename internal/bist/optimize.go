@@ -8,7 +8,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"time"
 
 	"bistpath/internal/area"
 	"bistpath/internal/datapath"
@@ -88,36 +87,16 @@ type Options struct {
 	// map use the area-proportional default. The pure-area search
 	// ignores it.
 	Power map[string]int
-	// The remaining fields configure OptimizeStochastic only; the exact
-	// branch and bound ignores them.
-
-	// Seed seeds the stochastic search's deterministic random source.
-	// Identical (data path, Options, Seed) yields an identical Plan
-	// (0 = seed 1).
+	// Seed is read by nothing: the search is deterministic without one.
+	//
+	// Deprecated: it has no effect. perfbench/layers.go:133 still sets
+	// it.
 	Seed int64
-	// TimeBudget caps the stochastic search's wall time (0 = none).
-	// Each generation remains a pure function of the seed, but where a
-	// wall-clock budget cuts the run off is timing-dependent, so only
-	// generation-bounded runs (TimeBudget 0 or unreached) are
-	// reproducible across machines.
-	TimeBudget time.Duration
-	// MaxGenerations caps the genetic search's generations (0 = default
-	// 250).
+	// MaxGenerations is read by nothing: there is no genetic search.
+	//
+	// Deprecated: it has no effect. perfbench/layers.go:134 still sets
+	// it.
 	MaxGenerations int
-	// StallGenerations stops the genetic search early after this many
-	// generations without an incumbent improvement (0 = default 40;
-	// negative disables the early stop).
-	StallGenerations int
-	// Population is the genetic search's population size (0 = default,
-	// scaled with the module count).
-	Population int
-	// ExactProbeNodes bounds the node-budgeted exact probe that seeds
-	// the stochastic search: a sequential branch and bound runs first
-	// under this node budget, and if it completes, its provably optimal
-	// plan is returned directly. 0 = default 150000; negative disables
-	// the probe (pure GA+SA, used by tests that exercise the stochastic
-	// operators themselves).
-	ExactProbeNodes int
 }
 
 // Metrics reports how hard one OptimizeCtx search worked. Every field is
@@ -127,22 +106,6 @@ type Metrics struct {
 	BoundPrunes int64 // subtrees cut by the incumbent bound (and lower bound)
 	Incumbents  int64 // incumbent improvements taken
 	Embeddings  int64 // candidate embeddings enumerated across modules
-
-	// Stochastic-search effort (OptimizeStochastic only; all zero for
-	// the exact branch and bound). Every field is deterministic for a
-	// generation-bounded run.
-	Generations int64        // genetic-search generations executed
-	Evaluations int64        // candidate cost evaluations (GA + annealing)
-	Curve       []CurvePoint // best-so-far cost after each improvement
-}
-
-// CurvePoint is one improvement of the stochastic search's incumbent:
-// the best cost known after the given generation. Generation 0 is the
-// seeded initial population; annealing improvements report the final
-// generation.
-type CurvePoint struct {
-	Generation int64
-	Cost       int
 }
 
 // DefaultOptions returns the standard configuration for the given width.
@@ -162,22 +125,21 @@ func Optimize(dp *datapath.Datapath, opts Options) (*Plan, error) {
 }
 
 // searchSpace is the prepared per-call search state shared by the exact
-// branch and bound, the stochastic search and the Pareto walk: modules
-// and their candidate embeddings in canonical search order
-// (prepareSpace), each candidate a compact ref over interned register
-// ids plus the source ids that name it. Embedding values are built only
-// for the plans a search returns (embeddingsOf). Everything here is a
-// pure function of the data path and options, never of construction
-// order — every search's determinism contract depends on that.
+// branch and bound and the Pareto walk: modules and their candidate
+// embeddings in canonical search order (prepareSpace), each candidate a
+// compact ref over interned register ids plus the source ids that name
+// it. Embedding values are built only for the plans a search returns
+// (embeddingsOf). Everything here is a pure function of the data path
+// and options, never of construction order — every search's determinism
+// contract depends on that.
 type searchSpace struct {
 	styleCosts
 	mods     []string   // module names in search order
 	refs     [][]embRef // per module position: its candidates in search order
 	srcs     [][]srcRef // parallel to refs: the sources naming each candidate
 	srcNames []string   // source id -> register or pad name (0: "")
-	srcID    map[string]int32
-	nregs    int   // interned register count
-	embTotal int64 // candidate embeddings across modules
+	nregs    int        // interned register count
+	embTotal int64      // candidate embeddings across modules
 }
 
 // prepareSpace builds the embedding search space into sc. Each module's
@@ -218,7 +180,7 @@ func prepareSpace(dp *datapath.Datapath, opts Options, sc *Scratch) (searchSpace
 		sc.costs, sc.perm = sp.orderByCost(sc.refs[i], sc.srcs[i], sc.costs, sc.perm)
 	}
 	sp.mods, sp.refs, sp.srcs = sc.mods, sc.refs, sc.srcs
-	sp.srcNames, sp.srcID = sc.srcNames, sc.srcID
+	sp.srcNames = sc.srcNames
 	sp.nregs = int(sc.nregs)
 	return sp, nil
 }
@@ -324,9 +286,8 @@ type search struct {
 // undoing one embedding touches three int32 counters and folds the cost
 // delta into cost, and delta reads what applying one would add without
 // touching them. It is the one cost evaluator every search shares —
-// the branch and bound and the Pareto walk embed it, and the stochastic
-// search's genome evaluations, greedy seeding and annealing moves all
-// run through it, so a cost bug cannot hide in a search-specific
+// the branch and bound and the Pareto walk embed it, and greedy seeding
+// runs through it, so a cost bug cannot hide in a search-specific
 // reimplementation.
 type dutyEval struct {
 	styleCosts
@@ -436,20 +397,6 @@ func (w *dutyEval) tpgMarginal(r int32) int {
 		return w.exBILBO - w.exSA
 	}
 	return w.exTPG
-}
-
-// evalGenome returns the total cost of a complete assignment: it applies
-// every chosen embedding, reads the cost and undoes them again, leaving
-// the evaluator zeroed for the next call.
-func (w *dutyEval) evalGenome(refs [][]embRef, genome []int32) int {
-	for i, g := range genome {
-		w.apply(refs[i][g])
-	}
-	c := w.cost
-	for i, g := range genome {
-		w.undo(refs[i][g])
-	}
-	return c
 }
 
 // greedyAssignment fills genome with the greedy-with-one-improvement-pass
@@ -778,6 +725,21 @@ func OptimizeCtx(ctx context.Context, dp *datapath.Datapath, opts Options) (*Pla
 	}
 	plan.Sessions = ScheduleSessions(plan)
 	return plan, plan.Validate(dp)
+}
+
+// ExactFeasible reports true: OptimizeCtx is the one area search at
+// every design size.
+//
+// Deprecated: nothing in this module calls it. perfbench/layers.go:132
+// still does.
+func ExactFeasible(dp *datapath.Datapath, allowPadHeads bool) bool { return true }
+
+// OptimizeStochasticCtx is OptimizeCtx.
+//
+// Deprecated: nothing in this module calls it; call OptimizeCtx.
+// perfbench/layers.go:135 still calls it.
+func OptimizeStochasticCtx(ctx context.Context, dp *datapath.Datapath, opts Options) (*Plan, error) {
+	return OptimizeCtx(ctx, dp, opts)
 }
 
 // Revalidate is the check every plan carried over from an earlier run

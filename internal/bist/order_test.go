@@ -202,8 +202,8 @@ func differentialDatapaths(t testing.TB) map[string]*datapath.Datapath {
 // and without pad heads: the same modules in the same order, each
 // module's embeddings in the same order, every ref naming the same
 // registers, and the same embedding total (Metrics.Embeddings). The
-// exact, stochastic and Pareto searches all walk this order, so
-// equality here means they visit the same nodes.
+// exact and Pareto searches both walk this order, so equality here
+// means they visit the same nodes.
 func TestCanonicalOrderMatchesReference(t *testing.T) {
 	sc := NewScratch()
 	for name, dp := range differentialDatapaths(t) {

@@ -69,11 +69,9 @@ type Options struct {
 	Vectors int
 	// Seed seeds the functional cross-check's vector generator.
 	Seed int64
-	// Search re-runs the strategy that produced the plan under test
-	// (the exact branch and bound, or the stochastic search with the
-	// same seed and budgets); the re-run oracle requires the identical
-	// plan back. Nil skips the oracle, for a plan whose strategy is not
-	// reproducible (a wall-clock-truncated stochastic run).
+	// Search re-runs the search that produced the plan under test; the
+	// re-run oracle requires the identical plan back. Nil skips the
+	// oracle.
 	Search func(ctx context.Context, dp *datapath.Datapath) (*bist.Plan, error)
 	// EmbeddingCap bounds the exhaustive embedding oracle: if the
 	// cartesian product of per-module embedding counts exceeds it, the
@@ -265,8 +263,8 @@ func Run(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, dp *datapath.
 				}
 				// The upper bound only binds exact plans: the oracle costs
 				// each binding with the exact search, so an inexact
-				// (stochastic or greedy-fallback) plan may legitimately
-				// exceed the worst enumerated exact cost.
+				// (budget-exhausted) plan may legitimately exceed the
+				// worst enumerated exact cost.
 				if plan.Exact && plan.ExtraArea > bo.Worst {
 					rep.Violations = append(rep.Violations, fmt.Sprintf(
 						"binding oracle: plan cost %d exceeds the worst enumerated binding %d",

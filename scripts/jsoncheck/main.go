@@ -95,24 +95,23 @@ func checkScaling(docs []map[string]any) {
 		fatal("scaling: expected a single document, got %d", len(docs))
 	}
 	doc := docs[0]
-	for _, key := range []string{"schema", "kind", "quick", "bound", "rows"} {
+	for _, key := range []string{"schema", "kind", "quick", "rows"} {
 		if _, ok := doc[key]; !ok {
 			fatal("scaling: missing key %q", key)
 		}
 	}
+	if v, _ := doc["schema"].(float64); v != 2 {
+		fatal("scaling: schema = %v, want 2", doc["schema"])
+	}
 	if k, _ := doc["kind"].(string); k != "scaling" {
 		fatal("scaling: kind = %v, want \"scaling\"", doc["kind"])
-	}
-	if b, _ := doc["bound"].(float64); b < 1 {
-		fatal("scaling: bound = %v, want >= 1", doc["bound"])
 	}
 	rows, ok := doc["rows"].([]any)
 	if !ok || len(rows) == 0 {
 		fatal("scaling: rows missing or empty")
 	}
 	required := []string{"name", "design", "seed", "ops", "modules", "registers",
-		"exact_area", "exact_ms", "exact_provable", "stoch_area", "stoch_ms",
-		"generations", "evaluations", "ratio"}
+		"exact_area", "exact_provable", "search_nodes", "search_ms"}
 	papers := 0
 	for i, rv := range rows {
 		r, ok := rv.(map[string]any)
@@ -127,8 +126,8 @@ func checkScaling(docs []map[string]any) {
 		if v, _ := r["exact_area"].(float64); v <= 0 {
 			fatal("scaling: row %d (%v): exact_area = %v, want > 0", i, r["name"], r["exact_area"])
 		}
-		if v, _ := r["stoch_area"].(float64); v <= 0 {
-			fatal("scaling: row %d (%v): stoch_area = %v, want > 0", i, r["name"], r["stoch_area"])
+		if v, _ := r["search_nodes"].(float64); v <= 0 {
+			fatal("scaling: row %d (%v): search_nodes = %v, want > 0", i, r["name"], r["search_nodes"])
 		}
 		if d, _ := r["design"].(string); d == "paper" {
 			papers++

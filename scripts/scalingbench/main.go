@@ -1,23 +1,24 @@
-// scalingbench runs the exact-vs-stochastic scaling suite and emits a
-// machine-readable comparison as JSON on stdout:
+// scalingbench runs the BIST search scaling suite and emits it as JSON
+// on stdout:
 //
-//	{"schema": 1, "kind": "scaling", "quick": ..., "bound": ..., "rows": [...]}
+//	{"schema": 2, "kind": "scaling", "quick": ..., "rows": [...]}
 //
-// Each row synthesizes one design twice — once with the default exact
-// search and once with the stochastic search — and records the BIST
-// area and search time of both. Two quality gates fail the run (exit 1,
-// diagnostics on stderr) while still printing the document:
+// Each row synthesizes one design under the default config and records
+// its BIST area, whether the exact search proved it optimal, the nodes
+// the search expanded and the search time. With -pins FILE (a document
+// this tool wrote, benchmarks/BENCH_scaling.json) the run is gated on
+// the pinned rows, matched by name and seed, and fails (exit 1,
+// diagnostics on stderr, the document still printed) when
 //
-//   - on the five paper benchmarks the stochastic search must recover
-//     the exact search's provably optimal area, and
-//   - on every generated preset instance the stochastic area must stay
-//     within `bound` (default 1.10) of the exact run's area (which
-//     degrades to the greedy-fallback incumbent once the branch and
-//     bound exhausts its node budget — the stochastic search normally
-//     beats that, so the bound is a regression tripwire, not a target).
+//   - a row has no pin,
+//   - a row the pins prove loses its proof or its area,
+//   - a row the pins do not prove gets costlier, or
+//   - a row's search_nodes rises above its pin.
 //
-// The document carries no timestamps; the *_ms fields are the only
-// run-varying values. scripts/bench-scaling.sh wraps this tool and
+// Node counts are deterministic, so the last gate catches a work
+// regression that no machine noise can fake, and that a wall-time gate
+// cannot see. The document carries no timestamps; search_ms is its only
+// run-varying value. scripts/bench-scaling.sh wraps this tool and
 // schema-checks the output with scripts/jsoncheck -kind scaling.
 package main
 
@@ -39,54 +40,36 @@ type row struct {
 	Ops         int     `json:"ops"`
 	Modules     int     `json:"modules"`
 	Registers   int     `json:"registers"`
-	ExactArea   int     `json:"exact_area"`
-	ExactMS     float64 `json:"exact_ms"` // exact BIST search time
+	ExactArea   int     `json:"exact_area"` // total BIST area of the plan
 	ExactProved bool    `json:"exact_provable"`
-	StochArea   int     `json:"stoch_area"`
-	StochMS     float64 `json:"stoch_ms"` // stochastic BIST search time
-	Generations int64   `json:"generations"`
-	Evaluations int64   `json:"evaluations"`
-	Ratio       float64 `json:"ratio"` // stoch_area / exact_area
+	SearchNodes int64   `json:"search_nodes"`
+	SearchMS    float64 `json:"search_ms"` // BIST search wall time
 }
 
 type document struct {
-	Schema int     `json:"schema"`
-	Kind   string  `json:"kind"`
-	Quick  bool    `json:"quick"`
-	Bound  float64 `json:"bound"`
-	Rows   []row   `json:"rows"`
+	Schema int    `json:"schema"`
+	Kind   string `json:"kind"`
+	Quick  bool   `json:"quick"`
+	Rows   []row  `json:"rows"`
 }
 
 func main() {
 	quick := flag.Bool("quick", false, "smaller grid for CI: all paper benchmarks, presets s/m/l at one seed")
-	bound := flag.Float64("bound", 1.10, "maximum stoch_area/exact_area ratio on preset instances")
-	seedN := flag.Int("seeds", 2, "seeds per preset in the full grid (quick mode always uses 1)")
+	seedN := flag.Int("seeds", 6, "seeds per preset in the full grid (quick mode always uses 1)")
+	pinsFile := flag.String("pins", "", "gate every row against this committed scaling document")
 	flag.Parse()
 
-	doc := document{Schema: 1, Kind: "scaling", Quick: *quick, Bound: *bound}
-	var violations []string
-
-	exactCfg := bistpath.DefaultConfig()
-	stochCfg := bistpath.DefaultConfig()
-	stochCfg.Search = bistpath.SearchStochastic
-	stochCfg.Seed = 1
+	doc := document{Schema: 2, Kind: "scaling", Quick: *quick}
+	cfg := bistpath.DefaultConfig()
 
 	for _, name := range bistpath.BenchmarkNames() {
 		d, mods, err := bistpath.Benchmark(name)
 		if err != nil {
 			fatal("%s: %v", name, err)
 		}
-		r, err := compare(name, "paper", 0, d, mods, exactCfg, stochCfg)
+		r, err := measure(name, "paper", 0, d, mods, cfg)
 		if err != nil {
 			fatal("%s: %v", name, err)
-		}
-		if !r.ExactProved {
-			violations = append(violations, fmt.Sprintf(
-				"%s: exact search no longer proves optimality on a paper benchmark", name))
-		}
-		if r.StochArea != r.ExactArea {
-			violations = append(violations, fmt.Sprintf(
-				"%s: stochastic area %d != known optimum %d", name, r.StochArea, r.ExactArea))
 		}
 		doc.Rows = append(doc.Rows, r)
 	}
@@ -99,8 +82,8 @@ func main() {
 	}
 	for _, preset := range presets {
 		for seed := int64(1); seed <= int64(seeds); seed++ {
-			cfg, _ := benchdata.Preset(preset, seed)
-			g, mb, err := benchdata.RandomWithModules(cfg)
+			pc, _ := benchdata.Preset(preset, seed)
+			g, mb, err := benchdata.RandomWithModules(pc)
 			if err != nil {
 				fatal("preset %s seed %d: %v", preset, seed, err)
 			}
@@ -114,17 +97,21 @@ func main() {
 					mods[op] = m.Name
 				}
 			}
-			r, err := compare(preset, "preset", seed, d, mods, exactCfg, stochCfg)
+			r, err := measure(preset, "preset", seed, d, mods, cfg)
 			if err != nil {
 				fatal("preset %s seed %d: %v", preset, seed, err)
 			}
-			if r.Ratio > *bound {
-				violations = append(violations, fmt.Sprintf(
-					"preset %s seed %d: stochastic area %d is %.3fx the exact run's %d (bound %.2f)",
-					preset, seed, r.StochArea, r.Ratio, r.ExactArea, *bound))
-			}
 			doc.Rows = append(doc.Rows, r)
 		}
+	}
+
+	var violations []string
+	if *pinsFile != "" {
+		pins, err := readPins(*pinsFile)
+		if err != nil {
+			fatal("%v", err)
+		}
+		violations = gate(doc.Rows, pins)
 	}
 
 	out, err := json.MarshalIndent(doc, "", "  ")
@@ -140,47 +127,75 @@ func main() {
 	}
 }
 
-func compare(name, design string, seed int64, d *bistpath.DFG, mods map[string]string, exactCfg, stochCfg bistpath.Config) (row, error) {
-	exact, err := d.SynthesizeCtx(context.Background(), mods, exactCfg)
+func measure(name, design string, seed int64, d *bistpath.DFG, mods map[string]string, cfg bistpath.Config) (row, error) {
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
-		return row{}, fmt.Errorf("exact: %w", err)
-	}
-	stoch, err := d.SynthesizeCtx(context.Background(), mods, stochCfg)
-	if err != nil {
-		return row{}, fmt.Errorf("stochastic: %w", err)
+		return row{}, err
 	}
 	ops := 0
-	for _, m := range exact.Modules {
+	for _, m := range res.Modules {
 		ops += len(m.Ops)
-	}
-	// The ratio gates the BIST *overhead* (area added over the base data
-	// path), the paper's figure of merit — total area would dilute a bad
-	// search result behind the base area.
-	exactExtra := exact.BISTArea - exact.BaseArea
-	stochExtra := stoch.BISTArea - stoch.BaseArea
-	ratio := 1.0
-	switch {
-	case exactExtra > 0:
-		ratio = float64(stochExtra) / float64(exactExtra)
-	case stochExtra > 0:
-		ratio = 99 // exact needed no upgrades at all; any overhead is a violation
 	}
 	return row{
 		Name:        name,
 		Design:      design,
 		Seed:        seed,
 		Ops:         ops,
-		Modules:     len(exact.Modules),
-		Registers:   len(exact.Registers),
-		ExactArea:   exact.BISTArea,
-		ExactMS:     float64(exact.Stats.BISTSearch.Microseconds()) / 1000,
-		ExactProved: exact.PlanExact(),
-		StochArea:   stoch.BISTArea,
-		StochMS:     float64(stoch.Stats.BISTSearch.Microseconds()) / 1000,
-		Generations: stoch.Stats.Generations,
-		Evaluations: stoch.Stats.Evaluations,
-		Ratio:       ratio,
+		Modules:     len(res.Modules),
+		Registers:   len(res.Registers),
+		ExactArea:   res.BISTArea,
+		ExactProved: res.PlanExact(),
+		SearchNodes: res.Stats.SearchNodes,
+		SearchMS:    float64(res.Stats.BISTSearch.Microseconds()) / 1000,
 	}, nil
+}
+
+type pinKey struct {
+	name string
+	seed int64
+}
+
+func readPins(path string) (map[pinKey]row, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var doc document
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if doc.Schema != 2 || doc.Kind != "scaling" {
+		return nil, fmt.Errorf("%s: schema %d kind %q, want 2 \"scaling\"", path, doc.Schema, doc.Kind)
+	}
+	pins := make(map[pinKey]row, len(doc.Rows))
+	for _, r := range doc.Rows {
+		pins[pinKey{r.Name, r.Seed}] = r
+	}
+	return pins, nil
+}
+
+// gate returns one line per row that breaks its pin.
+func gate(rows []row, pins map[pinKey]row) []string {
+	var out []string
+	for _, r := range rows {
+		at := fmt.Sprintf("%s seed %d", r.Name, r.Seed)
+		p, ok := pins[pinKey{r.Name, r.Seed}]
+		switch {
+		case !ok:
+			out = append(out, at+": no pinned row")
+			continue
+		case p.ExactProved && !r.ExactProved:
+			out = append(out, fmt.Sprintf("%s: the pins prove area %d, the search no longer proves it", at, p.ExactArea))
+		case p.ExactProved && r.ExactArea != p.ExactArea:
+			out = append(out, fmt.Sprintf("%s: proved area %d, pinned %d", at, r.ExactArea, p.ExactArea))
+		case !p.ExactProved && r.ExactArea > p.ExactArea:
+			out = append(out, fmt.Sprintf("%s: area %d is costlier than the pinned %d", at, r.ExactArea, p.ExactArea))
+		}
+		if r.SearchNodes > p.SearchNodes {
+			out = append(out, fmt.Sprintf("%s: %d search nodes, pinned %d", at, r.SearchNodes, p.SearchNodes))
+		}
+	}
+	return out
 }
 
 func fatal(format string, args ...any) {

@@ -330,7 +330,7 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 	var prior *artifacts
 	if ss.prev != nil {
 		r := ss.prev.result
-		prior = &artifacts{plan: r.plan, dp: r.dp, searchStrategy: r.Stats.SearchStrategy}
+		prior = &artifacts{plan: r.plan, dp: r.dp}
 	}
 	// The pipeline runs on a private snapshot so Results handed out
 	// earlier (whose datapath references the run's graph) don't see

@@ -701,7 +701,7 @@ func applyRandomEdit(t *testing.T, rng *rand.Rand, ss *Session, mirror *DFG, mir
 
 // TestSessionDifferentialRandomEdits is the tentpole's property test:
 // over random designs, random edit scripts and the configs whose plans
-// splice differently (area, weighted sum, auto search), every
+// splice differently (area, weighted sum, session-minimizing), every
 // Resynthesize must be indistinguishable (stats aside) from a
 // from-scratch synthesis of the identically edited mirror design —
 // including agreeing on whether the edited design is synthesizable at
@@ -713,11 +713,11 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 	weighted := DefaultConfig()
 	weighted.Objective = WeightedSum
 	weighted.Weights = Weights{Area: 1, TestTime: 2, PeakPower: 3}
-	auto := DefaultConfig()
-	auto.Search = SearchAuto
+	sessions := DefaultConfig()
+	sessions.MinimizeSessions = true
 	s := New(DefaultConfig())
 	defer s.Close()
-	for _, cfg := range []Config{DefaultConfig(), weighted, auto} {
+	for _, cfg := range []Config{DefaultConfig(), weighted, sessions} {
 		for seed := int64(1); seed <= 6; seed++ {
 			d, mods, err := RandomDesign(seed)
 			if err != nil {
@@ -740,16 +740,16 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 				got, errGot := ss.Resynthesize(context.Background())
 				want, errWant := mirror.SynthesizeCtx(context.Background(), mirrorMods, cfg)
 				if (errGot == nil) != (errWant == nil) {
-					t.Fatalf("%s/%s seed %d round %d: incremental err %v, from-scratch err %v\ndesign:\n%s",
-						cfg.Objective, cfg.Search, seed, round, errGot, errWant, mirror.Text())
+					t.Fatalf("%s/sessions=%t seed %d round %d: incremental err %v, from-scratch err %v\ndesign:\n%s",
+						cfg.Objective, cfg.MinimizeSessions, seed, round, errGot, errWant, mirror.Text())
 				}
 				if errGot != nil {
 					continue // both rejected the edited design the same way
 				}
 				assertSameResult(t, "seed/round", got, want)
 				if t.Failed() {
-					t.Fatalf("%s/%s seed %d round %d diverged (reused %v)\ndesign:\n%s",
-						cfg.Objective, cfg.Search, seed, round, got.Stats.ReusedPhases, mirror.Text())
+					t.Fatalf("%s/sessions=%t seed %d round %d diverged (reused %v)\ndesign:\n%s",
+						cfg.Objective, cfg.MinimizeSessions, seed, round, got.Stats.ReusedPhases, mirror.Text())
 				}
 			}
 			ss.Close()

@@ -76,16 +76,17 @@ type Stats struct {
 	EmbeddingsEnumerated int64 `json:"embeddings_enumerated"` // candidate embeddings across all modules
 	SearchWorkers        int   `json:"search_workers"`        // 1 when this run searched, 0 when it reused the plan
 
-	// Stochastic-search effort (Config.Search only; all zero/empty under
-	// the default SearchExact, so existing Results are unchanged, and
-	// omitted from the JSON then, so exact-run documents stay
-	// byte-identical across releases).
-	// SearchStrategy records what the configured strategy resolved to —
-	// "exact" or "stochastic" — and stays empty for a SearchExact config.
-	SearchStrategy string             `json:"search_strategy,omitempty"`
-	Generations    int64              `json:"generations,omitempty"` // genetic-search generations executed
-	Evaluations    int64              `json:"evaluations,omitempty"` // candidate cost evaluations (GA + annealing)
-	BestCurve      []SearchCurvePoint `json:"best_curve,omitempty"`  // best-so-far cost after each incumbent improvement
+	// SearchStrategy is never set and never written: there is one search.
+	//
+	// Deprecated: nothing in this module reads it.
+	// perfbench/harness.go:143 and perfbench/library.go:109 still do.
+	SearchStrategy string `json:"-"`
+	// Evaluations is never set and never written: there is no genetic
+	// search.
+	//
+	// Deprecated: nothing in this module reads it.
+	// perfbench/harness.go:145 still does.
+	Evaluations int64 `json:"-"`
 
 	// Register binder effort (zero in traditional mode).
 	Lemma2Checks  int64 `json:"lemma2_checks"`  // trial Lemma-2 evaluations during coloring
@@ -99,14 +100,6 @@ type Stats struct {
 	// results.
 	ReusedPhases       []string `json:"-"` // phases reused from the previous run, pipeline order
 	IncrementalSpeedup float64  `json:"-"` // previous cold Total / this run's Total (0 until phases reuse)
-}
-
-// SearchCurvePoint is one incumbent improvement of the stochastic
-// search: the best cost known after the given generation (generation 0
-// is the seeded initial population).
-type SearchCurvePoint struct {
-	Generation int64 `json:"generation"`
-	Cost       int   `json:"cost"`
 }
 
 // PhaseSum returns the sum of the per-phase wall times. It is at most
@@ -123,10 +116,6 @@ func (s Stats) String() string {
 		s.Total, s.Validate, s.RegisterBind, s.Interconnect, s.Datapath, s.BISTSearch)
 	fmt.Fprintf(&sb, "    search: %d nodes, %d prunes, %d incumbents, %d embeddings, %d worker(s)\n",
 		s.SearchNodes, s.BoundPrunes, s.IncumbentUpdates, s.EmbeddingsEnumerated, s.SearchWorkers)
-	if s.SearchStrategy != "" {
-		fmt.Fprintf(&sb, "    strategy: %s; %d generations, %d evaluations, %d curve points\n",
-			s.SearchStrategy, s.Generations, s.Evaluations, len(s.BestCurve))
-	}
 	fmt.Fprintf(&sb, "    binder: %d Lemma-2 checks, %d case overrides\n",
 		s.Lemma2Checks, s.CaseOverrides)
 	if s.CacheHit {

@@ -94,20 +94,10 @@ func (r *Result) Verify(ctx context.Context, opts VerifyOptions) (*VerifyReport,
 	if vo.Seed == 0 {
 		vo.Seed = 1
 	}
-	// The re-run oracle repeats the strategy that produced the plan. A
-	// wall-clock-truncated stochastic run is not reproducible, so it
-	// leaves Search nil: there is nothing to conform against.
+	// The re-run oracle repeats the search that produced the plan.
 	bo := bist.Options{Model: vo.Model, AllowPadHeads: r.cfg.AllowPadTPG, MinimizeSessions: r.cfg.MinimizeSessions}
-	switch {
-	case r.Stats.SearchStrategy != "stochastic":
-		vo.Search = func(ctx context.Context, dp *datapath.Datapath) (*bist.Plan, error) {
-			return bist.OptimizeCtx(ctx, dp, bo)
-		}
-	case r.cfg.TimeBudget == 0:
-		bo.Seed, bo.MaxGenerations = r.cfg.Seed, r.cfg.MaxGenerations
-		vo.Search = func(ctx context.Context, dp *datapath.Datapath) (*bist.Plan, error) {
-			return bist.OptimizeStochasticCtx(ctx, dp, bo)
-		}
+	vo.Search = func(ctx context.Context, dp *datapath.Datapath) (*bist.Plan, error) {
+		return bist.OptimizeCtx(ctx, dp, bo)
 	}
 	rep, err := verify.Run(ctx, r.dp.Graph(), r.mb, r.dp, r.plan, vo)
 	if rep == nil {
