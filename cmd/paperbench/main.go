@@ -890,18 +890,13 @@ func fig3() error {
 	sh := regassign.NewSharing(b.Graph, mb)
 	for _, r := range rb.Registers {
 		var heads, tails []string
-		for _, m := range sh.Modules {
-			for _, v := range r.Vars {
-				if sh.In[m][v] {
-					heads = append(heads, m)
-					break
-				}
+		for j, m := range sh.Modules {
+			x, y := sh.Flags(r.Vars, j)
+			if x {
+				heads = append(heads, m)
 			}
-			for _, v := range r.Vars {
-				if sh.Out[m][v] {
-					tails = append(tails, m)
-					break
-				}
+			if y {
+				tails = append(tails, m)
 			}
 		}
 		fmt.Printf("  %s {%s}: head for {%s}, tail for {%s}, SD=%d\n",

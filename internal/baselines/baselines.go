@@ -48,16 +48,8 @@ type adjacency struct {
 
 func adjacencyOf(sh *regassign.Sharing, vars []string) adjacency {
 	var a adjacency
-	for _, m := range sh.Modules {
-		in, out := false, false
-		for _, v := range vars {
-			if sh.In[m][v] {
-				in = true
-			}
-			if sh.Out[m][v] {
-				out = true
-			}
-		}
+	for j := range sh.Modules {
+		in, out := sh.Flags(vars, j)
 		a.input = a.input || in
 		a.output = a.output || out
 		a.self = a.self || (in && out)

@@ -72,9 +72,9 @@ func TestPaulinSyntestModulesValid(t *testing.T) {
 	// The template requires no intra-module chaining: no variable may be
 	// both an input and an output of the same ALU.
 	sh := regassign.NewSharing(b.Graph, mb)
-	for _, m := range sh.Modules {
-		for v := range sh.In[m] {
-			if sh.Out[m][v] {
+	for j, m := range sh.Modules {
+		for _, v := range b.Graph.AllocVars() {
+			if in, out := sh.Flags([]string{v}, j); in && out {
 				t.Errorf("variable %s chains within %s (template violated)", v, m)
 			}
 		}

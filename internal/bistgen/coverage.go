@@ -59,13 +59,13 @@ func Coverage(dp *datapath.Datapath, plan *bist.Plan, patterns int, seed uint64)
 		sig := func(f *Fault) (uint64, error) {
 			// Distinct seeds per head register keep the two pattern
 			// streams independent, as required of a valid embedding.
-			gl, err := NewLFSR(dp.Width, seed^hashName(emb.HeadL))
+			gl, err := NewLFSR(dp.Width, seed^HashName(emb.HeadL))
 			if err != nil {
 				return 0, err
 			}
 			var gr *LFSR
 			if binary {
-				gr, err = NewLFSR(dp.Width, (seed^hashName(emb.HeadR))|2)
+				gr, err = NewLFSR(dp.Width, (seed^HashName(emb.HeadR))|2)
 				if err != nil {
 					return 0, err
 				}
@@ -114,8 +114,11 @@ func Coverage(dp *datapath.Datapath, plan *bist.Plan, patterns int, seed uint64)
 	return rep, nil
 }
 
-// hashName derives a deterministic seed from a source identifier (FNV-1a).
-func hashName(s string) uint64 {
+// HashName derives a deterministic seed from a source identifier. It
+// runs FNV-1a's loop from 1469598103934665603, one digit short of the
+// FNV offset basis 14695981039346656037; the constant stays, because the
+// pinned pattern sequences of cover and gatesim derive from it.
+func HashName(s string) uint64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

@@ -99,38 +99,28 @@ func Build(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, ib *inter
 		regIx: make(map[string]*Register),
 		modIx: make(map[string]*Module),
 	}
-	// Registers.
-	regSrcs := interconnect.RegisterSources(g, mb, rb)
-	for _, r := range rb.Registers {
-		nr := &Register{Name: r.Name, Vars: append([]string(nil), r.Vars...), Sources: regSrcs[r.Name]}
+	// Registers and modules, with the port lists of the one wiring pass.
+	w := interconnect.Wire(g, mb, rb, ib)
+	for i, r := range rb.Registers {
+		nr := &Register{Name: r.Name, Vars: append([]string(nil), r.Vars...), Sources: w.Sources[i]}
 		dp.Regs = append(dp.Regs, nr)
 		dp.regIx[nr.Name] = nr
 	}
-	// Modules.
-	for _, m := range mb.Modules {
-		left, right := interconnect.PortSources(g, mb, rb, ib, m.Name)
-		dests := make(map[string]bool)
-		for _, opName := range m.Ops {
-			dests[rb.RegisterOf(g.Op(opName).Result)] = true
-		}
+	for i, m := range mb.Modules {
 		nm := &Module{
 			Name:  m.Name,
 			Kinds: append([]dfg.Kind(nil), m.Class.Kinds...),
-			Left:  left,
-			Right: right,
-			Dests: sortedKeys(dests),
+			Left:  w.Left[i],
+			Right: w.Right[i],
+			Dests: w.Dests[i],
 		}
 		dp.Modules = append(dp.Modules, nm)
 		dp.modIx[nm.Name] = nm
 	}
-	// Pads.
-	pads := make(map[string]bool)
-	for _, v := range g.Vars() {
-		if v.IsInput {
-			pads[interconnect.PadSource+v.Name] = true
-		}
+	// Pads, sorted as their input names are.
+	for _, v := range g.Inputs() {
+		dp.InPads = append(dp.InPads, interconnect.PadSource+v)
 	}
-	dp.InPads = sortedKeys(pads)
 	dp.Outputs = g.Outputs()
 	// Control program.
 	dp.Steps = buildSteps(g, mb, rb, ib, lts)
@@ -328,15 +318,6 @@ func (dp *Datapath) MuxStats() (count, extraInputs int) {
 		tally(len(r.Sources))
 	}
 	return count, extraInputs
-}
-
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // WriteText emits a human-readable netlist description.

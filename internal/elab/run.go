@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"bistpath/internal/bistgen"
 	"bistpath/internal/dfg"
 	"bistpath/internal/gates"
 	"bistpath/internal/interconnect"
@@ -216,7 +217,7 @@ func (d *Design) runModuleTestOn(sim *gates.Sim, module string, patterns int, se
 	emb := d.plan.Embeddings[module]
 	// Scan-in distinct nonzero seeds into the head registers.
 	seedOf := func(name string, salt uint64) uint64 {
-		s := (seed ^ hashName(name) ^ salt) & ((1 << uint(d.Width)) - 1)
+		s := (seed ^ bistgen.HashName(name) ^ salt) & ((1 << uint(d.Width)) - 1)
 		if s == 0 {
 			s = 1
 		}
@@ -323,15 +324,6 @@ func extLFSRNext(state uint64, width int) uint64 {
 		state = 1
 	}
 	return state
-}
-
-func hashName(s string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // RunNormalVCD executes the control program like RunNormal while dumping

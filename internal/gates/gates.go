@@ -305,15 +305,16 @@ func (n *Netlist) Validate() error {
 			return err
 		}
 	}
-	if _, err := n.levelize(); err != nil {
+	if _, err := n.Levelize(); err != nil {
 		return err
 	}
 	return nil
 }
 
-// levelize orders the combinational gates topologically (DFF outputs,
-// constants and inputs are level-0 sources).
-func (n *Netlist) levelize() ([]int, error) {
+// Levelize orders the combinational gates topologically (DFF outputs,
+// constants and inputs are level-0 sources), returning gate indices. It
+// fails on a combinational cycle.
+func (n *Netlist) Levelize() ([]int, error) {
 	// producer[g.Out] = gate index
 	producer := make([]int, n.nsig)
 	for i := range producer {

@@ -29,7 +29,7 @@ type Sim struct {
 // NewSim levelizes the netlist and returns a simulator with all state
 // cleared.
 func NewSim(n *Netlist) (*Sim, error) {
-	order, err := n.levelize()
+	order, err := n.Levelize()
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ package interconnect
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 
 	"bistpath/internal/dfg"
@@ -262,120 +262,90 @@ func (o *orienter) bindModule(g *dfg.Graph, m *modassign.Module, ib *Binding) er
 	return nil
 }
 
-// PortSources returns the distinct sources wired to the left and right
-// input ports of a module, sorted.
-func PortSources(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, ib *Binding, module string) (left, right []string) {
-	m := mb.Module(module)
-	if m == nil {
-		return nil, nil
-	}
-	ls := make(map[string]bool)
-	rs := make(map[string]bool)
-	for _, opName := range m.Ops {
-		op := g.Op(opName)
-		l, r := ib.OperandSources(g, rb, op)
-		ls[l] = true
-		if op.Binary() {
-			rs[r] = true
-		}
-	}
-	return sortedKeys(ls), sortedKeys(rs)
+// Wiring is the port wiring of a bound data path: per module (in
+// mb.Modules order) the distinct sources on its left and right ports and
+// the registers its output loads, and per register (in rb.Registers
+// order) the distinct modules and input pads that load it. Every list is
+// sorted.
+type Wiring struct {
+	Left, Right, Dests [][]string // by module
+	Sources            [][]string // by register
 }
 
-// IRPartition is the partition of a module's input registers into the
-// sets connected to the left port only, the right port only, or both.
-type IRPartition struct {
-	L, R, LR []string
-}
-
-// InputRegisterPartition computes IR^L, IR^R and IR^LR for a module
-// (pads excluded: only registers participate in the partition).
-func InputRegisterPartition(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, ib *Binding, module string) IRPartition {
-	left, right := PortSources(g, mb, rb, ib, module)
-	inL := make(map[string]bool)
-	for _, s := range left {
-		if !IsPad(s) {
-			inL[s] = true
-		}
+// Wire derives the wiring of a complete set of bindings in one pass:
+// datapath.Build hands its lists to the netlist and Measure counts them.
+// The lists share one backing array, each capped at its own slots.
+func Wire(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, ib *Binding) Wiring {
+	nm := len(mb.Modules)
+	w := Wiring{
+		Left:    make([][]string, nm),
+		Right:   make([][]string, nm),
+		Dests:   make([][]string, nm),
+		Sources: make([][]string, len(rb.Registers)),
 	}
-	inR := make(map[string]bool)
-	for _, s := range right {
-		if !IsPad(s) {
-			inR[s] = true
-		}
+	slots := 0
+	for _, m := range mb.Modules {
+		slots += 3 * len(m.Ops)
 	}
-	var p IRPartition
-	for s := range inL {
-		if inR[s] {
-			p.LR = append(p.LR, s)
-		} else {
-			p.L = append(p.L, s)
-		}
-	}
-	for s := range inR {
-		if !inL[s] {
-			p.R = append(p.R, s)
-		}
-	}
-	sort.Strings(p.L)
-	sort.Strings(p.R)
-	sort.Strings(p.LR)
-	return p
-}
-
-// RegisterSources returns the distinct sources that load each register:
-// producing modules of its variables plus input pads for primary-input
-// variables, sorted. Keyed by register name.
-func RegisterSources(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding) map[string][]string {
-	out := make(map[string][]string, len(rb.Registers))
 	for _, r := range rb.Registers {
-		set := make(map[string]bool)
+		slots += len(r.Vars)
+	}
+	buf := make([]string, 0, slots)
+	next := func(k int) []string { // the next k slots of buf, as an empty list
+		n := len(buf)
+		buf = buf[:n+k]
+		return buf[n : n : n+k]
+	}
+	for i, m := range mb.Modules {
+		left, right, dests := next(len(m.Ops)), next(len(m.Ops)), next(len(m.Ops))
+		for _, opName := range m.Ops {
+			op := g.Op(opName)
+			l, r := ib.OperandSources(g, rb, op)
+			left = append(left, l)
+			if op.Binary() {
+				right = append(right, r)
+			}
+			dests = append(dests, rb.RegisterOf(op.Result))
+		}
+		w.Left[i], w.Right[i], w.Dests[i] = sortedSet(left), sortedSet(right), sortedSet(dests)
+	}
+	for i, r := range rb.Registers {
+		srcs := next(len(r.Vars))
 		for _, vn := range r.Vars {
-			v := g.Var(vn)
-			if v.IsInput {
-				set[PadSource+vn] = true
+			if v := g.Var(vn); v.IsInput {
+				srcs = append(srcs, PadSource+vn)
 			} else {
-				set[mb.ModuleOf(v.Def).Name] = true
+				srcs = append(srcs, mb.ModuleOf(v.Def).Name)
 			}
 		}
-		out[r.Name] = sortedKeys(set)
+		w.Sources[i] = sortedSet(srcs)
 	}
-	return out
+	return w
+}
+
+// sortedSet sorts list in place and drops its repeats.
+func sortedSet(list []string) []string {
+	slices.Sort(list)
+	return slices.Compact(list)
 }
 
 // Stats summarizes the interconnect of a bound data path.
 type Stats struct {
 	MuxCount  int // ports (module inputs + register inputs) with ≥2 sources
 	MuxInputs int // total extra mux inputs: Σ max(0, sources-1)
-	LRTotal   int // Σ over modules of |IR^LR|
 }
 
-// Measure computes interconnect statistics.
+// Measure computes interconnect statistics from the wiring.
 func Measure(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, ib *Binding) Stats {
+	w := Wire(g, mb, rb, ib)
 	var st Stats
-	count := func(n int) {
-		if n >= 2 {
-			st.MuxCount++
-			st.MuxInputs += n - 1
+	for _, ports := range [][][]string{w.Left, w.Right, w.Sources} {
+		for _, srcs := range ports {
+			if n := len(srcs); n >= 2 {
+				st.MuxCount++
+				st.MuxInputs += n - 1
+			}
 		}
 	}
-	for _, m := range mb.Modules {
-		left, right := PortSources(g, mb, rb, ib, m.Name)
-		count(len(left))
-		count(len(right))
-		st.LRTotal += len(InputRegisterPartition(g, mb, rb, ib, m.Name).LR)
-	}
-	for _, srcs := range RegisterSources(g, mb, rb) {
-		count(len(srcs))
-	}
 	return st
-}
-
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

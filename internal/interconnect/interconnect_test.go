@@ -1,7 +1,7 @@
 package interconnect
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"bistpath/internal/benchdata"
@@ -72,40 +72,24 @@ func TestOperandSourcesRespectCommutativity(t *testing.T) {
 
 func TestPortSourcesCoverEveryInstance(t *testing.T) {
 	g, mb, rb, ib := bindEx1(t)
-	for _, m := range mb.Modules {
-		left, right := PortSources(g, mb, rb, ib, m.Name)
+	w := Wire(g, mb, rb, ib)
+	for i, m := range mb.Modules {
+		left, right := w.Left[i], w.Right[i]
 		if len(left) == 0 || len(right) == 0 {
 			t.Fatalf("module %s has empty port: L=%v R=%v", m.Name, left, right)
 		}
+		for _, list := range [][]string{left, right, w.Dests[i]} {
+			if !slices.IsSorted(list) || len(slices.Compact(slices.Clone(list))) != len(list) {
+				t.Errorf("module %s: port list %v is not sorted and distinct", m.Name, list)
+			}
+		}
 		for _, opName := range m.Ops {
 			l, r := ib.OperandSources(g, rb, g.Op(opName))
-			if !containsT(left, l) {
+			if !slices.Contains(left, l) {
 				t.Errorf("op %s left source %s not in %v", opName, l, left)
 			}
-			if !containsT(right, r) {
+			if !slices.Contains(right, r) {
 				t.Errorf("op %s right source %s not in %v", opName, r, right)
-			}
-		}
-	}
-}
-
-func TestIRPartitionDisjointAndComplete(t *testing.T) {
-	g, mb, rb, ib := bindEx1(t)
-	for _, m := range mb.Modules {
-		p := InputRegisterPartition(g, mb, rb, ib, m.Name)
-		seen := map[string]int{}
-		for _, s := range p.L {
-			seen[s]++
-		}
-		for _, s := range p.R {
-			seen[s]++
-		}
-		for _, s := range p.LR {
-			seen[s]++
-		}
-		for reg, n := range seen {
-			if n != 1 {
-				t.Errorf("module %s: register %s appears %d times in partition", m.Name, reg, n)
 			}
 		}
 	}
@@ -165,26 +149,31 @@ func TestBindMinimizesMuxInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	left, right := PortSources(g, mb, rb, ib, "M1")
+	w := Wire(g, mb, rb, ib)
+	left, right := w.Left[0], w.Right[0] // M1, the only module
 	if len(left)+len(right) != 2 {
 		t.Errorf("orientation missed: L=%v R=%v (want one source per port)", left, right)
 	}
 }
 
 func TestRegisterSources(t *testing.T) {
-	g, mb, rb, _ := bindEx1(t)
-	srcs := RegisterSources(g, mb, rb)
-	if len(srcs) != rb.NumRegisters() {
-		t.Fatalf("got %d entries", len(srcs))
+	g, mb, rb, ib := bindEx1(t)
+	w := Wire(g, mb, rb, ib)
+	if len(w.Sources) != rb.NumRegisters() {
+		t.Fatalf("got %d entries", len(w.Sources))
+	}
+	srcs := make(map[string][]string)
+	for i, r := range rb.Registers {
+		srcs[r.Name] = w.Sources[i]
 	}
 	// The register holding primary input a must list pad in:a.
 	ra := rb.RegisterOf("a")
-	if !containsT(srcs[ra], "in:a") {
+	if !slices.Contains(srcs[ra], "in:a") {
 		t.Errorf("register %s sources %v missing in:a", ra, srcs[ra])
 	}
 	// The register holding d (result of add1 on M1) must list M1.
 	rd := rb.RegisterOf("d")
-	if !containsT(srcs[rd], "M1") {
+	if !slices.Contains(srcs[rd], "M1") {
 		t.Errorf("register %s sources %v missing M1", rd, srcs[rd])
 	}
 }
@@ -223,11 +212,15 @@ func TestWeightedPrefersHighSDInLR(t *testing.T) {
 		if sw.MuxInputs != su.MuxInputs {
 			t.Errorf("%s: weighting changed mux inputs: %d vs %d", b.Name, sw.MuxInputs, su.MuxInputs)
 		}
+		// lrSD sums SD(R) over IR^LR, the registers wired to both ports.
 		lrSD := func(ib *Binding) int {
 			total := 0
-			for _, m := range mb.Modules {
-				for _, reg := range InputRegisterPartition(g, mb, rb, ib, m.Name).LR {
-					total += sh.SDReg(rb.Register(reg).Vars)
+			w := Wire(g, mb, rb, ib)
+			for i := range mb.Modules {
+				for _, src := range w.Left[i] {
+					if !IsPad(src) && slices.Contains(w.Right[i], src) {
+						total += sh.SDReg(rb.Register(src).Vars)
+					}
 				}
 			}
 			return total
@@ -294,14 +287,3 @@ func maxFree(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding) int {
 	}
 	return best
 }
-
-func containsT(list []string, x string) bool {
-	for _, s := range list {
-		if s == x {
-			return true
-		}
-	}
-	return false
-}
-
-var _ = reflect.DeepEqual

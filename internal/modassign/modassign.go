@@ -154,7 +154,10 @@ func (b *Binding) String() string {
 // first listed class executing its kind, and within a class ops are
 // packed onto the minimum number of modules by a left-edge pass over
 // control steps (two ops share a module iff their steps differ). Module
-// names are M1, M2, ... in class order.
+// names are M1, M2, ... class by class: the classes in the order their
+// first op was declared in g, not in the order of the classes list, and
+// the modules of one class in the left-edge pass's (step, name) order.
+// So permuting the graph's op declarations can rename modules.
 func Bind(g *dfg.Graph, classes []Class) (*Binding, error) {
 	if !g.Scheduled() {
 		return nil, fmt.Errorf("modassign: graph %q is not scheduled", g.Name)
@@ -167,7 +170,8 @@ func Bind(g *dfg.Graph, classes []Class) (*Binding, error) {
 		}
 		return Class{}, fmt.Errorf("modassign: no class executes kind %q", k)
 	}
-	// Group ops per class (by class name), preserving class list order.
+	// Group ops per class (by class name), ordering the classes by
+	// their first op in declaration order.
 	groups := make(map[string][]*dfg.Op)
 	var classOrder []Class
 	seen := make(map[string]bool)

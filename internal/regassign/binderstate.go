@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"bistpath/internal/bitset"
 	"bistpath/internal/dfg"
@@ -34,24 +33,21 @@ import (
 // Scratch) recycles the backing arrays; initVars and initModules
 // re-dimension everything for the new graph.
 type binderState struct {
-	names []string // var id -> name (lexicographic, so id order = name order)
-	varID map[string]int32
+	names []string                // var id -> name (lexicographic, so id order = name order)
 	lts   map[string]dfg.Lifetime // the bind's one Lifetimes pass, reused by validate
 	life  []dfg.Lifetime          // var id -> lifetime
 	dens  []int32                 // scratch for dfg.CliqueSizes' density profile
 
 	conf bitset.Matrix // var id -> conflicting var ids
 
-	modNames  []string      // sorted module names (Sharing.Modules order)
-	modIn     bitset.Matrix // module -> input variable ids (alloc vars only)
-	modOut    bitset.Matrix // module -> output variable ids
-	varMIn    bitset.Matrix // var id -> modules it is an input of (modIn transposed)
-	varMOut   bitset.Matrix // var id -> modules it is an output of (modOut transposed)
+	// Module incidence in both directions, over the same var ids and
+	// sorted module ids: the Sharing index NewSharing builds.
+	sh        Sharing
 	instRow   bitset.Matrix // flattened per-instance operand sets
 	instStart []int32       // module m's instances are rows [instStart[m], instStart[m+1])
 
 	// Interconnect endpoints: sources are module indices or, for primary
-	// inputs, nm+varID (each input pad is its own source); destinations
+	// inputs, nm + var id (each input pad is its own source); destinations
 	// are module indices plus nm = "out".
 	srcOf   []int32       // var id -> source id
 	dstBits bitset.Matrix // var id -> destination ids
@@ -153,32 +149,14 @@ func (bs *binderState) initVars(g *dfg.Graph) error {
 	return nil
 }
 
-// initModules interns the module binding: incidence rows in both
-// directions, instance operand rows, interconnect endpoints and the
-// register footprint rows, then SD(v) per variable.
+// initModules builds the module-incidence index through Sharing's own
+// constructor, then the binder's rows over it: instance operand rows,
+// interconnect endpoints and the register footprint rows, then SD(v) per
+// variable.
 func (bs *binderState) initModules(g *dfg.Graph, mb *modassign.Binding) {
-	names := bs.names
-	nv := len(names)
-	if bs.varID == nil {
-		bs.varID = make(map[string]int32, nv)
-	} else {
-		clear(bs.varID)
-	}
-	for i, n := range names {
-		bs.varID[n] = int32(i)
-	}
-
-	// Modules in sorted-name order, matching Sharing.Modules.
-	bs.modNames = bs.modNames[:0]
-	for _, m := range mb.Modules {
-		bs.modNames = append(bs.modNames, m.Name)
-	}
-	sort.Strings(bs.modNames)
-	nm := len(bs.modNames)
-	bs.modIn.Grow(nm, nv)
-	bs.modOut.Grow(nm, nv)
-	bs.varMIn.Grow(nv, nm)
-	bs.varMOut.Grow(nv, nm)
+	sh := &bs.sh
+	sh.init(g, mb, bs.names)
+	nv, nm := len(bs.names), len(sh.Modules)
 	totalInst := 0
 	for _, m := range mb.Modules {
 		totalInst += len(m.Ops)
@@ -186,23 +164,15 @@ func (bs *binderState) initModules(g *dfg.Graph, mb *modassign.Binding) {
 	bs.instRow.Grow(totalInst, nv)
 	bs.instStart = growInt32(bs.instStart, nm+1)
 	row := int32(0)
-	for mi, name := range bs.modNames {
+	for mi, name := range sh.Modules {
 		bs.instStart[mi] = row
-		m := mb.Module(name)
-		for _, opName := range m.Ops {
-			op := g.Op(opName)
-			for _, a := range op.Args {
-				if id, ok := bs.varID[a]; ok {
-					bs.modIn.Row(mi).Set(int(id))
-					bs.varMIn.Row(int(id)).Set(mi)
-					bs.instRow.Row(int(row)).Set(int(id))
+		for _, opName := range mb.Module(name).Ops {
+			// Port-fed operands have no register bit: they can never be
+			// register-bound, exactly as in the map formulation.
+			for _, a := range g.Op(opName).Args {
+				if id := sh.id(a); id >= 0 {
+					bs.instRow.Row(int(row)).Set(id)
 				}
-				// Port-fed operands have no register bit: they can never
-				// be register-bound, exactly as in the map formulation.
-			}
-			if id, ok := bs.varID[op.Result]; ok {
-				bs.modOut.Row(mi).Set(int(id))
-				bs.varMOut.Row(int(id)).Set(mi)
 			}
 			row++
 		}
@@ -212,15 +182,15 @@ func (bs *binderState) initModules(g *dfg.Graph, mb *modassign.Binding) {
 	// Interconnect endpoint interning (the Fig. 6 estimator).
 	bs.srcOf = growInt32(bs.srcOf, nv)
 	bs.dstBits.Grow(nv, nm+1)
-	for i, n := range names {
+	for i, n := range bs.names {
 		v := g.Var(n)
 		if v.IsInput {
 			bs.srcOf[i] = int32(nm + i) // each input pad is its own source
 		} else {
-			bs.srcOf[i] = int32(bs.modIndex(mb.ModuleOf(v.Def).Name))
+			bs.srcOf[i] = int32(sh.module(mb.ModuleOf(v.Def).Name))
 		}
 		for _, u := range v.Uses {
-			bs.dstBits.Row(i).Set(bs.modIndex(mb.ModuleOf(u).Name))
+			bs.dstBits.Row(i).Set(sh.module(mb.ModuleOf(u).Name))
 		}
 		if v.IsOutput {
 			bs.dstBits.Row(i).Set(nm)
@@ -239,7 +209,7 @@ func (bs *binderState) initModules(g *dfg.Graph, mb *modassign.Binding) {
 	bs.mcs = growInt32(bs.mcs, nv)
 	bs.sdv = growInt32(bs.sdv, nv)
 	for v := 0; v < nv; v++ {
-		bs.sdv[v] = int32(bs.varMIn.Row(v).Count() + bs.varMOut.Row(v).Count())
+		bs.sdv[v] = int32(sh.sdVarID(v))
 	}
 }
 
@@ -264,20 +234,6 @@ func growInt32(s []int32, n int) []int32 {
 	return s
 }
 
-func (bs *binderState) modIndex(name string) int {
-	// Module counts are small; binary search on the sorted names.
-	lo, hi := 0, len(bs.modNames)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bs.modNames[mid] < name {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // instances returns the instance-operand rows of module mi.
 func (bs *binderState) instances(mi int) (lo, hi int32) {
 	return bs.instStart[mi], bs.instStart[mi+1]
@@ -295,8 +251,8 @@ func (bs *binderState) sdReg(r int) int {
 // sdRegWith returns SD(R, v): the register's sharing degree with v
 // hypothetically added.
 func (bs *binderState) sdRegWith(r int, v int32) int {
-	return bs.regMIn.Row(r).OrCount(bs.varMIn.Row(int(v))) +
-		bs.regMOut.Row(r).OrCount(bs.varMOut.Row(int(v)))
+	return bs.regMIn.Row(r).OrCount(bs.sh.varIn.Row(int(v))) +
+		bs.regMOut.Row(r).OrCount(bs.sh.varOut.Row(int(v)))
 }
 
 func (bs *binderState) deltaSD(r int, v int32) int {
@@ -328,18 +284,18 @@ func (bs *binderState) assign(r int, v int32) {
 	bs.hold(r, v)
 	bs.regSrc.Row(r).Set(int(bs.srcOf[v]))
 	bs.regDst.Row(r).Or(bs.dstBits.Row(int(v)))
-	in, rin := bs.varMIn.Row(int(v)), bs.regMIn.Row(r)
+	in, rin := bs.sh.varIn.Row(int(v)), bs.regMIn.Row(r)
 	for wi, w := range in {
 		for fresh := w &^ rin[wi]; fresh != 0; fresh &= fresh - 1 {
 			bs.inRegs[wi<<6+bits.TrailingZeros64(fresh)]++
 		}
 		rin[wi] |= w
 	}
-	bs.regMOut.Row(r).Or(bs.varMOut.Row(int(v)))
+	bs.regMOut.Row(r).Or(bs.sh.varOut.Row(int(v)))
 	if !bs.lemma2 {
 		return
 	}
-	out := bs.varMOut.Row(int(v))
+	out := bs.sh.varOut.Row(int(v))
 	for wi := range in {
 		for w := in[wi] | out[wi]; w != 0; w &= w - 1 {
 			mi := wi<<6 + bits.TrailingZeros64(w)
@@ -372,7 +328,7 @@ func (bs *binderState) openRegister(v int32) int {
 // output variables and an operand of every instance; case (ii) needs a
 // pair that partitions the outputs, each member hitting every instance.
 func (bs *binderState) forcedModule(mi int) bool {
-	out := bs.modOut.Row(mi)
+	out := bs.sh.out.Row(mi)
 	lo, hi := bs.instances(mi)
 	if !out.Any() || lo == hi {
 		return false
@@ -433,7 +389,7 @@ func (bs *binderState) forcedWith(r int, v int32) int {
 	rb := bs.regBits.Row(r)
 	rb.Set(int(v))
 	n := bs.nForced
-	in, out := bs.varMIn.Row(int(v)), bs.varMOut.Row(int(v))
+	in, out := bs.sh.varIn.Row(int(v)), bs.sh.varOut.Row(int(v))
 	for wi := range in {
 		for w := in[wi] | out[wi]; w != 0; w &= w - 1 {
 			mi := wi<<6 + bits.TrailingZeros64(w)
@@ -559,7 +515,7 @@ func (bs *binderState) divert(ranked []rankKey, v int32) bool {
 	// Because operators are binary, Case 2 applies only when two
 	// registers already hold input variables of the module.
 	busy := bs.busyIn
-	for wi, w := range bs.varMIn.Row(int(v)) {
+	for wi, w := range bs.sh.varIn.Row(int(v)) {
 		busy[wi] = 0
 		for ; w != 0; w &= w - 1 {
 			if mi := wi<<6 + bits.TrailingZeros64(w); bs.inRegs[mi] >= 2 {
@@ -567,7 +523,7 @@ func (bs *binderState) divert(ranked []rankKey, v int32) bool {
 			}
 		}
 	}
-	out := bs.varMOut.Row(int(v))
+	out := bs.sh.varOut.Row(int(v))
 	div, n := bs.div[:0], 0
 	for _, k := range ranked {
 		if k.r != primary.r && k.sd > sdPrimary &&

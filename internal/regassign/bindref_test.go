@@ -24,11 +24,11 @@ type refBinder struct {
 
 func (rb refBinder) sdVar(v int32) int {
 	bs, sd := rb.bs, 0
-	for mi := range bs.modNames {
-		if bs.modIn.Row(mi).Has(int(v)) {
+	for mi := range bs.sh.Modules {
+		if bs.sh.in.Row(mi).Has(int(v)) {
 			sd++
 		}
-		if bs.modOut.Row(mi).Has(int(v)) {
+		if bs.sh.out.Row(mi).Has(int(v)) {
 			sd++
 		}
 	}
@@ -38,11 +38,11 @@ func (rb refBinder) sdVar(v int32) int {
 func (rb refBinder) sdReg(r int) int {
 	bs, sd := rb.bs, 0
 	regBits := bs.regBits.Row(r)
-	for mi := range bs.modNames {
-		if regBits.Intersects(bs.modIn.Row(mi)) {
+	for mi := range bs.sh.Modules {
+		if regBits.Intersects(bs.sh.in.Row(mi)) {
 			sd++
 		}
-		if regBits.Intersects(bs.modOut.Row(mi)) {
+		if regBits.Intersects(bs.sh.out.Row(mi)) {
 			sd++
 		}
 	}
@@ -52,11 +52,11 @@ func (rb refBinder) sdReg(r int) int {
 func (rb refBinder) sdRegWith(r int, v int32) int {
 	bs, sd := rb.bs, 0
 	regBits := bs.regBits.Row(r)
-	for mi := range bs.modNames {
-		if regBits.Intersects(bs.modIn.Row(mi)) || bs.modIn.Row(mi).Has(int(v)) {
+	for mi := range bs.sh.Modules {
+		if regBits.Intersects(bs.sh.in.Row(mi)) || bs.sh.in.Row(mi).Has(int(v)) {
 			sd++
 		}
-		if regBits.Intersects(bs.modOut.Row(mi)) || bs.modOut.Row(mi).Has(int(v)) {
+		if regBits.Intersects(bs.sh.out.Row(mi)) || bs.sh.out.Row(mi).Has(int(v)) {
 			sd++
 		}
 	}
@@ -81,7 +81,7 @@ func (rb refBinder) openRegister(v int32) {
 
 func (rb refBinder) forcedCount() int {
 	count := 0
-	for mi := range rb.bs.modNames {
+	for mi := range rb.bs.sh.Modules {
 		if rb.bs.forcedModule(mi) {
 			count++
 		}
@@ -145,12 +145,12 @@ func (rb refBinder) diversion(cands []int, v int32, primary int) []int {
 	seen := make(map[int]bool)
 	// Case 1: v is an output variable of module Mj and some candidate
 	// register already holds an output variable of Mj.
-	for mi := range bs.modNames {
-		if !bs.modOut.Row(mi).Has(int(v)) {
+	for mi := range bs.sh.Modules {
+		if !bs.sh.out.Row(mi).Has(int(v)) {
 			continue
 		}
 		for r := 0; r < bs.numRegs; r++ {
-			if r == primary || !isCand[r] || !bs.regBits.Row(r).Intersects(bs.modOut.Row(mi)) {
+			if r == primary || !isCand[r] || !bs.regBits.Row(r).Intersects(bs.sh.out.Row(mi)) {
 				continue
 			}
 			if rb.sdReg(r) > sdPrimary {
@@ -160,13 +160,13 @@ func (rb refBinder) diversion(cands []int, v int32, primary int) []int {
 	}
 	// Case 2: v is an input variable of Mj and two registers already
 	// hold input variables of Mj.
-	for mi := range bs.modNames {
-		if !bs.modIn.Row(mi).Has(int(v)) {
+	for mi := range bs.sh.Modules {
+		if !bs.sh.in.Row(mi).Has(int(v)) {
 			continue
 		}
 		touching := 0
 		for r := 0; r < bs.numRegs; r++ {
-			if bs.regBits.Row(r).Intersects(bs.modIn.Row(mi)) {
+			if bs.regBits.Row(r).Intersects(bs.sh.in.Row(mi)) {
 				touching++
 			}
 		}
@@ -174,7 +174,7 @@ func (rb refBinder) diversion(cands []int, v int32, primary int) []int {
 			continue
 		}
 		for r := 0; r < bs.numRegs; r++ {
-			if r == primary || !isCand[r] || !bs.regBits.Row(r).Intersects(bs.modIn.Row(mi)) {
+			if r == primary || !isCand[r] || !bs.regBits.Row(r).Intersects(bs.sh.in.Row(mi)) {
 				continue
 			}
 			if rb.sdReg(r) > sdPrimary {
@@ -287,7 +287,7 @@ func referenceBind(g *dfg.Graph, mb *modassign.Binding, opts Options, trace *[]D
 	bs.conf.Grow(nv, nv)
 	for i, u := range bs.names {
 		for w := range conf[u] {
-			bs.conf.Row(i).Set(int(bs.varID[w]))
+			bs.conf.Row(i).Set(bs.sh.id(w))
 		}
 	}
 	mcs, err := g.MaxCliqueSize()

@@ -28,16 +28,16 @@ func TestSDPaperExample(t *testing.T) {
 	if got := sh.SDReg([]string{"d"}); got != 2 {
 		t.Errorf("SD({d}) = %d, want 2", got)
 	}
-	if got := sh.SDRegWith([]string{"c"}, "f"); got != 4 {
+	if got := sh.SDReg([]string{"c", "f"}); got != 4 {
 		t.Errorf("SD({c},f) = %d, want 4", got)
 	}
-	if got := sh.DeltaSD([]string{"c"}, "f"); got != 2 {
+	if got := sh.SDReg([]string{"c", "f"}) - sh.SDReg([]string{"c"}); got != 2 {
 		t.Errorf("ΔSD^f({c}) = %d, want 2", got)
 	}
-	if got := sh.SDRegWith([]string{"d"}, "f"); got != 3 {
+	if got := sh.SDReg([]string{"d", "f"}); got != 3 {
 		t.Errorf("SD({d},f) = %d, want 3", got)
 	}
-	if got := sh.DeltaSD([]string{"d"}, "f"); got != 1 {
+	if got := sh.SDReg([]string{"d", "f"}) - sh.SDReg([]string{"d"}); got != 1 {
 		t.Errorf("ΔSD^f({d}) = %d, want 1", got)
 	}
 }
@@ -52,6 +52,16 @@ func TestSDVar(t *testing.T) {
 		if got := sh.SDVar(v); got != w {
 			t.Errorf("SD(%s) = %d, want %d", v, got, w)
 		}
+	}
+	// The index holds register variables only: a port-fed input, which
+	// no register can hold, reads 0.
+	p := benchdata.Paulin()
+	mb, err := p.Modules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := NewSharing(p.Graph, mb).SDVar("dx"); got != 0 {
+		t.Errorf("SD(dx) = %d, want 0 for a port-fed input", got)
 	}
 }
 
@@ -68,11 +78,11 @@ func TestSDRegUnionSemantics(t *testing.T) {
 	}
 }
 
-// NewSharing's variable sets on ex1 (Definition 3): M1 = {add1, add2}
-// reads a, b, c, d and writes d, f; M2 = {mul1, mul2} reads e, f, g and
-// writes c, h.
+// NewSharing's variable sets on ex1 (Definition 3), read back through
+// the per-module flags: M1 = {add1, add2} reads a, b, c, d and writes
+// d, f; M2 = {mul1, mul2} reads e, f, g and writes c, h.
 func TestInputOutputModules(t *testing.T) {
-	sh, _ := ex1Sharing(t)
+	sh, b := ex1Sharing(t)
 	set := func(vs ...string) map[string]bool {
 		m := make(map[string]bool, len(vs))
 		for _, v := range vs {
@@ -82,11 +92,24 @@ func TestInputOutputModules(t *testing.T) {
 	}
 	wantIn := map[string]map[string]bool{"M1": set("a", "b", "c", "d"), "M2": set("e", "f", "g")}
 	wantOut := map[string]map[string]bool{"M1": set("d", "f"), "M2": set("c", "h")}
-	if !reflect.DeepEqual(sh.In, wantIn) {
-		t.Errorf("I_M = %v, want %v", sh.In, wantIn)
+	gotIn, gotOut := map[string]map[string]bool{}, map[string]map[string]bool{}
+	for j, m := range sh.Modules {
+		gotIn[m], gotOut[m] = set(), set()
+		for _, v := range b.Graph.AllocVars() {
+			x, y := sh.Flags([]string{v}, j)
+			if x {
+				gotIn[m][v] = true
+			}
+			if y {
+				gotOut[m][v] = true
+			}
+		}
 	}
-	if !reflect.DeepEqual(sh.Out, wantOut) {
-		t.Errorf("O_M = %v, want %v", sh.Out, wantOut)
+	if !reflect.DeepEqual(gotIn, wantIn) {
+		t.Errorf("I_M = %v, want %v", gotIn, wantIn)
+	}
+	if !reflect.DeepEqual(gotOut, wantOut) {
+		t.Errorf("O_M = %v, want %v", gotOut, wantOut)
 	}
 }
 
@@ -99,9 +122,22 @@ func TestSDMonotone(t *testing.T) {
 			if v == w {
 				continue
 			}
-			if sh.SDRegWith([]string{v}, w) < sh.SDReg([]string{v}) {
+			if sh.SDReg([]string{v, w}) < sh.SDReg([]string{v}) {
 				t.Errorf("SD({%s},%s) < SD({%s})", v, w, v)
 			}
 		}
+	}
+}
+
+// The accessors run inside coloring loops (the RALLOC and SYNTEST
+// baselines call Flags per candidate register), so none may allocate.
+func TestSharingAccessorsDoNotAllocate(t *testing.T) {
+	sh, _ := ex1Sharing(t)
+	reg := []string{"a", "c", "f", "h"}
+	if n := testing.AllocsPerRun(20, func() {
+		_ = sh.SDReg(reg) + sh.SDVar("c")
+		_, _ = sh.Flags(reg, 1)
+	}); n != 0 {
+		t.Errorf("SDReg, SDVar and Flags allocate %.0f times per call, want 0", n)
 	}
 }

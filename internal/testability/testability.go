@@ -125,7 +125,7 @@ func COP(n *gates.Netlist, observed []gates.Sig) (*Analysis, error) {
 	}
 	// Process gates in reverse topological order: levelize the full
 	// netlist once and walk it backwards, restricted to the cone.
-	order, err := levelOrder(n)
+	order, err := n.Levelize()
 	if err != nil {
 		return nil, err
 	}
@@ -160,53 +160,6 @@ func COP(n *gates.Netlist, observed []gates.Sig) (*Analysis, error) {
 		}
 	}
 	return a, nil
-}
-
-// levelOrder exposes the netlist's topological gate order (wrapping the
-// internal levelizer through a fresh simulator, which validates acyclic
-// structure as a side effect).
-func levelOrder(n *gates.Netlist) ([]int, error) {
-	// Recompute locally: producer-based DFS identical to the simulator's.
-	producer := make(map[gates.Sig]int, len(n.Gates))
-	for i, g := range n.Gates {
-		producer[g.Out] = i
-	}
-	order := make([]int, 0, len(n.Gates))
-	state := make([]int, len(n.Gates))
-	var visit func(gi int) error
-	visit = func(gi int) error {
-		state[gi] = 1
-		g := n.Gates[gi]
-		ins := []gates.Sig{g.A}
-		if g.Kind != gates.Not {
-			ins = append(ins, g.B)
-		}
-		for _, s := range ins {
-			pi, ok := producer[s]
-			if !ok {
-				continue
-			}
-			switch state[pi] {
-			case 1:
-				return fmt.Errorf("testability: combinational cycle")
-			case 0:
-				if err := visit(pi); err != nil {
-					return err
-				}
-			}
-		}
-		state[gi] = 2
-		order = append(order, gi)
-		return nil
-	}
-	for gi := range n.Gates {
-		if state[gi] == 0 {
-			if err := visit(gi); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return order, nil
 }
 
 // DetectProb returns the single-pattern detection probability of a

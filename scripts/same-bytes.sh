@@ -1,12 +1,12 @@
 #!/usr/bin/env sh
 # Check that the working tree's command-line tools print the same bytes
-# as a base commit's on the five paper designs.
+# as a base commit's on the five paper designs and one generated design.
 #
 # Usage: scripts/same-bytes.sh [BASE_REF]    (BASE_REF defaults to HEAD)
 #
 # The script checks BASE_REF out in a temporary git worktree and builds
-# cmd/bistpath, cmd/paperbench and scripts/normjson there and in the
-# working tree. It runs every command of the list below once with each
+# cmd/bistpath, cmd/paperbench, cmd/dfgen and scripts/normjson there and
+# in the working tree. It runs every command of the list below once with each
 # build, each side in its own scratch directory with its own binaries
 # first on PATH, and compares each command's stdout and exit status. A
 # command that writes a file prints it (sim -vcd), so the file is
@@ -34,7 +34,7 @@ for side in base head; do
     src=.
     [ "$side" = base ] && src="$tmp/src"
     mkdir -p "$tmp/$side/bin" "$tmp/$side/run"
-    (cd "$src" && go build -o "$tmp/$side/bin/" ./cmd/bistpath ./cmd/paperbench ./scripts/normjson)
+    (cd "$src" && go build -o "$tmp/$side/bin/" ./cmd/bistpath ./cmd/paperbench ./cmd/dfgen ./scripts/normjson)
 done
 
 designs="ex1 ex2 tseng1 tseng2 paulin"
@@ -55,9 +55,15 @@ inputs=a=1,b=2,c=3,d=4,e=5,f=6,g=7
     done
     echo "bistpath sim -bench ex1 -inputs $inputs"
     echo "bistpath sim -bench ex1 -inputs $inputs -vcd run.vcd && cat run.vcd"
+    # A generated design under automatic module binding (no module map).
+    for mode in testable traditional; do
+        echo "dfgen -preset m -seed 2 > m2.dfg && bistpath synth -dfg m2.dfg -netlist -mode $mode"
+    done
     echo "bistpath verify -bench all"
     echo "bistpath verify -bench all -json"
-    for t in "-table 1" "-table 2" "-table 3" -ablation -objective; do
+    for t in "-table 1" "-table 2" "-table 3" -ablation -objective \
+        "-fig 1" "-fig 2" "-fig 3" "-fig 4" "-fig 5" "-fig 6" \
+        -scale -sessions -widths -scan -optimality -atpg; do
         echo "paperbench $t"
     done
     echo "bistpath help 2>&1"
