@@ -468,6 +468,50 @@ func BenchmarkSynthesizePareto(b *testing.B) {
 	}
 }
 
+// Result.JSON on fixed Results: the five paper designs, paulin's Pareto
+// front and dfgen l-1, all seven encoded per op. Once the encode buffer
+// pool is warm a document costs one allocation of its own length, so
+// B/op is the documents' total length plus size-class rounding.
+func BenchmarkResultJSON(b *testing.B) {
+	var results []*Result
+	add := func(d *DFG, mods map[string]string, cfg Config) {
+		res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	for _, name := range BenchmarkNames() {
+		d, mods, err := Benchmark(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		add(d, mods, DefaultConfig())
+	}
+	pareto := DefaultConfig()
+	pareto.Objective = ParetoFront
+	d, mods, err := Benchmark("paulin")
+	if err != nil {
+		b.Fatal(err)
+	}
+	add(d, mods, pareto)
+	d, mods = presetDesign(b, "l", 1)
+	add(d, mods, DefaultConfig())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, res := range results {
+			doc, err := res.JSON()
+			if err != nil {
+				b.Fatal(err)
+			}
+			jsonSink = doc
+		}
+	}
+}
+
+// jsonSink keeps BenchmarkResultJSON's documents live.
+var jsonSink []byte
+
 func BenchmarkDatapathSimulate(b *testing.B) {
 	dp := builtDatapath(b, "paulin", false)
 	in := map[string]uint64{"x": 1, "u": 20, "y": 1, "dx": 1, "a": 5, "k3": 3}

@@ -15,6 +15,7 @@
 package bistpath
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -560,7 +561,15 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	st.Lemma2Checks = rm.Lemma2Checks
 	st.CaseOverrides = rm.CaseOverrides
 
-	sh := regassign.NewSharing(g, mb)
+	// The binder built the sharing index in its scratch; traditional mode
+	// and a run without scratch build it here. It is only read during
+	// the run, never kept on the Result.
+	var sh *regassign.Sharing
+	if cfg.Mode != TraditionalHLS && sc != nil {
+		sh = sc.bind.Sharing()
+	} else {
+		sh = regassign.NewSharing(g, mb)
+	}
 	var shw *regassign.Sharing
 	if cfg.WeightedInterconnect {
 		shw = sh
@@ -670,6 +679,8 @@ func assemble(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding,
 		Name:        g.Name,
 		Mode:        cfg.Mode,
 		Width:       cfg.Width,
+		Registers:   make([]RegisterInfo, 0, len(rb.Registers)),
+		Modules:     make([]ModuleInfo, 0, len(mb.Modules)),
 		StyleCounts: make(map[string]int),
 		dp:          dp,
 		plan:        plan,
@@ -740,15 +751,11 @@ func sortSessions(sessions [][]string) [][]string {
 	for i, s := range sessions {
 		out[i] = append([]string(nil), s...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		switch {
-		case len(a) == 0:
-			return len(b) != 0
-		case len(b) == 0:
-			return false
+	slices.SortFunc(out, func(a, b []string) int {
+		if len(a) == 0 || len(b) == 0 {
+			return cmp.Compare(len(a), len(b)) // empty sessions first
 		}
-		return a[0] < b[0]
+		return strings.Compare(a[0], b[0])
 	})
 	return out
 }

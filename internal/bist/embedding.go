@@ -7,7 +7,6 @@
 package bist
 
 import (
-	"fmt"
 	"sort"
 
 	"bistpath/internal/area"
@@ -36,9 +35,9 @@ func (e Embedding) NeedsCBILBO() bool {
 
 func (e Embedding) String() string {
 	if e.HeadR == "" {
-		return fmt.Sprintf("%s: L<=%s out=>%s", e.Module, e.HeadL, e.Tail)
+		return e.Module + ": L<=" + e.HeadL + " out=>" + e.Tail
 	}
-	return fmt.Sprintf("%s: L<=%s R<=%s out=>%s", e.Module, e.HeadL, e.HeadR, e.Tail)
+	return e.Module + ": L<=" + e.HeadL + " R<=" + e.HeadR + " out=>" + e.Tail
 }
 
 // Embeddings enumerates every BIST embedding of a module over the simple

@@ -9,7 +9,6 @@ package datapath
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"bistpath/internal/dfg"
@@ -168,10 +167,8 @@ func buildSteps(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, ib *
 // variable order, the canonical order of a control program.
 func sortSteps(steps []Step) {
 	for s := range steps {
-		ops := steps[s].Ops
-		sort.Slice(ops, func(i, j int) bool { return ops[i].Op < ops[j].Op })
-		lds := steps[s].Loads
-		sort.Slice(lds, func(i, j int) bool { return lds[i].Var < lds[j].Var })
+		slices.SortFunc(steps[s].Ops, func(a, b MicroOp) int { return strings.Compare(a.Op, b.Op) })
+		slices.SortFunc(steps[s].Loads, func(a, b Load) int { return strings.Compare(a.Var, b.Var) })
 	}
 }
 

@@ -7,7 +7,9 @@
 package modassign
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -251,18 +253,17 @@ func FromMap(g *dfg.Graph, opToModule map[string]string) (*Binding, error) {
 		for k := range kinds {
 			ks = append(ks, k)
 		}
-		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+		slices.Sort(ks)
 		if len(ks) == 1 {
 			m.Class = UnitClass(ks[0])
 		} else {
 			m.Class = ALUClass(ks...)
 		}
-		sort.Slice(m.Ops, func(i, j int) bool {
-			oi, oj := g.Op(m.Ops[i]), g.Op(m.Ops[j])
-			if oi.Step != oj.Step {
-				return oi.Step < oj.Step
+		slices.SortFunc(m.Ops, func(a, b string) int {
+			if c := cmp.Compare(g.Op(a).Step, g.Op(b).Step); c != 0 {
+				return c
 			}
-			return oi.Name < oj.Name
+			return strings.Compare(a, b)
 		})
 		b.Modules = append(b.Modules, m)
 	}

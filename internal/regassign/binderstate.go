@@ -97,6 +97,13 @@ type Scratch struct {
 // NewScratch returns an empty reusable binder scratch.
 func NewScratch() *Scratch { return &Scratch{} }
 
+// Sharing returns the module-incidence index that the last Bind or
+// BindTraced call on s built for its graph and module binding: the one
+// NewSharing would build. It belongs to s, so it is valid only until
+// the next call that uses s, and nothing that outlives that call may
+// keep it.
+func (s *Scratch) Sharing() *Sharing { return &s.bs.sh }
+
 // initVars interns the graph's register variables and derives the
 // conflict rows from one Lifetimes pass, sizing the register rows and
 // the PVES buffers. Traditional needs nothing more.

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"bistpath/internal/benchdata"
+	"bistpath/internal/dfg"
+	"bistpath/internal/modassign"
 )
 
 func ex1Sharing(t *testing.T) (*Sharing, *benchdata.Benchmark) {
@@ -139,5 +141,63 @@ func TestSharingAccessorsDoNotAllocate(t *testing.T) {
 		_, _ = sh.Flags(reg, 1)
 	}); n != 0 {
 		t.Errorf("SDReg, SDVar and Flags allocate %.0f times per call, want 0", n)
+	}
+}
+
+// The index a Bind leaves in its Scratch is the one NewSharing builds:
+// same modules, SD(v), SD(R) and Definition 5 flags for every register
+// of the binding. One Scratch serves every design, larger ones first,
+// so a stale row from an earlier, wider design would show.
+func TestScratchSharingMatchesNewSharing(t *testing.T) {
+	type design struct {
+		name string
+		g    *dfg.Graph
+		mb   *modassign.Binding
+	}
+	var designs []design
+	for _, preset := range []string{"l", "m", "s"} {
+		cfg, _ := benchdata.Preset(preset, 1)
+		g, mb, err := benchdata.RandomWithModules(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		designs = append(designs, design{preset + "-1", g, mb})
+	}
+	for _, b := range benchdata.All() {
+		mb, err := b.Modules()
+		if err != nil {
+			t.Fatal(err)
+		}
+		designs = append(designs, design{b.Graph.Name, b.Graph, mb})
+	}
+	opts := DefaultOptions()
+	opts.Scratch = NewScratch()
+	for _, d := range designs {
+		rb, err := Bind(d.g, d.mb, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := opts.Scratch.Sharing(), NewSharing(d.g, d.mb)
+		if !reflect.DeepEqual(got.Modules, want.Modules) {
+			t.Fatalf("%s: modules %v, want %v", d.name, got.Modules, want.Modules)
+		}
+		for _, v := range d.g.AllocVars() {
+			if g, w := got.SDVar(v), want.SDVar(v); g != w {
+				t.Errorf("%s: SD(%s) = %d, want %d", d.name, v, g, w)
+			}
+		}
+		for _, r := range rb.Registers {
+			if g, w := got.SDReg(r.Vars), want.SDReg(r.Vars); g != w {
+				t.Errorf("%s: SD(%s) = %d, want %d", d.name, r.Name, g, w)
+			}
+			for j := range want.Modules {
+				gx, gy := got.Flags(r.Vars, j)
+				wx, wy := want.Flags(r.Vars, j)
+				if gx != wx || gy != wy {
+					t.Errorf("%s: flags of %s on %s = %v,%v, want %v,%v",
+						d.name, r.Name, want.Modules[j], gx, gy, wx, wy)
+				}
+			}
+		}
 	}
 }

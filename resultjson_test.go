@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -226,5 +229,261 @@ func TestResultJSONKeyOrder(t *testing.T) {
 		if !covered[k] {
 			t.Errorf("no document wrote %q", k)
 		}
+	}
+}
+
+// resultJSON is the reference encoding of the schema: the tagged struct
+// that json.MarshalIndent turns into the document Result.JSON writes in
+// one pass. The public types it holds keep their tags for users' own
+// json.Marshal and for the cache's disk entries, so the writer is held
+// byte-identical to this struct (TestResultJSONMatchesReference,
+// FuzzResultJSON) and the two cannot drift apart.
+type resultJSON struct {
+	Schema         int            `json:"schema"`
+	Name           string         `json:"name"`
+	Mode           string         `json:"mode"`
+	Width          int            `json:"width"`
+	Registers      []RegisterInfo `json:"registers"`
+	Modules        []ModuleInfo   `json:"modules"`
+	MuxCount       int            `json:"mux_count"`
+	MuxExtraInputs int            `json:"mux_extra_inputs"`
+	BaseArea       int            `json:"base_area"`
+	BISTArea       int            `json:"bist_area"`
+	OverheadPct    float64        `json:"overhead_pct"`
+	StyleCounts    map[string]int `json:"style_counts"`
+	Sessions       [][]string     `json:"sessions"`
+	Objective      string         `json:"objective,omitempty"`
+	Weights        *Weights       `json:"weights,omitempty"`
+	Cost           *CostVector    `json:"cost,omitempty"`
+	Pareto         []ParetoPoint  `json:"pareto,omitempty"`
+	Stats          Stats          `json:"stats"`
+}
+
+// referenceJSON encodes r through resultJSON and json.MarshalIndent.
+func referenceJSON(r *Result) ([]byte, error) {
+	doc := resultJSON{
+		Schema:         ResultSchemaVersion,
+		Name:           r.Name,
+		Mode:           r.Mode.String(),
+		Width:          r.Width,
+		Registers:      r.Registers,
+		Modules:        r.Modules,
+		MuxCount:       r.MuxCount,
+		MuxExtraInputs: r.MuxExtraInputs,
+		BaseArea:       r.BaseArea,
+		BISTArea:       r.BISTArea,
+		OverheadPct:    r.OverheadPct,
+		StyleCounts:    r.StyleCounts,
+		Sessions:       r.Sessions,
+		Stats:          r.Stats,
+	}
+	if doc.Registers == nil {
+		doc.Registers = []RegisterInfo{}
+	}
+	if doc.Modules == nil {
+		doc.Modules = []ModuleInfo{}
+	}
+	if doc.Sessions == nil {
+		doc.Sessions = [][]string{}
+	}
+	if doc.StyleCounts == nil {
+		doc.StyleCounts = map[string]int{}
+	}
+	if r.Cost != nil {
+		doc.Objective = r.cfg.Objective.String()
+		doc.Cost = r.Cost
+		doc.Pareto = r.Pareto
+		if r.cfg.Objective == WeightedSum {
+			doc.Weights = &r.cfg.Weights
+		}
+	}
+	return json.MarshalIndent(doc, "", "  ")
+}
+
+// checkReferenceJSON fails unless r.JSON() returns exactly referenceJSON's
+// bytes, or the same error.
+func checkReferenceJSON(t testing.TB, label string, r *Result) {
+	t.Helper()
+	got, gotErr := r.JSON()
+	want, wantErr := referenceJSON(r)
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("%s: error %v, reference error %v", label, gotErr, wantErr)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	lo := max(i-80, 0)
+	t.Fatalf("%s: JSON differs from the reference at byte %d:\n got …%q\nwant …%q",
+		label, i, got[lo:min(i+80, len(got))], want[lo:min(i+80, len(want))])
+}
+
+// edgeResults are hand-built Results that no synthesis run produces:
+// empty and nil collections, extreme and non-finite floats, and the
+// multi-objective fields under each objective.
+func edgeResults() map[string]*Result {
+	weighted := &Result{Name: "weighted", Cost: &CostVector{Area: 3, TestTime: 2, PeakPower: 1},
+		Pareto: []ParetoPoint{}}
+	weighted.cfg.Objective = WeightedSum
+	weighted.cfg.Weights = Weights{Area: 1, TestTime: 50, PeakPower: 2}
+	pareto := &Result{Name: "pareto", Cost: &CostVector{}, Pareto: []ParetoPoint{
+		{OverheadPct: 1e-7},
+		{Cost: CostVector{Area: 1}, StyleCounts: map[string]int{}, Sessions: [][]string{{}, nil, {"m1"}}},
+	}}
+	pareto.cfg.Objective = ParetoFront
+	return map[string]*Result{
+		"zero":  {},
+		"empty": {Registers: []RegisterInfo{}, Modules: []ModuleInfo{}, Sessions: [][]string{}, StyleCounts: map[string]int{}},
+		"nil-inner": {
+			Mode:      TraditionalHLS,
+			Registers: []RegisterInfo{{Name: "R1"}, {Name: "R2", Vars: []string{}}},
+			Modules:   []ModuleInfo{{Name: "m1", ForcedCBILBO: true}, {Name: "m2", Ops: []string{}}},
+			Sessions:  [][]string{nil, {}, {"m1", "m2"}},
+		},
+		"tiny":       {OverheadPct: 1e-7, StyleCounts: map[string]int{"TPG": 1, "CBILBO": 2, "SA": 0, "TPG/SA": -3}},
+		"huge":       {OverheadPct: 1e21},
+		"negative":   {OverheadPct: -2.5e-9},
+		"neg-zero":   {OverheadPct: math.Copysign(0, -1)},
+		"nan":        {OverheadPct: math.NaN()},
+		"inf":        {OverheadPct: math.Inf(-1)},
+		"pareto-nan": {Cost: &CostVector{}, Pareto: []ParetoPoint{{OverheadPct: math.NaN()}}},
+		"stats": {Stats: Stats{Total: -1, SearchNodes: math.MaxInt64, CaseOverrides: math.MinInt64,
+			CacheHit: true, ReusedPhases: []string{"bist-search"}, IncrementalSpeedup: math.NaN()}},
+		"weighted": weighted,
+		"pareto":   pareto,
+	}
+}
+
+// Result.JSON writes exactly the bytes json.MarshalIndent writes for the
+// tagged reference struct: on the paper designs under every objective and
+// both modes, 200 sweep designs, dfgen s/m/l designs and hand-built edge
+// Results.
+func TestResultJSONMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	weighted := DefaultConfig()
+	weighted.Objective = WeightedSum
+	weighted.Weights = Weights{Area: 1, TestTime: 50, PeakPower: 2}
+	pareto := DefaultConfig()
+	pareto.Objective = ParetoFront
+	traditional := DefaultConfig()
+	traditional.Mode = TraditionalHLS
+	configs := map[string]Config{"default": DefaultConfig(), "traditional": traditional,
+		"weighted": weighted, "pareto": pareto}
+	for _, name := range BenchmarkNames() {
+		d, mods, err := Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, cfg := range configs {
+			res, err := d.SynthesizeCtx(ctx, mods, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkReferenceJSON(t, name+" "+label, res)
+		}
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		d, mods, err := RandomDesign(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.SynthesizeCtx(ctx, mods, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReferenceJSON(t, fmt.Sprintf("sweep seed %d", seed), res)
+	}
+	for _, preset := range []string{"s", "m", "l"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			d, mods := presetDesign(t, preset, seed)
+			res, err := d.SynthesizeCtx(ctx, mods, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkReferenceJSON(t, fmt.Sprintf("dfgen %s-%d", preset, seed), res)
+		}
+	}
+	for label, res := range edgeResults() {
+		checkReferenceJSON(t, label, res)
+	}
+	if _, err := edgeResults()["nan"].JSON(); err == nil {
+		t.Error("a NaN overhead encoded without error")
+	}
+}
+
+// FuzzResultJSON puts fuzz-chosen strings into every string field of a
+// Result and a fuzz-chosen float into both overhead fields, and holds
+// the writer to the reference encoding.
+func FuzzResultJSON(f *testing.F) {
+	f.Add("ex1", "R1", 18.0128)
+	f.Add("<a&b>", "\u2028\u2029", 1e-7)
+	f.Add("\x00\x1f\x7f\"\\", "\xff\xfe\xc3", 1e21)
+	f.Add("\b\f\n\r\t", "é€😀", -2.5e-9)
+	f.Add("", "", math.NaN())
+	f.Fuzz(func(t *testing.T, a, b string, x float64) {
+		r := &Result{
+			Name:        a,
+			Registers:   []RegisterInfo{{Name: a, Vars: []string{a, b}, Style: b}},
+			Modules:     []ModuleInfo{{Name: b, Class: a, Ops: []string{b, a}, Embedding: a + b}},
+			OverheadPct: x,
+			StyleCounts: map[string]int{a: 1, b: 2},
+			Sessions:    [][]string{{a}, {b, a}},
+			Cost:        &CostVector{},
+			Pareto: []ParetoPoint{{OverheadPct: x, StyleCounts: map[string]int{b: 3},
+				Sessions: [][]string{{b}}}},
+		}
+		r.cfg.Objective = ParetoFront
+		checkReferenceJSON(t, fmt.Sprintf("%q %q %v", a, b, x), r)
+	})
+}
+
+// JSON is safe for concurrent use: goroutines encoding the same Results
+// at once, as bistpathd's jobs and batch callers do, each get the bytes
+// a lone call returns (run under -race).
+func TestResultJSONConcurrent(t *testing.T) {
+	var results []*Result
+	var want [][]byte
+	for _, name := range BenchmarkNames() {
+		d, mods, err := Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := res.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+		want = append(want, doc)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := (g + i) % len(results)
+				doc, err := results[k].JSON()
+				if err == nil && !bytes.Equal(doc, want[k]) {
+					err = fmt.Errorf("%s: concurrent JSON differs from a lone call", results[k].Name)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
